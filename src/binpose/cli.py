@@ -12,16 +12,17 @@ import json
 import os
 import sys
 
-from .cluster import PerPointPrediction, cluster_predictions
 from .fileio import (load_config, load_poses_json, load_predictions_csv,
-                     save_labels, save_ply, save_poses_json,
-                     save_predictions_csv, save_report_csv, save_report_json,
-                     save_scene_json)
+                     save_predictions_csv, save_report_csv, save_report_json)
 from .losses import gradcheck_trials
 from .metrics import evaluate
-from .pipeline import (ORACLE_SEED_OFFSET, StageError, run_pipeline)
-from .synth import apply_occlusion, generate_scene, oracle_predict
-from .workspace import denormalize_pose, fit_normalization, normalize_scene
+from .pipeline import (StageError, estimate_poses, predict, run_pipeline,
+                       synthesize, write_poses, write_scene)
+
+# Unused here; bound because perfbench/tracing.py wraps these names on binpose.cli.
+from .cluster import cluster_predictions  # noqa: F401
+from .synth import apply_occlusion, generate_scene, oracle_predict  # noqa: F401
+from .workspace import denormalize_pose, fit_normalization, normalize_scene  # noqa: F401
 
 
 def _add_common(p: argparse.ArgumentParser, out_dir: bool = True) -> None:
@@ -71,15 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    scene = generate_scene(cfg.model, cfg.synth, args.seed)
-    scene = apply_occlusion(scene, cfg.synth.occlusion_cell, cfg.synth.occlusion_depth)
-    transform = fit_normalization(cfg.model.points)
-    _, transform = normalize_scene(scene.points, transform)
-    scene.normalization = transform
+    scene = synthesize(cfg, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
-    save_ply(os.path.join(args.out_dir, "scene.ply"), scene.points, scene.labels)
-    save_scene_json(os.path.join(args.out_dir, "scene.json"), scene.gt_poses(),
-                    scene.visible_counts(), scene.seed, scene.normalization)
+    write_scene(args.out_dir, scene)
     print(f"wrote scene with {len(scene.instances)} instances, "
           f"{scene.points.shape[0]} visible points -> {args.out_dir}")
     return 0
@@ -87,11 +82,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    scene = generate_scene(cfg.model, cfg.synth, args.seed)
-    scene = apply_occlusion(scene, cfg.synth.occlusion_cell, cfg.synth.occlusion_depth)
-    pred = oracle_predict(scene, cfg.model, cfg.oracle,
-                          seed=args.seed + ORACLE_SEED_OFFSET,
-                          bin_extents=cfg.synth.bin_extents)
+    pred = predict(cfg, synthesize(cfg, args.seed), args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     save_predictions_csv(os.path.join(args.out_dir, "predictions.csv"), pred)
     print(f"wrote {len(pred)} per-point predictions -> {args.out_dir}/predictions.csv")
@@ -101,27 +92,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_cluster(args) -> int:
     cfg = load_config(args.config)
     pred = load_predictions_csv(os.path.join(args.out_dir, "predictions.csv"))
-    transform = fit_normalization(cfg.model.points)
-    norm_positions, transform = normalize_scene(pred.positions, transform)
-    pred_norm = PerPointPrediction(positions=norm_positions,
-                                   centroids=transform.forward_points(pred.centroids),
-                                   quats=pred.quats)
-    result = cluster_predictions(pred_norm, cfg.cluster, cfg.model.group,
-                                 cfg.model.mask, cfg.model.points,
-                                 single_stage=args.single_stage)
-    poses = [denormalize_pose(inst.pose, transform) for inst in result.instances]
-    if args.icp:
-        from .icp import icp_refine
-        refined = []
-        for label, pose in enumerate(poses):
-            pts = pred.positions[result.labels == label]
-            if pts.shape[0] >= 3:
-                pose = icp_refine(pts, cfg.model.points, pose).pose
-            refined.append(pose)
-        poses = refined
-    save_poses_json(os.path.join(args.out_dir, "poses.json"), poses,
-                    [int(inst.indices.shape[0]) for inst in result.instances])
-    save_labels(os.path.join(args.out_dir, "labels.txt"), result.labels)
+    result, poses = estimate_poses(cfg, pred, args.single_stage, args.icp)
+    write_poses(args.out_dir, result, poses)
     if result.warning:
         print(f"warning: {result.warning}", file=sys.stderr)
     print(f"clustered {len(pred)} points into {len(poses)} instances")

@@ -47,18 +47,6 @@ class ClusterParams:
         if self.max_iters < 1 or self.convergence_tol <= 0.0:
             raise ValueError("bad iteration parameters")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClusterParams":
-        return cls(
-            bandwidth_1=float(d.get("bandwidth_1", 5.0)),
-            bandwidth_2=float(d.get("bandwidth_2", 2.5)),
-            min_points_1=int(d.get("min_points_1", 20)),
-            min_points_2=int(d.get("min_points_2", 50)),
-            quat_scale=float(d.get("quat_scale", 20.0)),
-            max_iters=int(d.get("max_iters", 300)),
-            convergence_tol=float(d.get("convergence_tol", 1e-3)),
-        )
-
 
 @dataclass
 class PerPointPrediction:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -249,29 +250,68 @@ class Config:
     oracle: OracleParams
 
 
+# config section -> its dataclass, one per Config field but the model
+_SECTIONS = {name: cls for name, cls in get_type_hints(Config).items() if name != "model"}
+
+# builtin kind -> (point cloud builder, its keyword parameters with defaults)
+_BUILTIN_SHAPES = {
+    "box": (box_cloud, {"extents": (40.0, 60.0, 80.0), "pitch": 8.0}),
+    "cylinder": (cylinder_cloud, {"radius": 30.0, "height": 80.0, "pitch": 6.0}),
+    "sphere": (sphere_cloud, {"radius": 40.0, "n_points": 500}),
+    "rod": (lambda pitch: rod_model(pitch).points, {"pitch": 2.0}),
+}
+
+
+def _check_keys(section: str, d: dict, known) -> None:
+    """Reject keys of config section ``d`` outside ``known``; the error
+    names each one as section.key ("" is the top level)."""
+    unknown = [f"{section}.{k}" if section else k for k in sorted(set(d) - set(known))]
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+
+
+def _coerce(section: str, d: dict, defaults: dict) -> dict:
+    """Config section ``d`` with each value converted to the type of its
+    key's default."""
+    _check_keys(section, d, defaults)
+    out = {}
+    for key, value in d.items():
+        try:
+            out[key] = type(defaults[key])(value)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"config key {section}.{key}: {e}") from None
+    return out
+
+
+def _load_section(section: str, d: dict, cls):
+    """Dataclass ``cls`` from config section ``d``: absent keys take the
+    field defaults, which every field has, and values are coerced to the
+    types of those defaults."""
+    return cls(**_coerce(section, d, {f.name: f.default for f in fields(cls)}))
+
+
 def _build_builtin_model(shape: dict, symmetry: SymmetryDescriptor) -> ObjectModel:
     kind = shape.get("kind", "box")
-    name = shape.get("name", kind)
-    if kind == "box":
-        pts = box_cloud(shape.get("extents", (40.0, 60.0, 80.0)), float(shape.get("pitch", 8.0)))
-    elif kind == "cylinder":
-        pts = cylinder_cloud(float(shape.get("radius", 30.0)), float(shape.get("height", 80.0)),
-                             float(shape.get("pitch", 6.0)))
-    elif kind == "sphere":
-        pts = sphere_cloud(float(shape.get("radius", 40.0)), int(shape.get("n_points", 500)))
-    elif kind == "rod":
-        return ObjectModel(name, rod_model(float(shape.get("pitch", 2.0))).points, symmetry)
-    else:
+    if kind not in _BUILTIN_SHAPES:
         raise ValueError(f"unknown builtin model kind {kind!r}")
-    return ObjectModel(name, pts, symmetry)
+    build, defaults = _BUILTIN_SHAPES[kind]
+    params = {k: v for k, v in shape.items() if k not in ("kind", "name")}
+    params = dict(defaults, **_coerce("object.builtin", params, defaults))
+    return ObjectModel(shape.get("name", kind), build(**params), symmetry)
 
 
 def load_config(path) -> Config:
-    """Parse and validate the JSON config; referenced files must exist."""
+    """Parse and validate the JSON config; referenced files must exist.
+
+    Every section but ``object`` is read into the dataclass of the
+    matching Config field. An unknown key anywhere raises ValueError.
+    """
     with open(path) as f:
         raw = json.load(f)
+    _check_keys("", raw, ["object", *_SECTIONS])
     obj = raw.get("object", {})
-    symmetry = SymmetryDescriptor.from_dict(obj.get("symmetry", {}))
+    _check_keys("object", obj, ("model_path", "name", "builtin", "symmetry"))
+    symmetry = _load_section("object.symmetry", obj.get("symmetry", {}), SymmetryDescriptor)
     if "model_path" in obj:
         model_path = obj["model_path"]
         if not os.path.isabs(model_path):
@@ -284,10 +324,5 @@ def load_config(path) -> Config:
         model = _build_builtin_model(obj["builtin"], symmetry)
     else:
         raise ValueError("config object section needs 'model_path' or 'builtin'")
-    return Config(
-        model=model,
-        cluster=ClusterParams.from_dict(raw.get("cluster", {})),
-        eval=EvalConfig.from_dict(raw.get("eval", {})),
-        synth=SceneGenParams.from_dict(raw.get("synth", {})),
-        oracle=OracleParams.from_dict(raw.get("oracle", {})),
-    )
+    return Config(model=model, **{name: _load_section(name, raw.get(name, {}), cls)
+                                  for name, cls in _SECTIONS.items()})

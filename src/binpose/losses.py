@@ -148,18 +148,22 @@ def total_loss(instances: Sequence[LossInstance], weights: LossWeights) -> float
 
 
 def _quat_matrix_partials(q: np.ndarray) -> np.ndarray:
-    """d(rotation matrix)/d(quaternion component), shape (4,3,3).
+    """d(rotation matrix)/d(quaternion component) for (m,4) quaternions,
+    shape (m,4,3,3).
 
     Partials of the unit-quaternion rotation formula treating the four
     components as free; combine with the normalization Jacobian to get
     the gradient with respect to a raw quaternion.
     """
-    w, x, y, z = q
-    dw = 2.0 * np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    dx = 2.0 * np.array([[0.0, y, z], [y, -2.0 * x, -w], [z, w, -2.0 * x]])
-    dy = 2.0 * np.array([[-2.0 * y, x, w], [x, 0.0, z], [-w, z, -2.0 * y]])
-    dz = 2.0 * np.array([[-2.0 * z, -w, x], [w, -2.0 * z, y], [x, y, 0.0]])
-    return np.stack([dw, dx, dy, dz])
+    w, x, y, z = q.T
+    o = np.zeros_like(w)
+    partials = np.array([
+        [[o, -z, y], [z, o, -x], [-y, x, o]],
+        [[o, y, z], [y, -2.0 * x, -w], [z, w, -2.0 * x]],
+        [[-2.0 * y, x, w], [x, o, z], [-w, z, -2.0 * y]],
+        [[-2.0 * z, -w, x], [w, -2.0 * z, y], [x, y, o]],
+    ])                                                          # (4,3,3,m)
+    return 2.0 * np.moveaxis(partials, -1, 0)
 
 
 def translation_loss_grad(instances: Sequence[LossInstance]) -> list[np.ndarray]:
@@ -212,13 +216,10 @@ def rotation_loss_grad(instances: Sequence[LossInstance],
         m, K = norms.shape
         # dL/dR_j = (1/(n m K)) sum_k u_jk (x) masked_k
         dL_dR = np.einsum("mki,kj->mij", unit, masked) / (n * m * K)  # (m,3,3)
-        grad = np.empty((m, 4))
-        for j in range(m):
-            partials = _quat_matrix_partials(q_hat[j])          # (4,3,3)
-            g_hat = np.einsum("cij,ij->c", partials, dL_dR[j])  # (4,)
-            # chain through q_hat = q / ||q||
-            grad[j] = (g_hat - np.dot(g_hat, q_hat[j]) * q_hat[j]) / q_norm[j]
-        grads.append(grad)
+        g_hat = np.einsum("mcij,mij->mc", _quat_matrix_partials(q_hat), dL_dR)  # (m,4)
+        # chain through q_hat = q / ||q||
+        radial = np.einsum("mc,mc->m", g_hat, q_hat)
+        grads.append((g_hat - radial[:, None] * q_hat) / q_norm[:, None])
     return grads
 
 
@@ -230,6 +231,47 @@ def _clone_instances(instances: Sequence[LossInstance]) -> list[LossInstance]:
     return [LossInstance(i.rotation_gt, i.centroid_gt, i.model, i.group, i.mask,
                          i.points, i.pred_centroids.copy(), i.pred_quats.copy())
             for i in instances]
+
+
+# loss selector -> (loss, centroid gradient, quaternion gradient); None is a
+# zero gradient. Lambdas look the functions up at call time, so wrappers
+# installed on this module's attributes see every call.
+_SELECTORS = {
+    "rotation": (lambda ins: rotation_loss(ins), None,
+                 lambda ins: rotation_loss_grad(ins)),
+    "translation": (lambda ins: translation_loss(ins),
+                    lambda ins: translation_loss_grad(ins), None),
+    "total": (lambda ins: total_loss(ins, LossWeights(1.0, 1.0)),
+              lambda ins: translation_loss_grad(ins),
+              lambda ins: rotation_loss_grad(ins)),
+}
+
+
+def _selector(loss: str):
+    if loss not in _SELECTORS:
+        raise ValueError(f"unknown loss selector {loss!r}")
+    return _SELECTORS[loss]
+
+
+def _central_differences(fn, instances: Sequence[LossInstance],
+                         epsilon: float) -> np.ndarray:
+    """Central-difference gradient of ``fn`` over every predicted
+    centroid component and then every raw quaternion component, instance
+    by instance."""
+    work = _clone_instances(instances)
+    out = []
+    for inst in work:
+        for arr in (inst.pred_centroids, inst.pred_quats):
+            flat = arr.reshape(-1)
+            for idx in range(flat.shape[0]):
+                orig = flat[idx]
+                flat[idx] = orig + epsilon
+                hi = fn(work)
+                flat[idx] = orig - epsilon
+                lo = fn(work)
+                flat[idx] = orig
+                out.append((hi - lo) / (2.0 * epsilon))
+    return np.array(out)
 
 
 def gradcheck(loss: str, instances: Sequence[LossInstance],
@@ -244,38 +286,14 @@ def gradcheck(loss: str, instances: Sequence[LossInstance],
     Raises TieAtMinimumError when the rotation loss sits at a symmetry
     tie; callers should resample the configuration and retry.
     """
-    if loss == "rotation":
-        fn = rotation_loss
-        g_cent = [np.zeros_like(i.pred_centroids) for i in instances]
-        g_quat = rotation_loss_grad(instances)
-    elif loss == "translation":
-        fn = translation_loss
-        g_cent = translation_loss_grad(instances)
-        g_quat = [np.zeros_like(i.pred_quats) for i in instances]
-    elif loss == "total":
-        fn = lambda ins: total_loss(ins, LossWeights(1.0, 1.0))
-        g_cent = translation_loss_grad(instances)
-        g_quat = rotation_loss_grad(instances)
-    else:
-        raise ValueError(f"unknown loss selector {loss!r}")
-
+    fn, cent_grad, quat_grad = _selector(loss)
+    g_cent = (cent_grad(instances) if cent_grad
+              else [np.zeros_like(i.pred_centroids) for i in instances])
+    g_quat = (quat_grad(instances) if quat_grad
+              else [np.zeros_like(i.pred_quats) for i in instances])
     analytic = np.concatenate([np.concatenate([c.ravel(), q.ravel()])
                                for c, q in zip(g_cent, g_quat)])
-    numeric = np.empty_like(analytic)
-    work = _clone_instances(instances)
-    pos = 0
-    for inst in work:
-        for arr in (inst.pred_centroids, inst.pred_quats):
-            flat = arr.reshape(-1)
-            for idx in range(flat.shape[0]):
-                orig = flat[idx]
-                flat[idx] = orig + epsilon
-                hi = fn(work)
-                flat[idx] = orig - epsilon
-                lo = fn(work)
-                flat[idx] = orig
-                numeric[pos] = (hi - lo) / (2.0 * epsilon)
-                pos += 1
+    numeric = _central_differences(fn, instances, epsilon)
     scale = max(np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-12)
     return float(np.abs(analytic - numeric).max() / scale)
 
@@ -332,23 +350,5 @@ def numeric_gradient_norm(loss: str, instances: Sequence[LossInstance],
                           epsilon: float = 1e-5) -> float:
     """Max-norm of the central-difference gradient alone (no analytic
     side); useful at non-differentiable stationary points."""
-    if loss == "rotation":
-        fn = rotation_loss
-    elif loss == "translation":
-        fn = translation_loss
-    else:
-        fn = lambda ins: total_loss(ins, LossWeights(1.0, 1.0))
-    work = _clone_instances(instances)
-    worst = 0.0
-    for inst in work:
-        for arr in (inst.pred_centroids, inst.pred_quats):
-            flat = arr.reshape(-1)
-            for idx in range(flat.shape[0]):
-                orig = flat[idx]
-                flat[idx] = orig + epsilon
-                hi = fn(work)
-                flat[idx] = orig - epsilon
-                lo = fn(work)
-                flat[idx] = orig
-                worst = max(worst, abs((hi - lo) / (2.0 * epsilon)))
-    return worst
+    fn = _selector(loss)[0]
+    return float(np.abs(_central_differences(fn, instances, epsilon)).max(initial=0.0))

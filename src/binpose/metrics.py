@@ -26,11 +26,6 @@ class EvalConfig:
         if not 0.0 < self.visibility_threshold < 1.0:
             raise ValueError("visibility threshold must be in (0, 1)")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalConfig":
-        return cls(tolerance_mm=float(d.get("tolerance_mm", 5.0)),
-                   visibility_threshold=float(d.get("visibility_threshold", 0.4)))
-
 
 @dataclass
 class MatchRow:

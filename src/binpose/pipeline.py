@@ -5,6 +5,7 @@ disk and a deterministic report for a given config + seed."""
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .cluster import ClusterResult, PerPointPrediction, cluster_predictions
@@ -26,6 +27,15 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as a StageError tagged ``name``."""
+    try:
+        yield
+    except Exception as e:
+        raise StageError(name, e) from e
+
+
 @dataclass
 class SceneRun:
     scene: Scene
@@ -35,78 +45,89 @@ class SceneRun:
     report: EvalReport
 
 
-def run_scene(config: Config, seed: int, single_stage: bool = False,
-              use_icp: bool = False) -> SceneRun:
-    """Run every stage for one scene; see module docstring for the order."""
-    model = config.model
-    try:
-        scene = generate_scene(model, config.synth, seed)
+def synthesize(config: Config, seed: int) -> Scene:
+    """Generate and occlude a scene and attach its normalization."""
+    with _stage("synth"):
+        scene = generate_scene(config.model, config.synth, seed)
         scene = apply_occlusion(scene, config.synth.occlusion_cell,
                                 config.synth.occlusion_depth)
-    except Exception as e:
-        raise StageError("synth", e) from e
+    with _stage("normalize"):
+        transform = fit_normalization(config.model.points)
+        _, scene.normalization = normalize_scene(scene.points, transform)
+    return scene
 
-    try:
-        pred = oracle_predict(scene, model, config.oracle,
+
+def predict(config: Config, scene: Scene, seed: int) -> PerPointPrediction:
+    """Per-point oracle predictions for the scene generated from ``seed``."""
+    with _stage("oracle"):
+        return oracle_predict(scene, config.model, config.oracle,
                               seed=seed + ORACLE_SEED_OFFSET,
                               bin_extents=config.synth.bin_extents)
-    except Exception as e:
-        raise StageError("oracle", e) from e
 
-    try:
+
+def estimate_poses(config: Config, pred: PerPointPrediction, single_stage: bool = False,
+                   use_icp: bool = False) -> tuple[ClusterResult, list[Pose]]:
+    """Cluster the predictions in normalized space and return the
+    clusters with one pose per instance in scene mm, each optionally
+    refined by ICP against the points labeled with it."""
+    model = config.model
+    with _stage("normalize"):
         transform = fit_normalization(model.points)
-        norm_positions, transform = normalize_scene(scene.points, transform)
-        scene.normalization = transform
+        norm_positions, transform = normalize_scene(pred.positions, transform)
         pred_norm = PerPointPrediction(
             positions=norm_positions,
             centroids=transform.forward_points(pred.centroids),
             quats=pred.quats,
         )
-    except Exception as e:
-        raise StageError("normalize", e) from e
 
-    try:
+    with _stage("cluster"):
         clusters = cluster_predictions(pred_norm, config.cluster, model.group,
                                        model.mask, model.points,
                                        single_stage=single_stage)
         poses = [denormalize_pose(inst.pose, transform) for inst in clusters.instances]
-    except Exception as e:
-        raise StageError("cluster", e) from e
 
     if use_icp:
-        try:
-            refined = []
+        with _stage("icp"):
             for label, pose in enumerate(poses):
-                pts = scene.points[clusters.labels == label]
+                pts = pred.positions[clusters.labels == label]
                 if pts.shape[0] >= 3:
-                    pose = icp_refine(pts, model.points, pose).pose
-                refined.append(pose)
-            poses = refined
-        except Exception as e:
-            raise StageError("icp", e) from e
+                    poses[label] = icp_refine(pts, model.points, pose).pose
+    return clusters, poses
 
-    try:
+
+def run_scene(config: Config, seed: int, single_stage: bool = False,
+              use_icp: bool = False) -> SceneRun:
+    """Run every stage for one scene; see module docstring for the order."""
+    model = config.model
+    scene = synthesize(config, seed)
+    pred = predict(config, scene, seed)
+    clusters, poses = estimate_poses(config, pred, single_stage, use_icp)
+    with _stage("eval"):
         report = evaluate(poses, scene.gt_poses(), scene.visible_counts(),
                           model.points, model.group, model.mask, config.eval)
-    except Exception as e:
-        raise StageError("eval", e) from e
-
     return SceneRun(scene=scene, prediction=pred, clusters=clusters,
                     poses=poses, report=report)
 
 
-def write_scene_artifacts(out_dir: str, run: SceneRun) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    scene = run.scene
+def write_scene(out_dir: str, scene: Scene) -> None:
     save_ply(os.path.join(out_dir, "scene.ply"), scene.points, scene.labels)
     save_scene_json(os.path.join(out_dir, "scene.json"), scene.gt_poses(),
                     scene.visible_counts(), scene.seed, scene.normalization)
+
+
+def write_poses(out_dir: str, clusters: ClusterResult, poses: list[Pose]) -> None:
+    save_poses_json(os.path.join(out_dir, "poses.json"), poses,
+                    [int(inst.indices.shape[0]) for inst in clusters.instances])
+    save_labels(os.path.join(out_dir, "labels.txt"), clusters.labels)
+
+
+def write_scene_artifacts(out_dir: str, run: SceneRun) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    write_scene(out_dir, run.scene)
     save_predictions_csv(os.path.join(out_dir, "predictions.csv"), run.prediction)
-    save_poses_json(os.path.join(out_dir, "poses.json"), run.poses,
-                    [int(inst.indices.shape[0]) for inst in run.clusters.instances])
-    save_labels(os.path.join(out_dir, "labels.txt"), run.clusters.labels)
+    write_poses(out_dir, run.clusters, run.poses)
     save_report_json(os.path.join(out_dir, "report.json"), run.report,
-                     extra={"seed": scene.seed})
+                     extra={"seed": run.scene.seed})
 
 
 def aggregate_reports(reports: list[EvalReport]) -> dict:

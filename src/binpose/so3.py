@@ -271,19 +271,6 @@ class SymmetryDescriptor:
     def steps(self):
         return (("dx_deg", self.dx_deg), ("dy_deg", self.dy_deg), ("dz_deg", self.dz_deg))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SymmetryDescriptor":
-        return cls(
-            dx_deg=float(d.get("dx_deg", 0.0)),
-            dy_deg=float(d.get("dy_deg", 0.0)),
-            dz_deg=float(d.get("dz_deg", 0.0)),
-            ts_deg=float(d.get("ts_deg", 15.0)),
-        )
-
-    def to_dict(self) -> dict:
-        return {"dx_deg": self.dx_deg, "dy_deg": self.dy_deg,
-                "dz_deg": self.dz_deg, "ts_deg": self.ts_deg}
-
 
 def classify_axes(desc: SymmetryDescriptor) -> tuple[str, str, str]:
     """Classify each object axis as 'none', 'finite' or 'infinite'.

@@ -145,16 +145,6 @@ class SceneGenParams:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SceneGenParams":
-        return cls(
-            instance_range=tuple(d.get("instance_range", (4, 8))),
-            bin_extents=tuple(d.get("bin_extents", (400.0, 400.0, 400.0))),
-            max_attempts=int(d.get("max_attempts", 60)),
-            occlusion_cell=float(d.get("occlusion_cell", 5.0)),
-            occlusion_depth=float(d.get("occlusion_depth", 10.0)),
-        )
-
 
 @dataclass
 class SceneInstance:
@@ -322,15 +312,6 @@ class OracleParams:
             raise ValueError("noise levels must be non-negative")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier fraction must be in [0, 1)")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OracleParams":
-        return cls(
-            sigma_t_mm=float(d.get("sigma_t_mm", 1.0)),
-            sigma_r_deg=float(d.get("sigma_r_deg", 2.0)),
-            symmetric_ambiguity=bool(d.get("symmetric_ambiguity", True)),
-            outlier_fraction=float(d.get("outlier_fraction", 0.0)),
-        )
 
 
 def _axis_quats(axis: int, angles_deg: np.ndarray) -> np.ndarray:

@@ -162,3 +162,34 @@ def test_config_rejects_bad_cluster_params(tmp_path):
     path = make_config(tmp_path, cluster={"bandwidth_1": 1.0, "bandwidth_2": 2.0})
     with pytest.raises(ValueError):
         load_config(path)
+
+
+BOX = {"builtin": {"kind": "box", "extents": [40, 60, 80], "pitch": 10}, "symmetry": {}}
+
+
+@pytest.mark.parametrize("overrides, name", [
+    ({"cluster": {"bandwith_1": 99}}, "cluster.bandwith_1"),
+    ({"eval": {"tolerance": 2.0}}, "eval.tolerance"),
+    ({"synth": {"instance_count": [1, 2]}}, "synth.instance_count"),
+    ({"oracle": {"sigma_t": 1.0}}, "oracle.sigma_t"),
+    ({"object": dict(BOX, symetry={})}, "object.symetry"),
+    ({"object": dict(BOX, symmetry={"dz": 180})}, "object.symmetry.dz"),
+    ({"object": {"builtin": {"kind": "box", "pitchh": 10}}}, "object.builtin.pitchh"),
+    ({"object": {"builtin": {"kind": "sphere", "pitch": 10}}}, "object.builtin.pitch"),
+    ({"clustr": {}}, "clustr"),
+])
+def test_config_rejects_unknown_keys(tmp_path, capsys, overrides, name):
+    from binpose.cli import main
+
+    path = make_config(tmp_path, **overrides)
+    with pytest.raises(ValueError, match=f"unknown config key.*{name}"):
+        load_config(path)
+    assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_value_of_wrong_type_names_its_key(tmp_path):
+    path = make_config(tmp_path, cluster={"bandwidth_1": None})
+    with pytest.raises(ValueError, match="cluster.bandwidth_1"):
+        load_config(path)

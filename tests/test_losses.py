@@ -287,3 +287,31 @@ def test_gradcheck_detects_symmetry_ties():
                         matrix_to_quat(R_pred)[None, :])
     with pytest.raises(TieAtMinimumError):
         gradcheck("rotation", [inst])
+
+
+@pytest.mark.parametrize("fn", [gradcheck, numeric_gradient_norm])
+@pytest.mark.parametrize("loss", ["rotatoin", "Total", ""])
+def test_unknown_loss_selector_is_rejected(fn, loss):
+    with pytest.raises(ValueError, match="unknown loss selector"):
+        fn(loss, [make_instance(seed=18)])
+
+
+def _quat_matrix_partials_reference(q):
+    # the single-quaternion partials the batched version replaced
+    w, x, y, z = q
+    dw = 2.0 * np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    dx = 2.0 * np.array([[0.0, y, z], [y, -2.0 * x, -w], [z, w, -2.0 * x]])
+    dy = 2.0 * np.array([[-2.0 * y, x, w], [x, 0.0, z], [-w, z, -2.0 * y]])
+    dz = 2.0 * np.array([[-2.0 * z, -w, x], [w, -2.0 * z, y], [x, y, 0.0]])
+    return np.stack([dw, dx, dy, dz])
+
+
+def test_batched_quat_partials_match_per_quaternion_reference():
+    from binpose.losses import _quat_matrix_partials
+
+    rng = np.random.default_rng(19)
+    quats = np.stack([random_quat(rng) for _ in range(7)])
+    batched = _quat_matrix_partials(quats)
+    assert batched.shape == (7, 4, 3, 3)
+    for q, partials in zip(quats, batched):
+        assert np.array_equal(partials, _quat_matrix_partials_reference(q))

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from binpose.cli import main as cli_main
 from binpose.fileio import load_config, load_labels
@@ -126,6 +127,24 @@ def test_cli_cluster_icp_flag(tmp_path):
     assert run_cli("eval", "--config", str(cfg_path), "--out-dir", out) == 0
     report = json.loads((tmp_path / "icp_run" / "report.json").read_text())
     assert report["recall"] >= 0.9
+
+
+@pytest.mark.parametrize("icp", [False, True])
+def test_cli_chain_matches_pipeline_bytes(tmp_path, icp):
+    # each subcommand runs the same stage function as run_pipeline
+    noisy = dict(NOISY_CONFIG, oracle={"sigma_t_mm": 4.0, "sigma_r_deg": 8.0,
+                                       "outlier_fraction": 0.1})
+    cfg_path = write_config(tmp_path, noisy)
+    pipe, chain = tmp_path / "pipe", tmp_path / "chain"
+    run_pipeline(load_config(cfg_path), seed=1, out_dir=str(pipe), use_icp=icp)
+    common = ("--config", str(cfg_path), "--seed", "1", "--out-dir", str(chain))
+    assert run_cli("synth", *common) == 0
+    assert run_cli("oracle", *common) == 0
+    assert run_cli("cluster", *common, *(["--icp"] if icp else [])) == 0
+    assert run_cli("eval", *common) == 0
+    for name in ("scene.ply", "scene.json", "predictions.csv", "poses.json",
+                 "labels.txt", "report.json"):
+        assert (pipe / name).read_bytes() == (chain / name).read_bytes(), name
 
 
 def test_cli_pipeline_determinism_subprocess(tmp_path):
