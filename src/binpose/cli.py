@@ -16,8 +16,8 @@ from .fileio import (load_config, load_poses_json, load_predictions_csv,
                      save_predictions_csv, save_report_csv, save_report_json)
 from .losses import gradcheck_trials
 from .metrics import evaluate
-from .pipeline import (StageError, estimate_poses, predict, run_pipeline,
-                       synthesize, write_poses, write_scene)
+from .pipeline import (StageError, estimate_poses, predict, read_scene,
+                       run_pipeline, synthesize, write_poses, write_scene)
 
 # Unused here; bound because perfbench/tracing.py wraps these names on binpose.cli.
 from .cluster import cluster_predictions  # noqa: F401
@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a scene with ground truth")
     _add_common(p)
 
-    p = sub.add_parser("oracle", help="emit per-point predictions for a scene")
+    p = sub.add_parser("oracle", help="emit per-point predictions for the scene "
+                                      "synth wrote to --out-dir")
     _add_common(p)
 
     p = sub.add_parser("cluster", help="cluster a prediction file into poses")
@@ -82,8 +83,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    pred = predict(cfg, synthesize(cfg, args.seed), args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
+    pred = predict(cfg, read_scene(args.out_dir), args.seed)
     save_predictions_csv(os.path.join(args.out_dir, "predictions.csv"), pred)
     print(f"wrote {len(pred)} per-point predictions -> {args.out_dir}/predictions.csv")
     return 0

@@ -100,6 +100,17 @@ class ClusterResult:
     warning: str | None = None
 
 
+def _windows(means, seeds, X, X_sq, bw2):
+    """Yield (sel, inside) per block of ``seeds``: inside[i, j] tells
+    whether X[j] lies in the flat window around means[sel[i]]. Blocks of
+    2048 seeds keep the pairwise distance matrix small."""
+    for lo in range(0, seeds.shape[0], 2048):
+        sel = seeds[lo:lo + 2048]
+        M = means[sel]
+        d2 = (M * M).sum(axis=1)[:, None] + X_sq[None, :] - 2.0 * (M @ X.T)
+        yield sel, d2 <= bw2
+
+
 def mean_shift(features, bandwidth: float, min_points: int = 1,
                max_iters: int = 300, tol: float = 1e-3) -> MeanShiftResult:
     """Flat-kernel mean shift with every point as a seed.
@@ -130,27 +141,20 @@ def mean_shift(features, bandwidth: float, min_points: int = 1,
     for _ in range(max_iters):
         if not active.any():
             break
-        idx = np.nonzero(active)[0]
-        # chunk the seed block so the pairwise distance matrix stays small
-        for lo in range(0, idx.shape[0], 2048):
-            sel = idx[lo:lo + 2048]
-            M = means[sel]
-            d2 = (M * M).sum(axis=1)[:, None] + X_sq[None, :] - 2.0 * (M @ X.T)
-            inside = (d2 <= bw2).astype(X.dtype)
+        for sel, inside in _windows(means, np.nonzero(active)[0], X, X_sq, bw2):
+            inside = inside.astype(X.dtype)
             counts = inside.sum(axis=1)
             counts[counts == 0] = 1.0   # isolated seed: stays put
             new = (inside @ X) / counts[:, None]
-            shift = np.linalg.norm(new - M, axis=1)
+            shift = np.linalg.norm(new - means[sel], axis=1)
             means[sel] = new
             active[sel[shift < tol]] = False
 
     # merge converged modes within bandwidth/2; the densest candidate
     # (most points in its window) survives, ties to the lowest seed index
     support = np.empty(n)
-    for lo in range(0, n, 2048):
-        M = means[lo:lo + 2048]
-        d2 = (M * M).sum(axis=1)[:, None] + X_sq[None, :] - 2.0 * (M @ X.T)
-        support[lo:lo + 2048] = (d2 <= bw2).sum(axis=1)
+    for sel, inside in _windows(means, np.arange(n), X, X_sq, bw2):
+        support[sel] = inside.sum(axis=1)
     order = np.lexsort((np.arange(n), -support))   # by count desc, then seed index
     modes: list[np.ndarray] = []
     for i in order:

@@ -21,7 +21,6 @@ from .metrics import EvalConfig, EvalReport
 from .so3 import Pose, SymmetryDescriptor, quat_normalize
 from .synth import (ObjectModel, OracleParams, SceneGenParams, box_cloud,
                     cylinder_cloud, rod_model, sphere_cloud)
-from .workspace import NormalizationTransform
 
 SCHEMA_VERSION = 1
 
@@ -200,14 +199,12 @@ def load_labels(path) -> np.ndarray:
         return np.array([int(ln) for ln in f.read().split()], dtype=int)
 
 
-def save_scene_json(path, poses: list[Pose], visible_counts, seed,
-                    normalization: NormalizationTransform | None) -> None:
+def save_scene_json(path, poses: list[Pose], visible_counts, seed) -> None:
     write_json(path, {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
         "poses": [_pose_to_dict(p) for p in poses],
         "n_visible": [int(n) for n in visible_counts],
-        "normalization": normalization.to_dict() if normalization else None,
     })
 
 
@@ -215,8 +212,6 @@ def load_scene_json(path) -> dict:
     with open(path) as f:
         payload = json.load(f)
     payload["poses"] = [_pose_from_dict(d) for d in payload["poses"]]
-    if payload.get("normalization"):
-        payload["normalization"] = NormalizationTransform.from_dict(payload["normalization"])
     return payload
 
 
@@ -290,14 +285,14 @@ def _load_section(section: str, d: dict, cls):
     return cls(**_coerce(section, d, {f.name: f.default for f in fields(cls)}))
 
 
-def _build_builtin_model(shape: dict, symmetry: SymmetryDescriptor) -> ObjectModel:
+def _builtin_points(shape: dict) -> tuple[str, np.ndarray]:
+    """(kind, model points) of an ``object.builtin`` section."""
     kind = shape.get("kind", "box")
     if kind not in _BUILTIN_SHAPES:
         raise ValueError(f"unknown builtin model kind {kind!r}")
     build, defaults = _BUILTIN_SHAPES[kind]
-    params = {k: v for k, v in shape.items() if k not in ("kind", "name")}
-    params = dict(defaults, **_coerce("object.builtin", params, defaults))
-    return ObjectModel(shape.get("name", kind), build(**params), symmetry)
+    params = {k: v for k, v in shape.items() if k != "kind"}
+    return kind, build(**dict(defaults, **_coerce("object.builtin", params, defaults)))
 
 
 def load_config(path) -> Config:
@@ -312,6 +307,8 @@ def load_config(path) -> Config:
     obj = raw.get("object", {})
     _check_keys("object", obj, ("model_path", "name", "builtin", "symmetry"))
     symmetry = _load_section("object.symmetry", obj.get("symmetry", {}), SymmetryDescriptor)
+    if ("model_path" in obj) == ("builtin" in obj):
+        raise ValueError("config object section needs exactly one of 'model_path' or 'builtin'")
     if "model_path" in obj:
         model_path = obj["model_path"]
         if not os.path.isabs(model_path):
@@ -319,10 +316,9 @@ def load_config(path) -> Config:
         if not os.path.exists(model_path):
             raise FileNotFoundError(f"object model file not found: {model_path}")
         pts, _ = load_ply(model_path)
-        model = ObjectModel(obj.get("name", os.path.basename(model_path)), pts, symmetry)
-    elif "builtin" in obj:
-        model = _build_builtin_model(obj["builtin"], symmetry)
+        default_name = os.path.basename(model_path)
     else:
-        raise ValueError("config object section needs 'model_path' or 'builtin'")
+        default_name, pts = _builtin_points(obj["builtin"])
+    model = ObjectModel(obj.get("name", default_name), pts, symmetry)
     return Config(model=model, **{name: _load_section(name, raw.get(name, {}), cls)
                                   for name, cls in _SECTIONS.items()})

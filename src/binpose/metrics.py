@@ -33,6 +33,7 @@ class MatchRow:
     gt_index: int
     mean_distance: float
     is_tp: bool
+    point_distances: np.ndarray = field(repr=False, compare=False)  # (K,) mm, not reported
 
 
 @dataclass
@@ -87,16 +88,18 @@ def match_predictions(pred_poses: list[Pose], gt_poses: list[Pose], model,
     Every possible pair is ranked; pairs claim a prediction and a ground
     truth at most once. A matched pair is a true positive when its mean
     distance is below the tolerance. Ties in distance break toward lower
-    (pred, gt) indices, keeping the result order independent.
+    (pred, gt) indices, keeping the result order independent. Each row
+    keeps the per-point distances of its pair for pointwise_recall.
     """
     rows: list[MatchRow] = []
     if not pred_poses or not gt_poses:
         return rows, 0
     n_p, n_g = len(pred_poses), len(gt_poses)
     dist = np.empty((n_p, n_g))
+    per_point = {}
     for i, p in enumerate(pred_poses):
         for j, g in enumerate(gt_poses):
-            _, dist[i, j] = symmetric_pose_distance(model, g, p, group, mask)
+            per_point[i, j], dist[i, j] = symmetric_pose_distance(model, g, p, group, mask)
     order = sorted(((dist[i, j], i, j) for i in range(n_p) for j in range(n_g)))
     used_p = set()
     used_g = set()
@@ -106,7 +109,8 @@ def match_predictions(pred_poses: list[Pose], gt_poses: list[Pose], model,
         used_p.add(i)
         used_g.add(j)
         rows.append(MatchRow(pred_index=i, gt_index=j, mean_distance=float(d),
-                             is_tp=bool(d < tolerance_mm)))
+                             is_tp=bool(d < tolerance_mm),
+                             point_distances=per_point[i, j]))
         if len(used_p) == n_p or len(used_g) == n_g:
             break
     tp = sum(1 for r in rows if r.is_tp)
@@ -121,29 +125,20 @@ def f1_inst(tp: int, n_pred: int, n_gt: int) -> float:
     return 2.0 * tp / denom
 
 
-def pointwise_recall(matches: list[MatchRow], pred_poses: list[Pose],
-                     gt_poses: list[Pose], model, group: SymmetryGroup, mask,
+def pointwise_recall(matches: list[MatchRow], n_gt: int, n_model_points: int,
                      tolerance_mm: float) -> tuple[float, int, int]:
     """Fraction of visible ground-truth model points placed within tolerance.
 
-    Each visible ground truth contributes its full model point count to
-    the denominator; matched ones contribute the number of model points
-    whose per-point symmetry-corrected distance (under the matched
-    prediction) is below tolerance, unmatched ones contribute zero.
+    Each of the ``n_gt`` visible ground truths contributes its full model
+    point count to the denominator; matched ones contribute the number of
+    model points whose per-point symmetry-corrected distance (under the
+    matched prediction, as match_predictions stored it) is below
+    tolerance, unmatched ones contribute zero.
     """
-    model = np.asarray(model, dtype=float).reshape(-1, 3)
-    k = model.shape[0]
-    total = k * len(gt_poses)
+    total = n_model_points * n_gt
     if total == 0:
         return 0.0, 0, 0
-    matched = 0
-    by_gt = {m.gt_index: m.pred_index for m in matches}
-    for j, g in enumerate(gt_poses):
-        i = by_gt.get(j)
-        if i is None:
-            continue
-        per_point, _ = symmetric_pose_distance(model, g, pred_poses[i], group, mask)
-        matched += int((per_point < tolerance_mm).sum())
+    matched = sum(int((m.point_distances < tolerance_mm).sum()) for m in matches)
     return matched / total, matched, total
 
 
@@ -155,7 +150,7 @@ def evaluate(pred_poses: list[Pose], gt_poses: list[Pose], visible_counts,
     matches, tp = match_predictions(pred_poses, visible, model, group, mask,
                                     config.tolerance_mm)
     recall, matched_pts, total_pts = pointwise_recall(
-        matches, pred_poses, visible, model, group, mask, config.tolerance_mm)
+        matches, n_gt, np.asarray(model).reshape(-1, 3).shape[0], config.tolerance_mm)
     # report gt indices in the original scene numbering
     for m in matches:
         m.gt_index = keep[m.gt_index]

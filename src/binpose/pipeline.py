@@ -8,14 +8,17 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cluster import ClusterResult, PerPointPrediction, cluster_predictions
-from .fileio import (Config, save_labels, save_ply, save_poses_json,
-                     save_predictions_csv, save_report_json, save_scene_json,
-                     write_json)
+from .fileio import (Config, load_ply, load_scene_json, save_labels, save_ply,
+                     save_poses_json, save_predictions_csv, save_report_json,
+                     save_scene_json, write_json)
 from .icp import icp_refine
 from .metrics import EvalReport, evaluate
 from .so3 import Pose
-from .synth import Scene, apply_occlusion, generate_scene, oracle_predict
+from .synth import (Scene, SceneInstance, apply_occlusion, generate_scene,
+                    oracle_predict)
 from .workspace import denormalize_pose, fit_normalization, normalize_scene
 
 ORACLE_SEED_OFFSET = 500009  # decorrelates oracle noise from scene layout
@@ -46,15 +49,11 @@ class SceneRun:
 
 
 def synthesize(config: Config, seed: int) -> Scene:
-    """Generate and occlude a scene and attach its normalization."""
+    """Generate and occlude a scene."""
     with _stage("synth"):
         scene = generate_scene(config.model, config.synth, seed)
-        scene = apply_occlusion(scene, config.synth.occlusion_cell,
-                                config.synth.occlusion_depth)
-    with _stage("normalize"):
-        transform = fit_normalization(config.model.points)
-        _, scene.normalization = normalize_scene(scene.points, transform)
-    return scene
+        return apply_occlusion(scene, config.synth.occlusion_cell,
+                               config.synth.occlusion_depth)
 
 
 def predict(config: Config, scene: Scene, seed: int) -> PerPointPrediction:
@@ -112,7 +111,19 @@ def run_scene(config: Config, seed: int, single_stage: bool = False,
 def write_scene(out_dir: str, scene: Scene) -> None:
     save_ply(os.path.join(out_dir, "scene.ply"), scene.points, scene.labels)
     save_scene_json(os.path.join(out_dir, "scene.json"), scene.gt_poses(),
-                    scene.visible_counts(), scene.seed, scene.normalization)
+                    scene.visible_counts(), scene.seed)
+
+
+def read_scene(out_dir: str) -> Scene:
+    """The scene write_scene stored in ``out_dir``; an instance with no
+    visible point keeps its pose and an empty index array."""
+    points, labels = load_ply(os.path.join(out_dir, "scene.ply"))
+    if labels is None:
+        raise ValueError("scene.ply has no instance_id column")
+    sidecar = load_scene_json(os.path.join(out_dir, "scene.json"))
+    instances = [SceneInstance(pose=pose, point_indices=np.nonzero(labels == i)[0])
+                 for i, pose in enumerate(sidecar["poses"])]
+    return Scene(points=points, labels=labels, instances=instances, seed=sidecar["seed"])
 
 
 def write_poses(out_dir: str, clusters: ClusterResult, poses: list[Pose]) -> None:

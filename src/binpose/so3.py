@@ -59,14 +59,9 @@ def _canonical_sign(q: np.ndarray) -> np.ndarray:
 
 def quat_multiply(a, b) -> np.ndarray:
     """Hamilton product a * b (not re-canonicalized)."""
-    aw, ax, ay, az = np.asarray(a, dtype=float)
-    bw, bx, by, bz = np.asarray(b, dtype=float)
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    a = np.asarray(a, dtype=float).reshape(4)
+    b = np.asarray(b, dtype=float).reshape(4)
+    return quat_multiply_batch(a, b)[0]
 
 
 def quat_from_axis_angle(axis, angle_rad: float) -> np.ndarray:

@@ -21,7 +21,6 @@ from .cluster import PerPointPrediction
 from .so3 import (Pose, SymmetryDescriptor, SymmetryGroup, axis_rotation,
                   build_axis_mask, build_symmetry_group, classify_axes,
                   matrix_to_quat, quat_canonical_batch, quat_multiply_batch)
-from .workspace import NormalizationTransform
 
 
 class SceneGenerationError(RuntimeError):
@@ -162,7 +161,6 @@ class Scene:
     labels: np.ndarray          # (V,) instance id per point
     instances: list[SceneInstance]
     seed: int | None = None
-    normalization: NormalizationTransform | None = None
 
     def visible_counts(self) -> list[int]:
         return [inst.n_visible for inst in self.instances]
@@ -242,11 +240,10 @@ def apply_occlusion(scene: Scene, cell: float, depth: float) -> Scene:
         return scene
     ij = np.floor((pts[:, :2] - pts[:, :2].min(axis=0)) / cell).astype(int)
     keys = ij[:, 0] * (ij[:, 1].max() + 1) + ij[:, 1]
-    top = {}
-    for k, z in zip(keys, pts[:, 2]):
-        if z > top.get(k, -math.inf):
-            top[k] = z
-    keep = np.array([z >= top[k] - depth for k, z in zip(keys, pts[:, 2])])
+    cells, cell_of = np.unique(keys, return_inverse=True)
+    top = np.full(cells.shape[0], -np.inf)
+    np.maximum.at(top, cell_of, pts[:, 2])
+    keep = pts[:, 2] >= top[cell_of] - depth
 
     new_points = pts[keep]
     new_labels = scene.labels[keep]
@@ -254,8 +251,7 @@ def apply_occlusion(scene: Scene, cell: float, depth: float) -> Scene:
     for i, inst in enumerate(scene.instances):
         idx = np.nonzero(new_labels == i)[0]
         instances.append(SceneInstance(pose=inst.pose, point_indices=idx))
-    return Scene(points=new_points, labels=new_labels, instances=instances,
-                 seed=scene.seed, normalization=scene.normalization)
+    return Scene(points=new_points, labels=new_labels, instances=instances, seed=scene.seed)
 
 
 def make_crossing_rods_scene(separation: float, angle_deg: float,

@@ -42,13 +42,6 @@ class NormalizationTransform:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         return pts / self.scale + self.scene_offset
 
-    def to_dict(self) -> dict:
-        return {"scale": self.scale, "scene_offset": self.scene_offset.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationTransform":
-        return cls(scale=float(d["scale"]), scene_offset=d["scene_offset"])
-
 
 def fit_normalization(model_points) -> NormalizationTransform:
     """Scale factor that fits the model into the 100 mm cube.

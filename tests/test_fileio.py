@@ -10,7 +10,6 @@ from binpose.fileio import (PlyParseError, load_config, load_labels,
                             save_poses_json, save_predictions_csv,
                             save_scene_json)
 from binpose.so3 import Pose, random_quat
-from binpose.workspace import NormalizationTransform
 
 
 def test_ply_three_points_in_order(tmp_path):
@@ -96,13 +95,11 @@ def test_labels_round_trip(tmp_path):
 def test_scene_json_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     poses = [Pose(random_quat(rng), rng.uniform(-100, 100, 3)) for _ in range(3)]
-    t = NormalizationTransform(0.25, np.array([1.0, 2.0, 3.0]))
     p = tmp_path / "scene.json"
-    save_scene_json(p, poses, [100, 90, 40], seed=7, normalization=t)
+    save_scene_json(p, poses, [100, 90, 40], seed=7)
     data = load_scene_json(p)
     assert data["seed"] == 7
     assert data["n_visible"] == [100, 90, 40]
-    assert data["normalization"].scale == 0.25
     for a, b in zip(poses, data["poses"]):
         assert np.array_equal(a.quat, b.quat)
 
@@ -177,6 +174,7 @@ BOX = {"builtin": {"kind": "box", "extents": [40, 60, 80], "pitch": 10}, "symmet
     ({"object": {"builtin": {"kind": "box", "pitchh": 10}}}, "object.builtin.pitchh"),
     ({"object": {"builtin": {"kind": "sphere", "pitch": 10}}}, "object.builtin.pitch"),
     ({"clustr": {}}, "clustr"),
+    ({"object": {"builtin": {"kind": "box", "name": "widget"}}}, "object.builtin.name"),
 ])
 def test_config_rejects_unknown_keys(tmp_path, capsys, overrides, name):
     from binpose.cli import main
@@ -187,6 +185,27 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, overrides, name):
     assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_rejects_two_model_sources(tmp_path, capsys):
+    from binpose.cli import main
+
+    save_ply(tmp_path / "model.ply", np.array([[0.0, 0.0, -10.0], [0.0, 0.0, 10.0]]))
+    path = make_config(tmp_path, object={"model_path": "model.ply",
+                                         "builtin": {"kind": "box"}})
+    with pytest.raises(ValueError, match="exactly one of 'model_path' or 'builtin'"):
+        load_config(path)
+    assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "[synth]" in capsys.readouterr().err
+
+
+def test_config_object_name_names_every_model(tmp_path):
+    save_ply(tmp_path / "model.ply", np.array([[0.0, 0.0, -10.0], [0.0, 0.0, 10.0]]))
+    for obj, name in [({"builtin": {"kind": "cylinder"}}, "cylinder"),
+                      ({"name": "widget", "builtin": {"kind": "box"}}, "widget"),
+                      ({"model_path": "model.ply"}, "model.ply"),
+                      ({"name": "widget", "model_path": "model.ply"}, "widget")]:
+        assert load_config(make_config(tmp_path, object=obj)).model.name == name
 
 
 def test_config_value_of_wrong_type_names_its_key(tmp_path):

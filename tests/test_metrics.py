@@ -149,9 +149,9 @@ def test_recall_perfect_and_empty():
     rng = np.random.default_rng(4)
     gts = [Pose(random_quat(rng), rng.uniform(-100, 100, 3)) for _ in range(3)]
     rows, _ = match_predictions(gts, gts, model, group, mask, 5.0)
-    recall, _, _ = pointwise_recall(rows, gts, gts, model, group, mask, 5.0)
+    recall, _, _ = pointwise_recall(rows, len(gts), model.shape[0], 5.0)
     assert recall == 1.0
-    recall, _, _ = pointwise_recall([], [], gts, model, group, mask, 5.0)
+    recall, _, _ = pointwise_recall([], len(gts), model.shape[0], 5.0)
     assert recall == 0.0
 
 
@@ -161,7 +161,7 @@ def test_recall_half_when_one_of_two_matched():
     gts = [Pose(random_quat(rng), [0, 0, 0]), Pose(random_quat(rng), [500, 0, 0])]
     preds = [gts[0]]
     rows, _ = match_predictions(preds, gts, model, group, mask, 5.0)
-    recall, matched, total = pointwise_recall(rows, preds, gts, model, group, mask, 5.0)
+    recall, matched, total = pointwise_recall(rows, len(gts), model.shape[0], 5.0)
     assert recall == 0.5
     assert total == 2 * model.shape[0] and matched == model.shape[0]
 
@@ -235,6 +235,27 @@ def test_spurious_prediction_lowers_f1_not_recall():
     rep = evaluate(spurious, gts, counts, model, group, mask, cfg)
     assert rep.f1_inst < base.f1_inst
     assert rep.recall == base.recall
+
+
+def test_evaluate_computes_each_pair_distance_once(monkeypatch):
+    import binpose.metrics as metrics
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return symmetric_pose_distance(*args)
+
+    monkeypatch.setattr(metrics, "symmetric_pose_distance", counted)
+    model, group, mask = symmetry_setup()
+    rng = np.random.default_rng(10)
+    preds, gts, counts = make_eval_inputs(rng, model, group, mask, n=4)
+    preds.append(Pose(random_quat(rng), [2000.0, 2000.0, 2000.0]))
+    counts[3] = 1                                   # filtered out by visibility
+    rep = evaluate(preds, gts, counts, model, group, mask, EvalConfig(5.0, 0.4))
+    assert (rep.n_pred, rep.n_gt, rep.tp) == (5, 3, 3)
+    assert rep.recall == 1.0
+    assert len(calls) == rep.n_pred * rep.n_gt
 
 
 def test_eval_config_validation():

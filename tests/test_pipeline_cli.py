@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from binpose.cli import main as cli_main
-from binpose.fileio import load_config, load_labels
-from binpose.pipeline import run_pipeline, run_scene
+from binpose.fileio import load_config, load_labels, load_ply, load_predictions_csv
+from binpose.pipeline import read_scene, run_pipeline, run_scene, write_scene
+from binpose.so3 import Pose
+from binpose.synth import SceneInstance, make_crossing_rods_scene
 
 PERFECT_CONFIG = {
     "object": {"builtin": {"kind": "box", "extents": [40, 60, 90], "pitch": 10},
@@ -145,6 +147,41 @@ def test_cli_chain_matches_pipeline_bytes(tmp_path, icp):
     for name in ("scene.ply", "scene.json", "predictions.csv", "poses.json",
                  "labels.txt", "report.json"):
         assert (pipe / name).read_bytes() == (chain / name).read_bytes(), name
+
+
+def test_cli_oracle_reads_the_scene_synth_wrote(tmp_path):
+    cfg_path = write_config(tmp_path, NOISY_CONFIG)
+    out = tmp_path / "run"
+    assert run_cli("synth", "--config", str(cfg_path), "--seed", "3", "--out-dir", str(out)) == 0
+    assert run_cli("oracle", "--config", str(cfg_path), "--seed", "1", "--out-dir", str(out)) == 0
+    points, _ = load_ply(out / "scene.ply")
+    pred = load_predictions_csv(out / "predictions.csv")
+    assert np.array_equal(pred.positions, points)
+
+
+def test_cli_oracle_without_scene_is_stage_tagged(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, NOISY_CONFIG)
+    (tmp_path / "empty").mkdir()
+    assert run_cli("oracle", "--config", str(cfg_path), "--out-dir",
+                   str(tmp_path / "empty")) == 2
+    assert "[oracle]" in capsys.readouterr().err
+
+
+def test_read_scene_inverts_write_scene(tmp_path):
+    scene = make_crossing_rods_scene(10.0, 90.0)
+    # a third instance buried under the others keeps its pose, with no points
+    scene.instances.append(SceneInstance(Pose([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -50.0]),
+                                         np.empty(0, dtype=int)))
+    scene.seed = 11
+    write_scene(str(tmp_path), scene)
+    back = read_scene(str(tmp_path))
+    assert np.array_equal(back.points, scene.points)
+    assert np.array_equal(back.labels, scene.labels)
+    assert back.seed == 11
+    assert back.visible_counts() == scene.visible_counts()
+    for a, b in zip(scene.instances, back.instances):
+        assert np.array_equal(a.point_indices, b.point_indices)
+        assert np.array_equal(a.pose.quat, b.pose.quat) and np.array_equal(a.pose.t, b.pose.t)
 
 
 def test_cli_pipeline_determinism_subprocess(tmp_path):

@@ -288,3 +288,15 @@ def test_pose_composition_sanity():
         a, b = random_quat(rng), random_quat(rng)
         assert np.abs(quat_to_matrix(quat_normalize(quat_multiply(a, b)))
                       - quat_to_matrix(a) @ quat_to_matrix(b)).max() < 1e-12
+
+
+def test_quat_multiply_is_one_row_of_the_batch():
+    from binpose.so3 import quat_multiply_batch
+
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=(200, 4)), rng.normal(size=(200, 4))
+    rows = np.stack([quat_multiply(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(rows, quat_multiply_batch(a, b))
+    for bad in (np.ones(8), np.ones(3)):
+        with pytest.raises(ValueError):
+            quat_multiply(bad, np.ones(4))

@@ -137,6 +137,24 @@ def test_occlusion_infinite_depth_removes_nothing():
     assert occluded.visible_counts() == scene.visible_counts()
 
 
+def test_occlusion_matches_per_point_reference():
+    # per xy cell, keep the points within depth of the cell's highest point
+    model = ObjectModel("m", box_cloud((40, 120, 160), 10), TWOFOLD)
+    for seed in range(5):
+        scene = generate_scene(model, SceneGenParams((3, 5), (700, 700, 500)), seed=seed)
+        pts = scene.points
+        ij = np.floor((pts[:, :2] - pts[:, :2].min(axis=0)) / 5.0).astype(int)
+        keys = [(i, j) for i, j in ij]
+        top = {}
+        for k, z in zip(keys, pts[:, 2]):
+            top[k] = max(top.get(k, -np.inf), z)
+        keep = np.array([z >= top[k] - 10.0 for k, z in zip(keys, pts[:, 2])])
+        occluded = apply_occlusion(scene, cell=5.0, depth=10.0)
+        assert 0 < keep.sum() < keep.shape[0]
+        assert np.array_equal(occluded.points, pts[keep])
+        assert np.array_equal(occluded.labels, scene.labels[keep])
+
+
 # ---------------------------------------------------------------------------
 # crossing rods
 
