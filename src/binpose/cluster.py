@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Pose, SymmetryGroup, quat_normalize, rotation_distances_to_set
+from .so3 import (Pose, SymmetryGroup, quat_normalize, quat_normalize_batch,
+                  rotation_distances_to_set)
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,7 @@ class MeanShiftResult:
     modes: np.ndarray                  # (C,k)
     labels: np.ndarray                 # (N,) int, -1 = discarded
     members: list[np.ndarray]          # per cluster, sorted point indices
+    converged: bool = True             # False: seeds still moving at max_iters
 
 
 @dataclass
@@ -100,15 +102,73 @@ class ClusterResult:
     warning: str | None = None
 
 
-def _windows(means, seeds, X, X_sq, bw2):
-    """Yield (sel, inside) per block of ``seeds``: inside[i, j] tells
-    whether X[j] lies in the flat window around means[sel[i]]. Blocks of
-    2048 seeds keep the pairwise distance matrix small."""
-    for lo in range(0, seeds.shape[0], 2048):
-        sel = seeds[lo:lo + 2048]
-        M = means[sel]
-        d2 = (M * M).sum(axis=1)[:, None] + X_sq[None, :] - 2.0 * (M @ X.T)
-        yield sel, d2 <= bw2
+WINDOW_BLOCK = 1 << 20   # (mean, candidate) pairs per distance block
+
+
+class _Grid:
+    """The rows of ``X`` bucketed on a grid over their leading (at most
+    three) coordinates, with cells a hair wider than the bandwidth: every
+    point within the bandwidth of a mean lies in the 3**d cells around
+    the mean's cell, even after rounding in the ``d2`` expansion."""
+
+    def __init__(self, X: np.ndarray, bandwidth: float):
+        self.X = X
+        self.X_sq = (X * X).sum(axis=1)
+        self.bw2 = bandwidth * bandwidth
+        lead = X[:, :3]
+        # d2 = |m|^2 + |x|^2 - 2 m.x is off by at most 4 (k+3) eps R^2, so a
+        # point the window counts lies at most that / 2h past h; cells take
+        # four times that margin plus 1e-6 h for the floor division, and at
+        # least 2**-20 of the span so the int64 cell keys cannot overflow
+        slack = 8.0 * (X.shape[1] + 3) * np.finfo(float).eps * self.X_sq.max()
+        self.width = max(bandwidth * (1.0 + 1e-6) + slack / bandwidth,
+                         float((lead.max(axis=0) - lead.min(axis=0)).max()) / 2**20)
+        cells = np.floor(lead / self.width).astype(np.int64)
+        self.lo = cells.min(axis=0) - 2
+        shape = cells.max(axis=0) - self.lo + 3
+        # key = x + nx (y + ny z): the three x-neighbours of a cell are
+        # consecutive keys, so a cell's window spans 3**(d-1) key ranges
+        self.strides = np.cumprod(np.concatenate([[1], shape[:-1]]))
+        self.bounds = shape - 2
+        keys = (cells - self.lo) @ self.strides
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+        self.offsets = np.zeros(1, dtype=np.int64)
+        for stride in self.strides[1:]:
+            self.offsets = (self.offsets[:, None] + stride * np.array([-1, 0, 1])).ravel()
+
+    def windows(self, means: np.ndarray):
+        """Yield (sel, cand, inside) per block of ``means``: inside[i, j]
+        tells whether X[cand[j]] lies in the flat window around
+        means[sel[i]]; points outside ``cand`` lie outside it."""
+        cells = np.floor(means[:, :3] / self.width).astype(np.int64) - self.lo
+        keys = np.clip(cells, 1, self.bounds) @ self.strides
+        cell_keys, inverse = np.unique(keys, return_inverse=True)
+        by_cell = np.argsort(inverse, kind="stable")
+        splits = np.cumsum(np.bincount(inverse))[:-1]
+        lows = cell_keys[:, None] + self.offsets[None, :]
+        starts = np.searchsorted(self.keys, lows - 1, side="left")
+        ends = np.searchsorted(self.keys, lows + 1, side="right")
+        for sel, s, e in zip(np.split(by_cell, splits), starts, ends):
+            lens = e - s                 # the key ranges, concatenated
+            cand = self.order[np.repeat(s - np.cumsum(lens) + lens, lens)
+                              + np.arange(lens.sum())]
+            Xc, Xc_sq = self.X[cand], self.X_sq[cand]
+            step = max(1, WINDOW_BLOCK // max(cand.shape[0], 1))
+            for lo in range(0, sel.shape[0], step):
+                rows = sel[lo:lo + step]
+                M = means[rows]
+                d2 = (M * M).sum(axis=1)[:, None] + Xc_sq[None, :] - 2.0 * (M @ Xc.T)
+                yield rows, cand, d2 <= self.bw2
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) over the bitwise-distinct rows of ``a``: the
+    index of each one's first occurrence and the map from rows to them."""
+    a = np.ascontiguousarray(a)
+    rows = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def mean_shift(features, bandwidth: float, min_points: int = 1,
@@ -116,13 +176,30 @@ def mean_shift(features, bandwidth: float, min_points: int = 1,
     """Flat-kernel mean shift with every point as a seed.
 
     Each seed moves to the mean of the points within ``bandwidth`` until
-    the shift drops below ``tol`` or ``max_iters`` is hit. Converged
-    modes within bandwidth/2 merge; the candidate with the most points
-    in its window survives (it is the density peak of the basin), with
-    ties broken toward the lowest seed index. Points are assigned to
-    their nearest surviving mode and clusters with fewer than
-    ``min_points`` members are discarded (their points get label -1).
-    Deterministic for a given input order.
+    the shift drops below ``tol`` or ``max_iters`` is hit (then
+    ``converged`` is False). Converged modes within bandwidth/2 merge;
+    the candidate with the most points in its window survives (it is the
+    density peak of the basin), with ties broken toward the lowest seed
+    index. Points are assigned to their nearest surviving mode and
+    clusters with fewer than ``min_points`` members are discarded (their
+    points get label -1). Deterministic for a given input order.
+
+    Each pass costs what the distinct trajectories cost, and stays exact:
+
+    - Seeds whose means are bitwise equal while both are still moving
+      share one window per pass (the lowest seed index stands for them),
+      since equal means get equal updates from then on. A converged seed
+      stays frozen and never merges with a moving one. The support pass
+      counts once per distinct mean, and the merge walks the distinct
+      means in the ``(-support, seed index)`` order of all seeds, which
+      keeps the same modes.
+    - A window is compared only against the points in the grid cells
+      around its mean's cell (``_Grid``). Cells bucket the leading three
+      coordinates (the predicted centroid of stage-1 features, all of
+      them for fewer) and are wider than the bandwidth plus the rounding
+      of ``d2``. A window of radius h in all k coordinates lies inside
+      the one of radius h in the leading three, so no point of a window
+      is left out.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim == 1:
@@ -133,38 +210,48 @@ def mean_shift(features, bandwidth: float, min_points: int = 1,
                                np.empty(0, dtype=int), [])
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
+    if not np.isfinite(X).all():
+        raise ValueError("mean-shift features must be finite")
 
+    grid = _Grid(X, bandwidth)
     means = X.copy()
     active = np.ones(n, dtype=bool)
-    bw2 = bandwidth * bandwidth
-    X_sq = (X * X).sum(axis=1)
     for _ in range(max_iters):
-        if not active.any():
+        seeds = np.nonzero(active)[0]
+        if seeds.shape[0] == 0:
             break
-        for sel, inside in _windows(means, np.nonzero(active)[0], X, X_sq, bw2):
+        first, inverse = _distinct_rows(means[seeds])
+        lead = means[seeds[first]]
+        new = np.empty_like(lead)
+        for sel, cand, inside in grid.windows(lead):
             inside = inside.astype(X.dtype)
             counts = inside.sum(axis=1)
             counts[counts == 0] = 1.0   # isolated seed: stays put
-            new = (inside @ X) / counts[:, None]
-            shift = np.linalg.norm(new - means[sel], axis=1)
-            means[sel] = new
-            active[sel[shift < tol]] = False
+            new[sel] = (inside @ X[cand]) / counts[:, None]
+        moving = np.linalg.norm(new - lead, axis=1) >= tol
+        means[seeds] = new[inverse]
+        active[seeds] = moving[inverse]
 
     # merge converged modes within bandwidth/2; the densest candidate
     # (most points in its window) survives, ties to the lowest seed index
-    support = np.empty(n)
-    for sel, inside in _windows(means, np.arange(n), X, X_sq, bw2):
+    first, _ = _distinct_rows(means)
+    lead = means[first]
+    support = np.empty(first.shape[0])
+    for sel, _, inside in grid.windows(lead):
         support[sel] = inside.sum(axis=1)
-    order = np.lexsort((np.arange(n), -support))   # by count desc, then seed index
-    modes: list[np.ndarray] = []
-    for i in order:
-        m = means[i]
-        if modes and np.linalg.norm(np.stack(modes) - m, axis=1).min() < bandwidth / 2.0:
+    modes_arr = np.empty_like(lead)
+    n_modes = 0
+    for m in lead[np.lexsort((first, -support))]:
+        if n_modes and np.linalg.norm(modes_arr[:n_modes] - m, axis=1).min() < bandwidth / 2.0:
             continue
-        modes.append(m)
-    modes_arr = np.stack(modes)
+        modes_arr[n_modes] = m
+        n_modes += 1
+    modes_arr = modes_arr[:n_modes]
 
-    d2 = ((X[:, None, :] - modes_arr[None, :, :]) ** 2).sum(axis=2)
+    # one coordinate at a time, so no (N, C, k) array is built
+    d2 = (X[:, None, 0] - modes_arr[None, :, 0]) ** 2
+    for j in range(1, X.shape[1]):
+        d2 += (X[:, None, j] - modes_arr[None, :, j]) ** 2
     assign = np.argmin(d2, axis=1)
 
     labels = np.full(n, -1, dtype=int)
@@ -179,7 +266,7 @@ def mean_shift(features, bandwidth: float, min_points: int = 1,
             kept_modes.append(modes_arr[c])
             next_label += 1
     kept = np.stack(kept_modes) if kept_modes else np.empty((0, X.shape[1]))
-    return MeanShiftResult(kept, labels, members)
+    return MeanShiftResult(kept, labels, members, converged=not active.any())
 
 
 def stage1_features(pred: PerPointPrediction, quat_scale: float) -> np.ndarray:
@@ -188,8 +275,8 @@ def stage1_features(pred: PerPointPrediction, quat_scale: float) -> np.ndarray:
     Quaternions are sign-canonicalized first so q and -q cannot split a
     cluster. quat_scale = 0 degenerates to translation-only features.
     """
-    quats = np.stack([quat_normalize(q) for q in pred.quats]) if len(pred) else pred.quats
-    return np.concatenate([pred.centroids, quat_scale * quats], axis=1)
+    return np.concatenate([pred.centroids, quat_scale * quat_normalize_batch(pred.quats)],
+                          axis=1)
 
 
 def pose_vote(merged: list[Stage1Cluster], member_quats: np.ndarray,
@@ -282,7 +369,7 @@ def single_stage_pipeline(pred: PerPointPrediction, params: ClusterParams) -> Cl
     stage1 = []
     instances = []
     for c, idx in enumerate(ms.members):
-        quats = np.stack([quat_normalize(q) for q in pred.quats[idx]])
+        quats = quat_normalize_batch(pred.quats[idx])
         mean_q = quats.mean(axis=0)
         if np.linalg.norm(mean_q) < 1e-9:
             mean_q = quats[0]

@@ -52,14 +52,13 @@ def save_ply(path, points, instance_ids=None) -> None:
             f.write("property int instance_id\n")
         f.write("end_header\n")
         if instance_ids is None:
-            for p in pts:
-                f.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+            f.write("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in pts.tolist()))
         else:
             ids = np.asarray(instance_ids, dtype=int).reshape(-1)
             if ids.shape[0] != pts.shape[0]:
                 raise ValueError("instance_ids length must match point count")
-            for p, i in zip(pts, ids):
-                f.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])} {int(i)}\n")
+            f.write("".join(f"{x!r} {y!r} {z!r} {i}\n"
+                            for (x, y, z), i in zip(pts.tolist(), ids.tolist())))
 
 
 def load_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -98,14 +97,20 @@ def load_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
         raise PlyParseError("vertex properties must start with x, y, z", body_start)
     with_ids = len(props) >= 4 and props[3] == "instance_id"
 
-    body = lines[body_start:]
+    body = lines[body_start:body_start + n_vertex]
     if len(body) < n_vertex:
         raise PlyParseError(
             f"expected {n_vertex} vertex rows, file ends after {len(body)}",
             body_start + len(body))
+    need = 4 if with_ids else 3
+    columns = [("xyz", float, 3)] + ([("id", int)] if with_ids else [])
+    rows = _load_rows(body, dtype=columns, usecols=range(need), ndmin=1)
+    if rows is not None:
+        return (np.ascontiguousarray(rows["xyz"]),
+                np.ascontiguousarray(rows["id"]) if with_ids else None)
+    # the fast parse failed: scan for the first bad row
     pts = np.empty((n_vertex, 3))
     ids = np.empty(n_vertex, dtype=int) if with_ids else None
-    need = 4 if with_ids else 3
     for i in range(n_vertex):
         tok = body[i].split()
         if len(tok) < need:
@@ -120,6 +125,19 @@ def load_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
     return pts, ids
 
 
+def _load_rows(rows: list[str], **kwargs) -> np.ndarray | None:
+    """Parse every row in one ``np.loadtxt`` call (the same floats as
+    ``float`` per value); None when a row fails to parse or is blank, so
+    the caller can scan for it."""
+    if not rows:
+        return None
+    try:
+        data = np.loadtxt(rows, comments=None, **kwargs)
+    except (ValueError, OverflowError):
+        return None
+    return data if data.shape[0] == len(rows) else None
+
+
 # ---------------------------------------------------------------------------
 # predictions CSV
 
@@ -129,9 +147,8 @@ PRED_HEADER = "x,y,z,cx,cy,cz,qw,qx,qy,qz"
 def save_predictions_csv(path, pred: PerPointPrediction) -> None:
     with open(path, "w") as f:
         f.write(PRED_HEADER + "\n")
-        for p, c, q in zip(pred.positions, pred.centroids, pred.quats):
-            row = list(p) + list(c) + list(q)
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        rows = np.concatenate([pred.positions, pred.centroids, pred.quats], axis=1)
+        f.write("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
 
 
 def load_predictions_csv(path) -> PerPointPrediction:
@@ -139,7 +156,10 @@ def load_predictions_csv(path) -> PerPointPrediction:
         lines = f.read().splitlines()
     if not lines or lines[0].strip() != PRED_HEADER:
         raise ValueError(f"prediction CSV must start with header '{PRED_HEADER}'")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:] if ln.strip()])
+    body = [ln for ln in lines[1:] if ln.strip()]
+    data = _load_rows(body, delimiter=",", ndmin=2)
+    if data is None:
+        data = np.array([[float(v) for v in ln.split(",")] for ln in body])
     if data.size == 0:
         data = data.reshape(0, 10)
     if data.shape[1] != 10:

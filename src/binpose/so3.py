@@ -38,13 +38,22 @@ def quat_normalize(q) -> np.ndarray:
     among (x, y, z) is positive. Idempotent; maps q and -q to the same
     quaternion.
     """
-    q = np.asarray(q, dtype=float).reshape(4)
-    n = np.linalg.norm(q)
-    if n == 0.0:
+    return quat_normalize_batch(np.asarray(q, dtype=float).reshape(4))[0]
+
+
+def quat_normalize_batch(q) -> np.ndarray:
+    """Row-wise quat_normalize of an (m,4) array."""
+    q = np.asarray(q, dtype=float).reshape(-1, 4)
+    # the row-wise product is the 1-D np.linalg.norm bit for bit; axis=1 is not
+    n = np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    if (n == 0.0).any():
         raise ValueError("zero quaternion cannot be normalized")
     # bitwise no-op on already-unit input keeps canonicalization idempotent
-    q = q.copy() if abs(n - 1.0) < 1e-12 else q / n
-    return _canonical_sign(q)
+    q = np.where(np.abs(n - 1.0) < 1e-12, q, q / n)
+    # canonical sign: the first nonzero of (w, x, y, z) is positive
+    flip = q[np.arange(q.shape[0]), np.argmax(q != 0.0, axis=1)] < 0.0
+    q[flip] = -q[flip] + 0.0     # + 0.0 scrubs negative zeros
+    return q
 
 
 def _canonical_sign(q: np.ndarray) -> np.ndarray:
@@ -420,11 +429,14 @@ def rotation_distances_to_set(rep_quat, quats, model, group: SymmetryGroup,
     outer = np.einsum("ki,kj->kij", masked, masked).reshape(-1, 9)   # (K,9)
     Rr = quat_to_matrix(quat_normalize(rep_quat))
     Rb = quats_to_matrices(quats)                             # (m,3,3)
+    # one (m,K) buffer for every rotation: fresh ones per rotation cost a
+    # page fault per page whenever the allocator maps them anew
+    sq = np.empty((Rb.shape[0], outer.shape[0]))
     best = None
     for s in group.matrices:
         diff = (Rr @ s)[None] - Rb                            # (m,3,3)
         gram = np.einsum("mji,mjk->mik", diff, diff).reshape(-1, 9)
-        sq = gram @ outer.T                                   # (m,K)
-        means = np.sqrt(np.maximum(sq, 0.0)).mean(axis=1)
+        np.matmul(gram, outer.T, out=sq)
+        means = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq).mean(axis=1)
         best = means if best is None else np.minimum(best, means)
     return best

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from binpose.cluster import (ClusterParams, PerPointPrediction,
                              cluster_predictions, mean_shift, pose_vote,
@@ -7,8 +10,8 @@ from binpose.cluster import (ClusterParams, PerPointPrediction,
 from binpose.so3 import (SymmetryDescriptor, matrix_to_quat, quat_normalize,
                          quat_to_matrix, random_quat, symmetric_pose_distance)
 from binpose.synth import (ObjectModel, OracleParams, SceneGenParams,
-                           box_cloud, generate_scene, make_crossing_rods_scene,
-                           oracle_predict, rod_model)
+                           apply_occlusion, box_cloud, generate_scene,
+                           make_crossing_rods_scene, oracle_predict, rod_model)
 from binpose.workspace import denormalize_pose, fit_normalization, normalize_scene
 
 TWOFOLD = SymmetryDescriptor(0, 0, 180, 15)
@@ -77,6 +80,138 @@ def test_mean_shift_min_points_discards():
     res = mean_shift(X, bandwidth=0.5, min_points=2)
     assert res.modes.shape[0] == 1
     assert res.labels.tolist() == [0, 0, 0, -1]
+
+
+def test_mean_shift_reports_max_iters():
+    rng = np.random.default_rng(0)
+    X = np.concatenate([rng.normal(0.0, 0.6, size=(80, 2)),
+                        rng.normal(10.0, 0.6, size=(60, 2))])
+    assert not mean_shift(X, bandwidth=3.0, max_iters=1).converged
+    assert mean_shift(X, bandwidth=3.0).converged
+
+
+def test_mean_shift_rejects_non_finite_features():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            mean_shift(np.array([[0.0, 1.0], [bad, 2.0]]), bandwidth=1.0)
+
+
+def dense_mean_shift(X, bandwidth, min_points=1, max_iters=300, tol=1e-3):
+    """The dense reference: every active seed scans every point on every
+    pass, in blocks of 2048 seeds. Returns (modes, labels, members)."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    X_sq = (X * X).sum(axis=1)
+    bw2 = bandwidth * bandwidth
+
+    def windows(means, seeds):
+        for lo in range(0, seeds.shape[0], 2048):
+            sel = seeds[lo:lo + 2048]
+            M = means[sel]
+            d2 = (M * M).sum(axis=1)[:, None] + X_sq[None, :] - 2.0 * (M @ X.T)
+            yield sel, d2 <= bw2
+
+    means = X.copy()
+    active = np.ones(n, dtype=bool)
+    for _ in range(max_iters):
+        if not active.any():
+            break
+        for sel, inside in windows(means, np.nonzero(active)[0]):
+            inside = inside.astype(X.dtype)
+            counts = inside.sum(axis=1)
+            counts[counts == 0] = 1.0
+            new = (inside @ X) / counts[:, None]
+            shift = np.linalg.norm(new - means[sel], axis=1)
+            means[sel] = new
+            active[sel[shift < tol]] = False
+    support = np.empty(n)
+    for sel, inside in windows(means, np.arange(n)):
+        support[sel] = inside.sum(axis=1)
+    modes = []
+    for i in np.lexsort((np.arange(n), -support)):
+        m = means[i]
+        if modes and np.linalg.norm(np.stack(modes) - m, axis=1).min() < bandwidth / 2.0:
+            continue
+        modes.append(m)
+    modes = np.stack(modes)
+    assign = np.argmin(((X[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2), axis=1)
+    labels = np.full(n, -1, dtype=int)
+    kept, members = [], []
+    for c in range(modes.shape[0]):
+        idx = np.nonzero(assign == c)[0]
+        if idx.shape[0] >= min_points:
+            labels[idx] = len(members)
+            members.append(idx)
+            kept.append(modes[c])
+    return (np.stack(kept) if kept else np.empty((0, X.shape[1]))), labels, members
+
+
+def assert_matches_dense(X, bandwidth, min_points=1, max_iters=300):
+    res = mean_shift(X, bandwidth, min_points, max_iters)
+    modes, labels, members = dense_mean_shift(X, bandwidth, min_points, max_iters)
+    assert np.array_equal(res.labels, labels)
+    assert len(res.members) == len(members)
+    assert all(np.array_equal(a, b) for a, b in zip(res.members, members))
+    assert res.modes.shape == modes.shape
+    assert np.abs(res.modes - modes).max(initial=0.0) <= 1e-12
+
+
+@st.composite
+def mean_shift_inputs(draw):
+    """Points on a lattice of a quarter bandwidth (so coordinates sit on
+    exact multiples of it and many pairs lie exactly one bandwidth apart),
+    with duplicated rows and an isolated seed.
+
+    Lattice distances are computed exactly, so window membership is
+    decided exactly. The optional jitter off the lattice is distinct per
+    coordinate: equal jitter would put pairs within rounding of the
+    window boundary, where the dense and the pruned passes round their
+    dot products differently and either answer is a correct rounding."""
+    k = draw(st.sampled_from([1, 2, 3, 7]))
+    h = draw(st.sampled_from([0.5, 1.0, 5.0]))
+    n = draw(st.integers(1, 40))
+    X = draw(arrays(np.int64, (n, k), elements=st.integers(-8, 8))) * (h / 4.0)
+    if draw(st.booleans()):
+        X = X + draw(arrays(np.float64, (n, k), elements=st.floats(-0.3, 0.3),
+                            unique=True)) * h
+    X = np.concatenate([X, X[draw(st.lists(st.integers(0, n - 1), max_size=10))]])
+    if draw(st.booleans()):
+        X = np.concatenate([X, np.full((1, k), 40.0 * h)])
+    return X, h, draw(st.integers(1, 4)), draw(st.sampled_from([1, 300]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mean_shift_inputs())
+def test_mean_shift_matches_dense_reference(case):
+    X, h, min_points, max_iters = case
+    assert_matches_dense(X, h, min_points, max_iters)
+
+
+def test_mean_shift_pair_exactly_one_bandwidth_apart():
+    # each point sits on the other's window boundary, in every dimension count
+    for k in (1, 2, 3, 7):
+        X = np.zeros((2, k))
+        X[1, k - 1] = 5.0
+        assert_matches_dense(X, 5.0)
+        assert len(mean_shift(X, 5.0).members) == 1
+
+
+@pytest.mark.parametrize("oracle", [OracleParams(1.0, 2.0, True),
+                                    OracleParams(4.0, 8.0, True, 0.1)],
+                         ids=["clean", "noisy"])
+@pytest.mark.parametrize("max_iters", [1, 300])
+def test_stage1_mean_shift_matches_dense_reference(oracle, max_iters):
+    model = ObjectModel("box", box_cloud((40, 120, 160), 10), TWOFOLD)
+    scene = apply_occlusion(generate_scene(model, SceneGenParams((3, 5), (700, 700, 500)),
+                                           seed=1), 5.0, 10.0)
+    pred = oracle_predict(scene, model, oracle, seed=1, bin_extents=(700, 700, 500))
+    transform = fit_normalization(model.points)
+    positions, transform = normalize_scene(pred.positions, transform)
+    pred_n = PerPointPrediction(positions, transform.forward_points(pred.centroids),
+                                pred.quats)
+    params = ClusterParams()
+    assert_matches_dense(stage1_features(pred_n, params.quat_scale), params.bandwidth_1,
+                         params.min_points_1, max_iters)
 
 
 # ---------------------------------------------------------------------------

@@ -212,3 +212,49 @@ def test_config_value_of_wrong_type_names_its_key(tmp_path):
     path = make_config(tmp_path, cluster={"bandwidth_1": None})
     with pytest.raises(ValueError, match="cluster.bandwidth_1"):
         load_config(path)
+
+
+PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+              "property float y\nproperty float z\nproperty int instance_id\nend_header\n")
+
+
+@pytest.mark.parametrize("rows, line", [
+    (["1 2 3 0", "4 5 6", "7 8 9 1"], 10),        # short row
+    (["1 2 3 0", "", "4 5 6 1"], 10),             # blank row
+    (["1 2 3 0", "4 5 6 1", "7 8 9 1.5"], 11),    # non-integer id
+    (["1 2 3 0", "4 x 6 1", "7 8 9 1"], 10),      # bad float
+], ids=["short", "blank", "float-id", "bad-float"])
+def test_ply_bad_row_names_its_line(tmp_path, rows, line):
+    p = tmp_path / "bad.ply"
+    p.write_text(PLY_HEADER + "\n".join(rows) + "\n")
+    with pytest.raises(PlyParseError) as exc:
+        load_ply(p)
+    assert exc.value.line == line
+
+
+def test_ply_and_csv_rows_keep_the_float_grammar(tmp_path):
+    # rows the one-call parse rejects but float() accepts still load
+    p = tmp_path / "a.ply"
+    p.write_text(PLY_HEADER + "1_0 2 3 0\n4 5 6 1 9\n7 8 9 -1\n")
+    pts, ids = load_ply(p)
+    assert pts.tolist() == [[10.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+    assert ids.tolist() == [0, 1, -1]
+    c = tmp_path / "a.csv"
+    c.write_text("x,y,z,cx,cy,cz,qw,qx,qy,qz\n1_0,2,3,4,5,6,1,0,0,0\n\n")
+    assert load_predictions_csv(c).positions.tolist() == [[10.0, 2.0, 3.0]]
+
+
+def test_writers_format_every_value_with_repr(tmp_path):
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1000, 1000, size=(50, 3))
+    pts[0] = [-0.0, 1e-300, np.pi]
+    ids = rng.integers(-1, 8, size=50)
+    save_ply(tmp_path / "a.ply", pts, ids)
+    body = (tmp_path / "a.ply").read_text().split("end_header\n")[1]
+    assert body == "".join(f"{repr(float(x))} {repr(float(y))} {repr(float(z))} {int(i)}\n"
+                           for (x, y, z), i in zip(pts, ids))
+    pred = PerPointPrediction(pts, pts[::-1], np.stack([random_quat(rng) for _ in range(50)]))
+    save_predictions_csv(tmp_path / "a.csv", pred)
+    rows = (tmp_path / "a.csv").read_text().splitlines()[1:]
+    assert rows == [",".join(repr(float(v)) for v in list(p) + list(c) + list(q))
+                    for p, c, q in zip(pred.positions, pred.centroids, pred.quats)]

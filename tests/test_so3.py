@@ -300,3 +300,33 @@ def test_quat_multiply_is_one_row_of_the_batch():
     for bad in (np.ones(8), np.ones(3)):
         with pytest.raises(ValueError):
             quat_multiply(bad, np.ones(4))
+
+
+def test_quat_normalize_batch_matches_per_row_reference():
+    from binpose.so3 import quat_normalize_batch
+
+    def reference(q):
+        # the per-row quat_normalize the batch replaced
+        n = np.linalg.norm(q)
+        q = q.copy() if abs(n - 1.0) < 1e-12 else q / n
+        if q[0] < 0.0:
+            return -q + 0.0
+        if q[0] == 0.0:
+            for c in q[1:]:
+                if c != 0.0:
+                    return q if c > 0.0 else -q + 0.0
+        return q
+
+    rng = np.random.default_rng(10)
+    q = rng.normal(size=(20000, 4))
+    q[:5000] /= np.linalg.norm(q[:5000], axis=1, keepdims=True)   # unit rows
+    q[5000:6000, 0] = 0.0                                         # w == 0
+    q[6000:6500, :2] = [-0.0, 0.0]                                # w == -0, x == 0
+    q[6500:7000, 1:3] = -0.0                                      # negative zeros
+    expected = np.stack([reference(row) for row in q])
+    got = quat_normalize_batch(q)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(np.stack([quat_normalize(row) for row in q]).view(np.uint64),
+                          expected.view(np.uint64))
+    with pytest.raises(ValueError, match="zero quaternion"):
+        quat_normalize_batch([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
