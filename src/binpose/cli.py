@@ -96,6 +96,9 @@ def _cmd_cluster(args) -> int:
     write_poses(args.out_dir, result, poses)
     if result.warning:
         print(f"warning: {result.warning}", file=sys.stderr)
+    if not result.converged:
+        print(f"warning: mean shift stopped at max_iters={cfg.cluster.max_iters} "
+              "before converging", file=sys.stderr)
     print(f"clustered {len(pred)} points into {len(poses)} instances")
     return 0
 

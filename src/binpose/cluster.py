@@ -65,9 +65,11 @@ class PerPointPrediction:
         m = self.positions.shape[0]
         if self.centroids.shape[0] != m or self.quats.shape[0] != m:
             raise ValueError("prediction arrays must have equal length")
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.centroids).all()):
+            raise ValueError("prediction positions and centroids must be finite")
         norms = np.linalg.norm(self.quats, axis=1)
-        if m and np.abs(norms - 1.0).max() > 1e-6:
-            raise ValueError("prediction quaternions must be unit norm")
+        if m and not np.abs(norms - 1.0).max() <= 1e-6:
+            raise ValueError("prediction quaternions must be finite and unit norm")
 
     def __len__(self) -> int:
         return self.positions.shape[0]
@@ -100,6 +102,7 @@ class ClusterResult:
     instances: list[InstancePrediction]
     labels: np.ndarray                 # (M,) final instance id per point, -1 unassigned
     warning: str | None = None
+    converged: bool = True             # False: a mean-shift stage hit max_iters
 
 
 WINDOW_BLOCK = 1 << 20   # (mean, candidate) pairs per distance block
@@ -301,7 +304,7 @@ def pose_vote(merged: list[Stage1Cluster], member_quats: np.ndarray,
         if cost < best_cost:
             best_cost = cost
             best_quat = c.rep_quat
-    return Pose(quat_normalize(best_quat), translation)
+    return Pose(best_quat, translation)
 
 
 def two_stage_pipeline(pred: PerPointPrediction, params: ClusterParams,
@@ -331,7 +334,8 @@ def two_stage_pipeline(pred: PerPointPrediction, params: ClusterParams,
                                     rep_quat=quat_normalize(rep)))
     labels = np.full(len(pred), -1, dtype=int)
     if not stage1:
-        return ClusterResult([], [], labels, warning="no stage-1 clusters survived")
+        return ClusterResult([], [], labels, warning="no stage-1 clusters survived",
+                             converged=ms1.converged)
 
     centroids = np.stack([c.centroid for c in stage1])
     ms2 = mean_shift(centroids, params.bandwidth_2, min_points=1,
@@ -349,7 +353,8 @@ def two_stage_pipeline(pred: PerPointPrediction, params: ClusterParams,
         instances.append(InstancePrediction(pose=pose, indices=member_idx))
 
     warning = None if instances else "no clusters survive the point thresholds"
-    return ClusterResult(stage1, instances, labels, warning)
+    return ClusterResult(stage1, instances, labels, warning,
+                         converged=ms1.converged and ms2.converged)
 
 
 def single_stage_pipeline(pred: PerPointPrediction, params: ClusterParams) -> ClusterResult:
@@ -379,7 +384,7 @@ def single_stage_pipeline(pred: PerPointPrediction, params: ClusterParams) -> Cl
         labels[idx] = len(instances)
         instances.append(InstancePrediction(pose=Pose(rep, centroid), indices=idx))
     warning = None if instances else "no clusters survive the point thresholds"
-    return ClusterResult(stage1, instances, labels, warning)
+    return ClusterResult(stage1, instances, labels, warning, converged=ms.converged)
 
 
 def cluster_predictions(pred: PerPointPrediction, params: ClusterParams,

@@ -18,6 +18,7 @@ from .so3 import SymmetryGroup, quats_to_matrices
 
 TIE_TOL = 1e-6       # gap below which the min over symmetry rotations is ambiguous
 DEGENERATE_MM = 1e-9
+MAX_RESAMPLES = 50   # consecutive symmetry ties gradcheck_trials resamples before raising
 
 
 class TieAtMinimumError(RuntimeError):
@@ -90,8 +91,10 @@ def center_weights(points, centroid) -> np.ndarray:
     return 0.5 + (d - d.min()) / span
 
 
-def _rotation_values(inst: LossInstance) -> np.ndarray:
-    """Mean point-cloud distance for each symmetry rotation, shape (n_s,).
+def _rotation_values(inst: LossInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean point-cloud distance for each symmetry rotation, shape (n_s,),
+    with the differences and norms it is formed from, (n_s,m,K,3) and
+    (n_s,m,K).
 
     Entry s is the mean over predicted points j and model points k of
     ||R_gt s m_k - R(q_j) m_k|| with the axis mask applied to m.
@@ -102,7 +105,8 @@ def _rotation_values(inst: LossInstance) -> np.ndarray:
     Rp = quats_to_matrices(inst.pred_quats)                            # (m,3,3)
     pred_pts = np.einsum("mij,kj->mki", Rp, masked)                    # (m,K,3)
     diff = gt_pts[:, None] - pred_pts[None]                            # (ns,m,K,3)
-    return np.linalg.norm(diff, axis=3).mean(axis=(1, 2))
+    norms = np.linalg.norm(diff, axis=3)                               # (ns,m,K)
+    return norms.mean(axis=(1, 2)), diff, norms
 
 
 def rotation_loss(instances: Sequence[LossInstance]) -> float:
@@ -118,7 +122,7 @@ def rotation_loss(instances: Sequence[LossInstance]) -> float:
         raise ValueError("rotation loss needs at least one instance")
     total = 0.0
     for inst in instances:
-        total += float(_rotation_values(inst).min())
+        total += float(_rotation_values(inst)[0].min())
     return total / len(instances)
 
 
@@ -183,35 +187,31 @@ def translation_loss_grad(instances: Sequence[LossInstance]) -> list[np.ndarray]
     return grads
 
 
-def rotation_loss_grad(instances: Sequence[LossInstance],
-                       tie_tol: float = TIE_TOL) -> list[np.ndarray]:
+def rotation_loss_grad(instances: Sequence[LossInstance]) -> list[np.ndarray]:
     """Gradient of rotation_loss w.r.t. each instance's raw pred_quats,
     list of (m,4) arrays.
 
     The winning symmetry rotation is held fixed; raises
-    TieAtMinimumError when the two best rotations are within tie_tol, as
+    TieAtMinimumError when the two best rotations are within TIE_TOL, as
     the loss is not differentiable there.
     """
     n = len(instances)
     grads = []
     for inst in instances:
-        vals = _rotation_values(inst)
+        vals, diff, all_norms = _rotation_values(inst)
         order = np.argsort(vals)
-        if vals.shape[0] > 1 and vals[order[1]] - vals[order[0]] < tie_tol:
+        if vals.shape[0] > 1 and vals[order[1]] - vals[order[0]] < TIE_TOL:
             raise TieAtMinimumError(
-                f"symmetry-rotation gap {vals[order[1]] - vals[order[0]]:.2e} below {tie_tol}")
-        s_best = inst.group.matrices[int(order[0])]
+                f"symmetry-rotation gap {vals[order[1]] - vals[order[0]]:.2e} below {TIE_TOL}")
+        best = int(order[0])
         masked = inst.model * inst.mask                        # (K,3)
-        gt_pts = masked @ (inst.rotation_gt @ s_best).T        # (K,3)
         q = inst.pred_quats
         q_norm = np.linalg.norm(q, axis=1)
         q_hat = q / q_norm[:, None]
-        Rp = quats_to_matrices(q)                               # (m,3,3)
-        pred_pts = np.einsum("mij,kj->mki", Rp, masked)         # (m,K,3)
-        err = pred_pts - gt_pts[None]                           # (m,K,3)
-        norms = np.linalg.norm(err, axis=2)                     # (m,K)
+        norms = all_norms[best]                                 # (m,K)
         safe = np.where(norms > 1e-12, norms, 1.0)
-        unit = err / safe[..., None]
+        unit = diff[best] / -safe[..., None]                    # (m,K,3) gt towards predicted
+        del diff                 # frees the (ns,m,K,3) differences before the einsums
         unit[norms <= 1e-12] = 0.0
         m, K = norms.shape
         # dL/dR_j = (1/(n m K)) sum_k u_jk (x) masked_k
@@ -325,23 +325,23 @@ def random_instances(model, group: SymmetryGroup, mask,
 
 def gradcheck_trials(loss: str, model, group: SymmetryGroup, mask,
                      trials: int = 50, epsilon: float = 1e-5,
-                     seed: int = 0, max_resamples: int = 50) -> float:
+                     seed: int = 0) -> float:
     """Worst relative gradient error over random configurations.
 
     Configurations landing on a symmetry tie are resampled (the loss is
-    not differentiable there); more than ``max_resamples`` consecutive
+    not differentiable there); more than MAX_RESAMPLES consecutive
     ties raises the underlying TieAtMinimumError.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        for attempt in range(max_resamples):
+        for attempt in range(MAX_RESAMPLES):
             instances = random_instances(model, group, mask, rng)
             try:
                 worst = max(worst, gradcheck(loss, instances, epsilon))
                 break
             except TieAtMinimumError:
-                if attempt == max_resamples - 1:
+                if attempt == MAX_RESAMPLES - 1:
                     raise
     return worst
 

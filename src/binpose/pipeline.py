@@ -15,7 +15,7 @@ from .fileio import (Config, load_ply, load_scene_json, save_labels, save_ply,
                      save_poses_json, save_predictions_csv, save_report_json,
                      save_scene_json, write_json)
 from .icp import icp_refine
-from .metrics import EvalReport, evaluate
+from .metrics import EvalReport, evaluate, f1_inst
 from .so3 import Pose
 from .synth import (Scene, SceneInstance, apply_occlusion, generate_scene,
                     oracle_predict)
@@ -153,7 +153,7 @@ def aggregate_reports(reports: list[EvalReport]) -> dict:
         "n_gt": n_gt,
         "n_pred": n_pred,
         "tp": tp,
-        "f1_inst": (2.0 * tp / (n_pred + n_gt)) if (n_pred + n_gt) else 0.0,
+        "f1_inst": f1_inst(tp, n_pred, n_gt),
         "recall": (matched / total) if total else 0.0,
         "matched_points": matched,
         "total_points": total,

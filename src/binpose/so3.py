@@ -56,16 +56,6 @@ def quat_normalize_batch(q) -> np.ndarray:
     return q
 
 
-def _canonical_sign(q: np.ndarray) -> np.ndarray:
-    if q[0] < 0.0:
-        return -q + 0.0          # + 0.0 scrubs negative zeros
-    if q[0] == 0.0:
-        for c in q[1:]:
-            if c != 0.0:
-                return q if c > 0.0 else -q + 0.0
-    return q
-
-
 def quat_multiply(a, b) -> np.ndarray:
     """Hamilton product a * b (not re-canonicalized)."""
     a = np.asarray(a, dtype=float).reshape(4)
@@ -107,17 +97,6 @@ def quat_multiply_batch(a, b) -> np.ndarray:
     ], axis=1)
 
 
-def quat_canonical_batch(q) -> np.ndarray:
-    """Unit-normalize and sign-canonicalize each row of an (m,4) array."""
-    q = np.asarray(q, dtype=float).reshape(-1, 4)
-    q = q / np.linalg.norm(q, axis=1, keepdims=True)
-    flip = q[:, 0] < 0.0
-    q[flip] = -q[flip]
-    for i in np.nonzero(q[:, 0] == 0.0)[0]:
-        q[i] = _canonical_sign(q[i])
-    return q
-
-
 def quat_to_matrix(q) -> np.ndarray:
     """Convert a unit quaternion to a proper rotation matrix.
 
@@ -126,20 +105,16 @@ def quat_to_matrix(q) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float).reshape(4)
     n = np.linalg.norm(q)
-    if abs(n - 1.0) > UNIT_TOL:
+    if not abs(n - 1.0) <= UNIT_TOL:
         raise ValueError(f"quaternion norm {n:.9f} deviates from 1 by more than {UNIT_TOL}")
-    w, x, y, z = q / n
-    return np.array([
-        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-        [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-    ])
+    return quats_to_matrices(q)[0]
 
 
 def quats_to_matrices(quats) -> np.ndarray:
     """Batch version of :func:`quat_to_matrix` with renormalization, (m,4) -> (m,3,3)."""
     q = np.asarray(quats, dtype=float).reshape(-1, 4)
-    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    # the row-wise product is the 1-D np.linalg.norm bit for bit; axis=1 is not
+    q = q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
     out = np.empty((q.shape[0], 3, 3))
     out[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
@@ -225,10 +200,13 @@ class Pose:
     def __post_init__(self):
         q = np.asarray(self.quat, dtype=float).reshape(4)
         n = np.linalg.norm(q)
-        if abs(n - 1.0) > UNIT_TOL:
+        if not abs(n - 1.0) <= UNIT_TOL:
             raise ValueError(f"pose quaternion norm {n:.9f} is not unit within {UNIT_TOL}")
+        t = np.asarray(self.t, dtype=float).reshape(3).copy()
+        if not np.isfinite(t).all():
+            raise ValueError(f"pose translation {t.tolist()} is not finite")
         object.__setattr__(self, "quat", quat_normalize(q))
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(3).copy())
+        object.__setattr__(self, "t", t)
 
     @property
     def rotation(self) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .cluster import PerPointPrediction
 from .so3 import (Pose, SymmetryDescriptor, SymmetryGroup, axis_rotation,
                   build_axis_mask, build_symmetry_group, classify_axes,
-                  matrix_to_quat, quat_canonical_batch, quat_multiply_batch)
+                  matrix_to_quat, quat_multiply_batch, quat_normalize_batch)
 
 
 class SceneGenerationError(RuntimeError):
@@ -365,7 +365,9 @@ def oracle_predict(scene: Scene, model: ObjectModel, params: OracleParams,
                 q = quat_multiply_batch(q, _axis_quats(axis, rng.uniform(0.0, 360.0, size=m)))
         if params.sigma_r_deg > 0.0:
             q = quat_multiply_batch(q, _noise_quats(rng, params.sigma_r_deg, m))
-        quats[idx] = quat_canonical_batch(q)
+        # dividing by the axis=1 norm first keeps the oracle's bits: the
+        # result is unit within 1e-12, so quat_normalize_batch only flips signs
+        quats[idx] = quat_normalize_batch(q / np.linalg.norm(q, axis=1, keepdims=True))
 
     if params.outlier_fraction > 0.0 and n_pts > 0:
         outliers = np.nonzero(rng.random(n_pts) < params.outlier_fraction)[0]
@@ -375,7 +377,7 @@ def oracle_predict(scene: Scene, model: ObjectModel, params: OracleParams,
         q = rng.normal(size=(outliers.shape[0], 4))
         for i in np.nonzero(np.linalg.norm(q, axis=1) < 1e-9)[0]:
             q[i] = (1.0, 0.0, 0.0, 0.0)
-        quats[outliers] = quat_canonical_batch(q)
+        quats[outliers] = quat_normalize_batch(q / np.linalg.norm(q, axis=1, keepdims=True))
 
     return PerPointPrediction(positions=scene.points.copy(),
                               centroids=centroids, quats=quats)

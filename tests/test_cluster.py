@@ -458,3 +458,32 @@ def test_empty_prediction_gives_warning():
 def _identity_symmetry():
     from binpose.so3 import SymmetryGroup
     return SymmetryGroup.identity(), np.ones(3), box_cloud((10, 10, 10), 5)
+
+
+@pytest.mark.parametrize("field", ["positions", "centroids", "quats"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prediction_rejects_non_finite_values(field, bad):
+    arrays = {"positions": np.zeros((3, 3)), "centroids": np.zeros((3, 3)),
+              "quats": np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))}
+    arrays[field][1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PerPointPrediction(**arrays)
+
+
+@pytest.mark.parametrize("single_stage", [False, True])
+def test_cluster_result_reports_max_iters(single_stage):
+    model = ObjectModel("box", box_cloud((40, 120, 160), 10), TWOFOLD)
+    scene = generate_scene(model, SceneGenParams((3, 4), (700, 700, 500)), seed=0)
+    for max_iters, converged in ((1, False), (300, True)):
+        res, _ = run_pipeline_on_scene(model, scene, OracleParams(4.0, 8.0, True, 0.1),
+                                       ClusterParams(max_iters=max_iters), seed=0,
+                                       single_stage=single_stage)
+        assert res.instances and res.converged is converged
+
+
+def test_cluster_result_without_points_counts_as_converged():
+    empty = PerPointPrediction(np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 4)))
+    for single_stage in (False, True):
+        res = cluster_predictions(empty, ClusterParams(max_iters=1), *_identity_symmetry(),
+                                  single_stage=single_stage)
+        assert res.converged

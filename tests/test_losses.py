@@ -315,3 +315,50 @@ def test_batched_quat_partials_match_per_quaternion_reference():
     assert batched.shape == (7, 4, 3, 3)
     for q, partials in zip(quats, batched):
         assert np.array_equal(partials, _quat_matrix_partials_reference(q))
+
+
+def _rotation_loss_grad_reference(instances):
+    # rotation_loss_grad as it was with its own second forward pass
+    from binpose.losses import TIE_TOL, _quat_matrix_partials
+    from binpose.so3 import quats_to_matrices
+
+    n = len(instances)
+    grads = []
+    for inst in instances:
+        masked = inst.model * inst.mask
+        RgS = np.einsum("ij,sjk->sik", inst.rotation_gt, inst.group.matrices)
+        Rp = quats_to_matrices(inst.pred_quats)
+        pred_pts = np.einsum("mij,kj->mki", Rp, masked)
+        vals = np.linalg.norm(np.einsum("sij,kj->ski", RgS, masked)[:, None]
+                              - pred_pts[None], axis=3).mean(axis=(1, 2))
+        order = np.argsort(vals)
+        assert vals.shape[0] == 1 or vals[order[1]] - vals[order[0]] >= TIE_TOL
+        gt_pts = masked @ (inst.rotation_gt @ inst.group.matrices[int(order[0])]).T
+        q = inst.pred_quats
+        q_norm = np.linalg.norm(q, axis=1)
+        q_hat = q / q_norm[:, None]
+        err = pred_pts - gt_pts[None]
+        norms = np.linalg.norm(err, axis=2)
+        unit = err / np.where(norms > 1e-12, norms, 1.0)[..., None]
+        unit[norms <= 1e-12] = 0.0
+        m, K = norms.shape
+        dL_dR = np.einsum("mki,kj->mij", unit, masked) / (n * m * K)
+        g_hat = np.einsum("mcij,mij->mc", _quat_matrix_partials(q_hat), dL_dR)
+        radial = np.einsum("mc,mc->m", g_hat, q_hat)
+        grads.append((g_hat - radial[:, None] * q_hat) / q_norm[:, None])
+    return grads
+
+
+@pytest.mark.parametrize("desc", [TWOFOLD, SymmetryDescriptor(90, 90, 90, 15),
+                                  SymmetryDescriptor(0, 0, 1, 15)])
+def test_rotation_loss_grad_matches_two_pass_reference(desc):
+    from binpose.losses import rotation_loss_grad
+
+    group, mask = build_symmetry_group(desc), build_axis_mask(desc)
+    rng = np.random.default_rng(20)
+    instances = random_instances(box_cloud((20, 30, 40), 10), group, mask, rng,
+                                 n_instances=3, n_points=6)
+    for got, expected in zip(rotation_loss_grad(instances),
+                             _rotation_loss_grad_reference(instances)):
+        # the gt points of the winning rotation are formed in another order
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -242,3 +242,54 @@ def test_cli_error_is_stage_tagged(tmp_path, capsys):
                    "--out-dir", str(tmp_path / "x"))
     assert code != 0
     assert "[synth]" in capsys.readouterr().err
+
+
+def _cli_chain(tmp_path, config, *stages, seed="0"):
+    cfg_path = write_config(tmp_path, config)
+    out = tmp_path / "run"
+    common = ("--config", str(cfg_path), "--seed", seed, "--out-dir", str(out))
+    for stage in stages:
+        assert run_cli(stage, *common) == 0
+    return common, out
+
+
+@pytest.mark.parametrize("field,value", [("qw", float("nan")), ("tx", float("inf"))])
+def test_cli_eval_rejects_non_finite_poses(tmp_path, capsys, field, value):
+    common, out = _cli_chain(tmp_path, PERFECT_CONFIG, "synth", "oracle", "cluster")
+    payload = json.loads((out / "poses.json").read_text())
+    payload["poses"][0][field] = value
+    (out / "poses.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("eval", *common) == 2
+    assert "[eval]" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("column", [0, 4, 7])
+def test_cli_cluster_rejects_nan_predictions(tmp_path, capsys, column):
+    common, out = _cli_chain(tmp_path, PERFECT_CONFIG, "synth", "oracle")
+    lines = (out / "predictions.csv").read_text().splitlines()
+    row = lines[5].split(",")
+    row[column] = "nan"
+    lines[5] = ",".join(row)
+    (out / "predictions.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("cluster", *common) == 2
+    assert "[cluster]" in capsys.readouterr().err
+    assert not (out / "poses.json").exists()
+
+
+def test_cli_cluster_warns_when_mean_shift_stops_at_max_iters(tmp_path, capsys):
+    noisy = dict(NOISY_CONFIG, cluster={"max_iters": 1},
+                 oracle={"sigma_t_mm": 4.0, "sigma_r_deg": 8.0, "outlier_fraction": 0.1})
+    common, out = _cli_chain(tmp_path, noisy, "synth", "oracle", "cluster", seed="1")
+    assert "mean shift stopped at max_iters=1" in capsys.readouterr().err
+    # the warning goes to stderr only: the artifacts are run_pipeline's
+    pipe = tmp_path / "pipe"
+    run_pipeline(load_config(common[1]), seed=1, out_dir=str(pipe))
+    for name in ("predictions.csv", "poses.json", "labels.txt"):
+        assert (pipe / name).read_bytes() == (out / name).read_bytes(), name
+    # the default budget converges and says nothing
+    converging = write_config(tmp_path, dict(noisy, cluster={}), name="converging.json")
+    assert run_cli("cluster", "--config", str(converging), *common[2:]) == 0
+    assert "max_iters" not in capsys.readouterr().err

@@ -50,8 +50,11 @@ def test_quat_to_matrix_matches_rodrigues():
 
 
 def test_quat_to_matrix_rejects_non_unit():
-    with pytest.raises(ValueError):
-        quat_to_matrix([1.0, 0.0, 0.0, 1e-2])
+    for q in ([1.0, 0.0, 0.0, 1e-2], [np.nan, 0.0, 0.0, 0.0], [1.0, np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="quaternion norm"):
+            quat_to_matrix(q)
+        with pytest.raises(ValueError, match="quaternion norm"):
+            Pose(q, [0.0, 0.0, 0.0])
 
 
 def test_matrix_to_quat_identity():
@@ -330,3 +333,46 @@ def test_quat_normalize_batch_matches_per_row_reference():
                           expected.view(np.uint64))
     with pytest.raises(ValueError, match="zero quaternion"):
         quat_normalize_batch([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+
+
+def test_quat_to_matrix_matches_scalar_reference():
+    from binpose.so3 import quats_to_matrices
+
+    def reference(q):
+        # the scalar formula quat_to_matrix had before it became a row of the batch
+        w, x, y, z = q / np.linalg.norm(q)
+        return np.array([
+            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+        ])
+
+    rng = np.random.default_rng(11)
+    q = rng.normal(size=(20000, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q[::2] *= -1.0                                                # both signs
+    q[10000:] *= 1.0 + rng.uniform(-0.99e-6, 0.99e-6, size=(10000, 1))  # norms off 1
+    expected = np.stack([reference(row) for row in q])
+    got = np.stack([quat_to_matrix(row) for row in q])
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(quats_to_matrices(q).view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pose_rejects_non_finite_translation(bad):
+    with pytest.raises(ValueError, match="translation"):
+        Pose([1.0, 0.0, 0.0, 0.0], [0.0, bad, 0.0])
+
+
+def test_pose_keeps_the_bits_of_finite_input():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        q = rng.normal(size=4)
+        q /= np.linalg.norm(q)
+        t = rng.normal(scale=100.0, size=3)
+        pose = Pose(q, t)
+        assert np.array_equal(pose.quat.view(np.uint64), quat_normalize(q).view(np.uint64))
+        assert np.array_equal(pose.t.view(np.uint64), t.view(np.uint64))
+        # a canonical quaternion passes through untouched
+        assert np.array_equal(Pose(pose.quat, t).quat.view(np.uint64),
+                              pose.quat.view(np.uint64))

@@ -250,6 +250,58 @@ def test_oracle_outliers_replace_fraction():
     assert 0.2 < frac < 0.4
 
 
+def test_oracle_canonicalization_matches_old_canonical_batch():
+    from binpose.so3 import quat_multiply_batch, quat_normalize_batch
+
+    def sign(q):
+        if q[0] < 0.0:
+            return -q + 0.0
+        if q[0] == 0.0:
+            for c in q[1:]:
+                if c != 0.0:
+                    return q if c > 0.0 else -q + 0.0
+        return q
+
+    def reference(q):
+        # quat_canonical_batch, the oracle's own canonicalizer before it
+        # went through quat_normalize_batch
+        q = q / np.linalg.norm(q, axis=1, keepdims=True)
+        flip = q[:, 0] < 0.0
+        q[flip] = -q[flip]
+        for i in np.nonzero(q[:, 0] == 0.0)[0]:
+            q[i] = sign(q[i])
+        return q
+
+    def oracle(q):
+        # what oracle_predict does at both of its call sites
+        return quat_normalize_batch(q / np.linalg.norm(q, axis=1, keepdims=True))
+
+    rng = np.random.default_rng(13)
+    a, b = rng.normal(size=(2, 50000, 4))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    products = quat_multiply_batch(a, b)             # the oracle's instance rows
+    assert np.array_equal(oracle(products).view(np.uint64),
+                          reference(products).view(np.uint64))
+
+    raw = rng.normal(size=(50000, 4))                # the oracle's outlier rows
+    raw[:2000, 0] = 0.0                              # w == 0
+    raw[2000:3000, 0] = -0.0                         # w == -0
+    raw[3000:4000, :2] = [0.0, -0.0]                 # w == 0, x == -0
+    raw[4000:5000, 2] = -0.0                         # negative zeros
+    raw[5000:6000, 3] = 0.0                          # zero components
+    got, expected = oracle(raw), reference(raw)
+    assert np.array_equal(got, expected)
+    # the bits match except where the old flip of a w < 0 row turned a
+    # +0.0 component into -0.0; quat_normalize_batch writes +0.0 there
+    differs = got.view(np.uint64) != expected.view(np.uint64)
+    assert differs.any()
+    assert np.array_equal(np.signbit(got), np.signbit(expected) & ~differs)
+    assert (expected[differs] == 0.0).all() and np.signbit(expected[differs]).all()
+    assert (raw[differs.any(axis=1), 0] < 0.0).all()
+    assert (raw[differs] == 0.0).all() and not np.signbit(raw[differs]).any()
+
+
 def test_stage1_count_matches_symmetry_multiplicity():
     # with per-point symmetric ambiguity the first stage splits every
     # instance into exactly one cluster per symmetry rotation
