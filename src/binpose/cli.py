@@ -11,12 +11,13 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .fileio import (load_config, load_poses_json, load_predictions_csv,
                      save_predictions_csv, save_report_csv, save_report_json)
 from .losses import gradcheck_trials
 from .metrics import evaluate
-from .pipeline import (StageError, estimate_poses, predict, read_scene,
+from .pipeline import (StageError, StageWarning, estimate_poses, predict, read_scene,
                        run_pipeline, synthesize, write_poses, write_scene)
 
 # Unused here; bound because perfbench/tracing.py wraps these names on binpose.cli.
@@ -94,11 +95,6 @@ def _cmd_cluster(args) -> int:
     pred = load_predictions_csv(os.path.join(args.out_dir, "predictions.csv"))
     result, poses = estimate_poses(cfg, pred, args.single_stage, args.icp)
     write_poses(args.out_dir, result, poses)
-    if result.warning:
-        print(f"warning: {result.warning}", file=sys.stderr)
-    if not result.converged:
-        print(f"warning: mean shift stopped at max_iters={cfg.cluster.max_iters} "
-              "before converging", file=sys.stderr)
     print(f"clustered {len(pred)} points into {len(poses)} instances")
     return 0
 
@@ -153,14 +149,17 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except StageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError, RuntimeError) as e:
-        print(f"error: [{args.command}] {e}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", StageWarning)
+        try:
+            return _COMMANDS[args.command](args)
+        except (ValueError, FileNotFoundError, RuntimeError) as e:
+            tag = "" if isinstance(e, StageError) else f"[{args.command}] "
+            print(f"error: {tag}{e}", file=sys.stderr)
+            return 2
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -296,15 +296,9 @@ def pose_vote(merged: list[Stage1Cluster], member_quats: np.ndarray,
     centroids = np.stack([c.centroid for c in merged])
     translation = (centroids * counts[:, None]).sum(axis=0) / counts.sum()
 
-    best_quat = None
-    best_cost = np.inf
-    for c in merged:
-        cost = float(rotation_distances_to_set(c.rep_quat, member_quats,
-                                               model, group, mask).sum())
-        if cost < best_cost:
-            best_cost = cost
-            best_quat = c.rep_quat
-    return Pose(best_quat, translation)
+    costs = [rotation_distances_to_set(c.rep_quat, member_quats, model, group, mask).sum()
+             for c in merged]
+    return Pose(merged[int(np.argmin(costs))].rep_quat, translation)
 
 
 def two_stage_pipeline(pred: PerPointPrediction, params: ClusterParams,

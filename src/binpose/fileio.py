@@ -18,7 +18,7 @@ import numpy as np
 
 from .cluster import ClusterParams, PerPointPrediction
 from .metrics import EvalConfig, EvalReport
-from .so3 import Pose, SymmetryDescriptor, quat_normalize
+from .so3 import Pose, SymmetryDescriptor
 from .synth import (ObjectModel, OracleParams, SceneGenParams, box_cloud,
                     cylinder_cloud, rod_model, sphere_cloud)
 
@@ -182,8 +182,7 @@ def _pose_to_dict(pose: Pose, member_count: int | None = None) -> dict:
 
 
 def _pose_from_dict(d: dict) -> Pose:
-    return Pose(quat_normalize([d["qw"], d["qx"], d["qy"], d["qz"]]),
-                [d["tx"], d["ty"], d["tz"]])
+    return Pose([d["qw"], d["qx"], d["qy"], d["qz"]], [d["tx"], d["ty"], d["tz"]])
 
 
 def write_json(path, payload: dict) -> None:

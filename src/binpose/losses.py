@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .so3 import SymmetryGroup, quats_to_matrices
+from .so3 import (SymmetryGroup, quat_to_matrix, quats_to_matrices, random_quat,
+                  symmetric_distances)
 
 TIE_TOL = 1e-6       # gap below which the min over symmetry rotations is ambiguous
 DEGENERATE_MM = 1e-9
@@ -91,22 +92,15 @@ def center_weights(points, centroid) -> np.ndarray:
     return 0.5 + (d - d.min()) / span
 
 
-def _rotation_values(inst: LossInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean point-cloud distance for each symmetry rotation, shape (n_s,),
-    with the differences and norms it is formed from, (n_s,m,K,3) and
-    (n_s,m,K).
+def _rotation_values(inst: LossInstance) -> np.ndarray:
+    """Mean point-cloud distance for each symmetry rotation, shape (n_s,).
 
     Entry s is the mean over predicted points j and model points k of
     ||R_gt s m_k - R(q_j) m_k|| with the axis mask applied to m.
     """
-    masked = inst.model * inst.mask                                    # (K,3)
-    RgS = np.einsum("ij,sjk->sik", inst.rotation_gt, inst.group.matrices)
-    gt_pts = np.einsum("sij,kj->ski", RgS, masked)                     # (ns,K,3)
-    Rp = quats_to_matrices(inst.pred_quats)                            # (m,3,3)
-    pred_pts = np.einsum("mij,kj->mki", Rp, masked)                    # (m,K,3)
-    diff = gt_pts[:, None] - pred_pts[None]                            # (ns,m,K,3)
-    norms = np.linalg.norm(diff, axis=3)                               # (ns,m,K)
-    return norms.mean(axis=(1, 2)), diff, norms
+    return np.array([dists.mean() for dists in symmetric_distances(
+        inst.rotation_gt, quats_to_matrices(inst.pred_quats), inst.model, inst.group,
+        inst.mask)])
 
 
 def rotation_loss(instances: Sequence[LossInstance]) -> float:
@@ -122,7 +116,7 @@ def rotation_loss(instances: Sequence[LossInstance]) -> float:
         raise ValueError("rotation loss needs at least one instance")
     total = 0.0
     for inst in instances:
-        total += float(_rotation_values(inst)[0].min())
+        total += float(_rotation_values(inst).min())
     return total / len(instances)
 
 
@@ -198,21 +192,20 @@ def rotation_loss_grad(instances: Sequence[LossInstance]) -> list[np.ndarray]:
     n = len(instances)
     grads = []
     for inst in instances:
-        vals, diff, all_norms = _rotation_values(inst)
+        vals = _rotation_values(inst)
         order = np.argsort(vals)
         if vals.shape[0] > 1 and vals[order[1]] - vals[order[0]] < TIE_TOL:
             raise TieAtMinimumError(
                 f"symmetry-rotation gap {vals[order[1]] - vals[order[0]]:.2e} below {TIE_TOL}")
-        best = int(order[0])
         masked = inst.model * inst.mask                        # (K,3)
         q = inst.pred_quats
         q_norm = np.linalg.norm(q, axis=1)
         q_hat = q / q_norm[:, None]
-        norms = all_norms[best]                                 # (m,K)
-        safe = np.where(norms > 1e-12, norms, 1.0)
-        unit = diff[best] / -safe[..., None]                    # (m,K,3) gt towards predicted
-        del diff                 # frees the (ns,m,K,3) differences before the einsums
-        unit[norms <= 1e-12] = 0.0
+        # differences under the winning rotation only, (m,K,3) gt towards predicted
+        X = quats_to_matrices(q) - inst.rotation_gt @ inst.group.matrices[order[0]]
+        unit = np.einsum("mij,kj->mki", X, masked)
+        norms = np.linalg.norm(unit, axis=2)                    # (m,K)
+        unit /= np.where(norms > 1e-12, norms, np.inf)[..., None]   # zero-length: no pull
         m, K = norms.shape
         # dL/dR_j = (1/(n m K)) sum_k u_jk (x) masked_k
         dL_dR = np.einsum("mki,kj->mij", unit, masked) / (n * m * K)  # (m,3,3)
@@ -303,8 +296,6 @@ def random_instances(model, group: SymmetryGroup, mask,
                      n_points: int = 3) -> list[LossInstance]:
     """Random loss configuration away from the ground-truth minimum,
     suitable for finite-difference verification."""
-    from .so3 import quat_to_matrix, random_quat  # local import avoids a cycle at import time
-
     instances = []
     for _ in range(n_instances):
         R_gt = quat_to_matrix(random_quat(rng))

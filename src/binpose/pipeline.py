@@ -5,6 +5,7 @@ disk and a deterministic report for a given config + seed."""
 from __future__ import annotations
 
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -28,6 +29,10 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
+
+
+class StageWarning(UserWarning):
+    """A stage finished with a result worth a second look; the CLI prints it."""
 
 
 @contextmanager
@@ -84,6 +89,11 @@ def estimate_poses(config: Config, pred: PerPointPrediction, single_stage: bool 
                                        model.mask, model.points,
                                        single_stage=single_stage)
         poses = [denormalize_pose(inst.pose, transform) for inst in clusters.instances]
+    if clusters.warning:
+        warnings.warn(clusters.warning, StageWarning, stacklevel=2)
+    if not clusters.converged:
+        warnings.warn(f"mean shift stopped at max_iters={config.cluster.max_iters} "
+                      "before converging", StageWarning, stacklevel=2)
 
     if use_icp:
         with _stage("icp"):

@@ -366,6 +366,30 @@ def build_axis_mask(desc: SymmetryDescriptor) -> np.ndarray:
 # symmetry-aware pose distance
 
 
+def symmetric_distances(A, B, model, group: SymmetryGroup, mask, d=None):
+    """Yield, for each symmetry rotation s in turn, the (m,K) distances
+    ||(A s - B_j) m_k + d_j|| over the masked model points m_k, for a
+    (3,3) rotation A, (m,3,3) rotations B and (m,3) translation
+    differences d (None for zero). Callers reduce over s as they need.
+
+    With X = A s - B_j the squared norm is m_k^T (X^T X) m_k
+    + 2 (X^T d_j).m_k + d_j.d_j, one (m,9) x (9,K) product per rotation.
+    Each rotation overwrites the one buffer (fresh ones cost a page fault
+    per page), so reduce or copy it before advancing.
+    """
+    masked = np.asarray(model, dtype=float).reshape(-1, 3) * np.asarray(mask, dtype=float)
+    outer = np.einsum("ki,kj->kij", masked, masked).reshape(-1, 9)   # (K,9)
+    sq = np.empty((B.shape[0], outer.shape[0]))
+    for s in group.matrices:
+        diff = (A @ s)[None] - B                              # (m,3,3)
+        gram = np.einsum("mji,mjk->mik", diff, diff).reshape(-1, 9)
+        np.matmul(gram, outer.T, out=sq)
+        if d is not None:
+            sq += 2.0 * (np.einsum("mji,mj->mi", diff, d) @ masked.T)
+            sq += np.einsum("mj,mj->m", d, d)[:, None]
+        yield np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
+
+
 def symmetric_pose_distance(model, gt: Pose, pred: Pose,
                             group: SymmetryGroup, mask) -> tuple[np.ndarray, float]:
     """Per-model-point distance between two poses, minimized over symmetry.
@@ -376,19 +400,15 @@ def symmetric_pose_distance(model, gt: Pose, pred: Pose,
     their mean), both in mm. Zero for any pred equal to a symmetric
     equivalent of gt.
     """
-    model = np.asarray(model, dtype=float).reshape(-1, 3)
-    if model.shape[0] == 0:
+    if np.asarray(model).size == 0:
         raise ValueError("model point cloud is empty")
-    masked = model * np.asarray(mask, dtype=float).reshape(3)
-    Rg = gt.rotation
-    Rp = pred.rotation
-    pred_pts = masked @ Rp.T + pred.t                       # (K,3)
-    RgS = np.einsum("ij,sjk->sik", Rg, group.matrices)      # (ns,3,3)
-    gt_pts = np.einsum("sij,kj->ski", RgS, masked) + gt.t   # (ns,K,3)
-    dists = np.linalg.norm(gt_pts - pred_pts[None], axis=2) # (ns,K)
-    means = dists.mean(axis=1)
-    best = int(np.argmin(means))
-    return dists[best], float(means[best])
+    best, per_point = None, None
+    for dists in symmetric_distances(gt.rotation, pred.rotation[None], model, group, mask,
+                                     (gt.t - pred.t)[None]):
+        mean = dists[0].mean()
+        if per_point is None or mean < best:
+            best, per_point = mean, dists[0].copy()
+    return per_point, float(best)
 
 
 def rotation_distances_to_set(rep_quat, quats, model, group: SymmetryGroup,
@@ -398,23 +418,7 @@ def rotation_distances_to_set(rep_quat, quats, model, group: SymmetryGroup,
     Equivalent to symmetric_pose_distance with zero translations between
     (rep_quat) and each quaternion in ``quats``; returns the (m,) vector
     of mean point distances. Used for medoid-style rotation voting.
-
-    ||D m_k|| is evaluated as sqrt(m_k^T (D^T D) m_k), which needs one
-    (m,9) x (9,K) product per symmetry rotation instead of an (m,K,3)
-    intermediate.
     """
-    masked = np.asarray(model, dtype=float).reshape(-1, 3) * np.asarray(mask, dtype=float)
-    outer = np.einsum("ki,kj->kij", masked, masked).reshape(-1, 9)   # (K,9)
-    Rr = quat_to_matrix(quat_normalize(rep_quat))
-    Rb = quats_to_matrices(quats)                             # (m,3,3)
-    # one (m,K) buffer for every rotation: fresh ones per rotation cost a
-    # page fault per page whenever the allocator maps them anew
-    sq = np.empty((Rb.shape[0], outer.shape[0]))
-    best = None
-    for s in group.matrices:
-        diff = (Rr @ s)[None] - Rb                            # (m,3,3)
-        gram = np.einsum("mji,mjk->mik", diff, diff).reshape(-1, 9)
-        np.matmul(gram, outer.T, out=sq)
-        means = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq).mean(axis=1)
-        best = means if best is None else np.minimum(best, means)
-    return best
+    return np.min([dists.mean(axis=1) for dists in symmetric_distances(
+        quat_to_matrix(quat_normalize(rep_quat)), quats_to_matrices(quats), model, group,
+        mask)], axis=0)

@@ -7,7 +7,7 @@ import pytest
 
 from binpose.cli import main as cli_main
 from binpose.fileio import load_config, load_labels, load_ply, load_predictions_csv
-from binpose.pipeline import read_scene, run_pipeline, run_scene, write_scene
+from binpose.pipeline import StageWarning, read_scene, run_pipeline, run_scene, write_scene
 from binpose.so3 import Pose
 from binpose.synth import SceneInstance, make_crossing_rods_scene
 
@@ -265,6 +265,31 @@ def test_cli_eval_rejects_non_finite_poses(tmp_path, capsys, field, value):
     assert not (out / "report.json").exists()
 
 
+def _double_quat(path):
+    payload = json.loads(path.read_text())
+    for key in ("qw", "qx", "qy", "qz"):
+        payload["poses"][0][key] *= 2.0
+    path.write_text(json.dumps(payload))
+
+
+def test_cli_eval_rejects_non_unit_quaternion(tmp_path, capsys):
+    common, out = _cli_chain(tmp_path, PERFECT_CONFIG, "synth", "oracle", "cluster")
+    _double_quat(out / "poses.json")
+    capsys.readouterr()
+    assert run_cli("eval", *common) == 2
+    assert "[eval]" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_cli_oracle_rejects_non_unit_quaternion(tmp_path, capsys):
+    common, out = _cli_chain(tmp_path, PERFECT_CONFIG, "synth")
+    _double_quat(out / "scene.json")
+    capsys.readouterr()
+    assert run_cli("oracle", *common) == 2
+    assert "[oracle]" in capsys.readouterr().err
+    assert not (out / "predictions.csv").exists()
+
+
 @pytest.mark.parametrize("column", [0, 4, 7])
 def test_cli_cluster_rejects_nan_predictions(tmp_path, capsys, column):
     common, out = _cli_chain(tmp_path, PERFECT_CONFIG, "synth", "oracle")
@@ -286,9 +311,18 @@ def test_cli_cluster_warns_when_mean_shift_stops_at_max_iters(tmp_path, capsys):
     assert "mean shift stopped at max_iters=1" in capsys.readouterr().err
     # the warning goes to stderr only: the artifacts are run_pipeline's
     pipe = tmp_path / "pipe"
-    run_pipeline(load_config(common[1]), seed=1, out_dir=str(pipe))
+    with pytest.warns(StageWarning, match="max_iters=1"):
+        payload = run_pipeline(load_config(common[1]), seed=1, out_dir=str(pipe))
     for name in ("predictions.csv", "poses.json", "labels.txt"):
         assert (pipe / name).read_bytes() == (out / name).read_bytes(), name
+    # binpose pipeline prints the same warning and the same payload
+    capsys.readouterr()
+    assert run_cli("pipeline", common[0], common[1], "--seed", "1",
+                   "--out-dir", str(tmp_path / "cli_pipe")) == 0
+    streams = capsys.readouterr()
+    assert "warning: mean shift stopped at max_iters=1 before converging" in streams.err
+    printed = json.loads(streams.out)
+    assert printed == {k: payload[k] for k in ("n_gt", "n_pred", "tp", "f1_inst", "recall")}
     # the default budget converges and says nothing
     converging = write_config(tmp_path, dict(noisy, cluster={}), name="converging.json")
     assert run_cli("cluster", "--config", str(converging), *common[2:]) == 0
