@@ -117,7 +117,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
-    for loss in [s.strip() for s in args.loss.split(",") if s.strip()]:
+    for loss in [s.strip() for s in args.loss.split(",")]:   # "" is an unknown selector
         err = gradcheck_trials(loss, cfg.model.points, cfg.model.group,
                                cfg.model.mask, trials=args.trials,
                                epsilon=args.epsilon, seed=args.seed)

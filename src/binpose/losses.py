@@ -9,13 +9,14 @@ so values are size independent and comparable across instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .so3 import (SymmetryGroup, quat_to_matrix, quats_to_matrices, random_quat,
-                  symmetric_distances)
+from .so3 import (SymmetryGroup, masked_outer, quat_multiply_batch, quat_to_matrix,
+                  quats_to_matrices, random_quat, symmetric_distances)
 
 TIE_TOL = 1e-6       # gap below which the min over symmetry rotations is ambiguous
 DEGENERATE_MM = 1e-9
@@ -145,25 +146,6 @@ def total_loss(instances: Sequence[LossInstance], weights: LossWeights) -> float
 # analytic gradients
 
 
-def _quat_matrix_partials(q: np.ndarray) -> np.ndarray:
-    """d(rotation matrix)/d(quaternion component) for (m,4) quaternions,
-    shape (m,4,3,3).
-
-    Partials of the unit-quaternion rotation formula treating the four
-    components as free; combine with the normalization Jacobian to get
-    the gradient with respect to a raw quaternion.
-    """
-    w, x, y, z = q.T
-    o = np.zeros_like(w)
-    partials = np.array([
-        [[o, -z, y], [z, o, -x], [-y, x, o]],
-        [[o, y, z], [y, -2.0 * x, -w], [z, w, -2.0 * x]],
-        [[-2.0 * y, x, w], [x, o, z], [-w, z, -2.0 * y]],
-        [[-2.0 * z, -w, x], [w, -2.0 * z, y], [x, y, o]],
-    ])                                                          # (4,3,3,m)
-    return 2.0 * np.moveaxis(partials, -1, 0)
-
-
 def translation_loss_grad(instances: Sequence[LossInstance]) -> list[np.ndarray]:
     """Gradient of translation_loss w.r.t. each instance's pred_centroids,
     list of (m,3) arrays. Zero-length errors contribute zero gradient."""
@@ -172,10 +154,8 @@ def translation_loss_grad(instances: Sequence[LossInstance]) -> list[np.ndarray]
     for inst in instances:
         w = center_weights(inst.points, inst.centroid_gt)
         delta = inst.pred_centroids - inst.centroid_gt           # (m,3)
-        norms = np.linalg.norm(delta, axis=1)
-        safe = np.where(norms > 1e-12, norms, 1.0)
-        unit = delta / safe[:, None]
-        unit[norms <= 1e-12] = 0.0
+        norms = np.linalg.norm(delta, axis=1, keepdims=True)
+        unit = np.divide(delta, norms, out=np.zeros_like(delta), where=norms > 1e-12)
         m = delta.shape[0]
         grads.append(unit * (w / (n * m))[:, None])
     return grads
@@ -185,9 +165,16 @@ def rotation_loss_grad(instances: Sequence[LossInstance]) -> list[np.ndarray]:
     """Gradient of rotation_loss w.r.t. each instance's raw pred_quats,
     list of (m,4) arrays.
 
-    The winning symmetry rotation is held fixed; raises
+    The winning symmetry rotation s is held fixed; raises
     TieAtMinimumError when the two best rotations are within TIE_TOL, as
     the loss is not differentiable there.
+
+    With S = R_gt s and the kernel's distances d_jk = ||(R_j - S) m_k||,
+    dL/dR_j = (R_j - S) W_j / (n m K), W_j = sum_k m_k m_k^T / d_jk
+    (zero-length distances pull nothing). R(q^ (x) (1, w/2)) ~ R (I + [w]x)
+    changes L by v_j . w with v_j = vee(M_j - M_j^T), M_j = R_j^T dL/dR_j,
+    and moves q^ by q^ (x) (0, w/2): the gradient is 2 q^ (x) (0, v_j),
+    tangent to the unit sphere, so the chain through q^ = q/|q| is 1/|q|.
     """
     n = len(instances)
     grads = []
@@ -197,33 +184,25 @@ def rotation_loss_grad(instances: Sequence[LossInstance]) -> list[np.ndarray]:
         if vals.shape[0] > 1 and vals[order[1]] - vals[order[0]] < TIE_TOL:
             raise TieAtMinimumError(
                 f"symmetry-rotation gap {vals[order[1]] - vals[order[0]]:.2e} below {TIE_TOL}")
-        masked = inst.model * inst.mask                        # (K,3)
         q = inst.pred_quats
-        q_norm = np.linalg.norm(q, axis=1)
-        q_hat = q / q_norm[:, None]
-        # differences under the winning rotation only, (m,K,3) gt towards predicted
-        X = quats_to_matrices(q) - inst.rotation_gt @ inst.group.matrices[order[0]]
-        unit = np.einsum("mij,kj->mki", X, masked)
-        norms = np.linalg.norm(unit, axis=2)                    # (m,K)
-        unit /= np.where(norms > 1e-12, norms, np.inf)[..., None]   # zero-length: no pull
-        m, K = norms.shape
-        # dL/dR_j = (1/(n m K)) sum_k u_jk (x) masked_k
-        dL_dR = np.einsum("mki,kj->mij", unit, masked) / (n * m * K)  # (m,3,3)
-        g_hat = np.einsum("mcij,mij->mc", _quat_matrix_partials(q_hat), dL_dR)  # (m,4)
-        # chain through q_hat = q / ||q||
-        radial = np.einsum("mc,mc->m", g_hat, q_hat)
-        grads.append((g_hat - radial[:, None] * q_hat) / q_norm[:, None])
+        q_norm = np.linalg.norm(q, axis=1)[:, None]
+        Rp = quats_to_matrices(q)
+        S = inst.rotation_gt @ inst.group.matrices[order[0]]
+        dists = next(symmetric_distances(S, Rp, inst.model, SymmetryGroup.identity(),
+                                         inst.mask))                    # (m,K)
+        weights = np.divide(1.0, dists, out=np.zeros_like(dists), where=dists > 1e-12)
+        m, K = dists.shape
+        W = (weights @ masked_outer(inst.model, inst.mask)[1]).reshape(m, 3, 3)
+        # R^T (R - S) W keeps the difference explicit; W - R^T S W loses precision
+        M = Rp.transpose(0, 2, 1) @ (Rp - S) @ W / (n * m * K)
+        v = np.stack([np.zeros(m), M[:, 2, 1] - M[:, 1, 2], M[:, 0, 2] - M[:, 2, 0],
+                      M[:, 1, 0] - M[:, 0, 1]], axis=1)
+        grads.append(2.0 * quat_multiply_batch(q / q_norm, v) / q_norm)
     return grads
 
 
 # ---------------------------------------------------------------------------
 # finite-difference verification
-
-
-def _clone_instances(instances: Sequence[LossInstance]) -> list[LossInstance]:
-    return [LossInstance(i.rotation_gt, i.centroid_gt, i.model, i.group, i.mask,
-                         i.points, i.pred_centroids.copy(), i.pred_quats.copy())
-            for i in instances]
 
 
 # loss selector -> (loss, centroid gradient, quaternion gradient); None is a
@@ -251,7 +230,10 @@ def _central_differences(fn, instances: Sequence[LossInstance],
     """Central-difference gradient of ``fn`` over every predicted
     centroid component and then every raw quaternion component, instance
     by instance."""
-    work = _clone_instances(instances)
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"finite-difference step must be finite and positive, got {epsilon}")
+    work = [replace(i, pred_centroids=i.pred_centroids.copy(), pred_quats=i.pred_quats.copy())
+            for i in instances]
     out = []
     for inst in work:
         for arr in (inst.pred_centroids, inst.pred_quats):
@@ -277,7 +259,9 @@ def gradcheck(loss: str, instances: Sequence[LossInstance],
     ||g_a - g_n||_inf / max(||g_a||_inf, ||g_n||_inf, 1e-12).
 
     Raises TieAtMinimumError when the rotation loss sits at a symmetry
-    tie; callers should resample the configuration and retry.
+    tie; callers should resample the configuration and retry. Raises
+    ValueError when ``epsilon`` is not finite and positive or the error
+    is not finite.
     """
     fn, cent_grad, quat_grad = _selector(loss)
     g_cent = (cent_grad(instances) if cent_grad
@@ -288,7 +272,10 @@ def gradcheck(loss: str, instances: Sequence[LossInstance],
                                for c, q in zip(g_cent, g_quat)])
     numeric = _central_differences(fn, instances, epsilon)
     scale = max(np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-12)
-    return float(np.abs(analytic - numeric).max() / scale)
+    err = float(np.abs(analytic - numeric).max() / scale)
+    if not math.isfinite(err):
+        raise ValueError(f"{loss} gradient check gave a non-finite error ({err})")
+    return err
 
 
 def random_instances(model, group: SymmetryGroup, mask,
@@ -321,8 +308,11 @@ def gradcheck_trials(loss: str, model, group: SymmetryGroup, mask,
 
     Configurations landing on a symmetry tie are resampled (the loss is
     not differentiable there); more than MAX_RESAMPLES consecutive
-    ties raises the underlying TieAtMinimumError.
+    ties raises the underlying TieAtMinimumError. Fewer than one trial
+    raises ValueError, as does any trial gradcheck rejects.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one gradient-check trial, got {trials}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

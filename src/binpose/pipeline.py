@@ -100,7 +100,12 @@ def estimate_poses(config: Config, pred: PerPointPrediction, single_stage: bool 
             for label, pose in enumerate(poses):
                 pts = pred.positions[clusters.labels == label]
                 if pts.shape[0] >= 3:
-                    poses[label] = icp_refine(pts, model.points, pose).pose
+                    refined = icp_refine(pts, model.points, pose)
+                    poses[label] = refined.pose
+                    if refined.failed:
+                        warnings.warn(f"ICP failed on instance {label} (degenerate "
+                                      "correspondences); kept its voted pose",
+                                      StageWarning, stacklevel=2)
     return clusters, poses
 
 
@@ -183,7 +188,11 @@ def run_pipeline(config: Config, seed: int, out_dir: str | None = None,
         raise ValueError("need at least one scene")
     runs = []
     for i in range(scenes):
-        run = run_scene(config, seed + i, single_stage=single_stage, use_icp=use_icp)
+        with warnings.catch_warnings(record=True) as caught:
+            run = run_scene(config, seed + i, single_stage=single_stage, use_icp=use_icp)
+        for w in caught:   # with several scenes, each warning names its scene
+            prefix = "" if scenes == 1 else f"scene_{i:03d} (seed {seed + i}): "
+            warnings.warn(f"{prefix}{w.message}", w.category, stacklevel=2)
         if out_dir is not None:
             scene_dir = out_dir if scenes == 1 else os.path.join(out_dir, f"scene_{i:03d}")
             write_scene_artifacts(scene_dir, run)

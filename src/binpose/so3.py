@@ -14,7 +14,7 @@ axis mask that projects model points onto the symmetric axis instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,10 +212,6 @@ class Pose:
     def rotation(self) -> np.ndarray:
         return quat_to_matrix(self.quat)
 
-    @classmethod
-    def from_matrix(cls, R, t) -> "Pose":
-        return cls(matrix_to_quat(R), t)
-
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         return pts @ self.rotation.T + self.t
@@ -283,7 +279,6 @@ class SymmetryGroup:
     """
 
     matrices: np.ndarray
-    generator_axes: tuple[str, ...] = field(default_factory=tuple)
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
@@ -301,13 +296,10 @@ def build_symmetry_group(desc: SymmetryDescriptor) -> SymmetryGroup:
     compose). Objects with no finite axis get the identity alone.
     """
     classes = classify_axes(desc)
-    axis_names = ("x", "y", "z")
     generators = []
-    gen_axes = []
     for axis, (cls_, (_, d)) in enumerate(zip(classes, desc.steps())):
         if cls_ != "finite":
             continue
-        gen_axes.append(axis_names[axis])
         count = int(round(360.0 / d))
         for k in range(1, count):
             generators.append(axis_rotation(axis, k * d))
@@ -331,7 +323,7 @@ def build_symmetry_group(desc: SymmetryDescriptor) -> SymmetryGroup:
                         elements.append(prod)
                         nxt.append(prod)
         frontier = nxt
-    return SymmetryGroup(np.stack(elements), tuple(gen_axes))
+    return SymmetryGroup(np.stack(elements))
 
 
 def _contains(elements, M) -> bool:
@@ -366,6 +358,13 @@ def build_axis_mask(desc: SymmetryDescriptor) -> np.ndarray:
 # symmetry-aware pose distance
 
 
+def masked_outer(model, mask) -> tuple[np.ndarray, np.ndarray]:
+    """The masked model points m_k, (K,3), and their outer products
+    m_k m_k^T flattened row-major, (K,9)."""
+    masked = np.asarray(model, dtype=float).reshape(-1, 3) * np.asarray(mask, dtype=float)
+    return masked, np.einsum("ki,kj->kij", masked, masked).reshape(-1, 9)
+
+
 def symmetric_distances(A, B, model, group: SymmetryGroup, mask, d=None):
     """Yield, for each symmetry rotation s in turn, the (m,K) distances
     ||(A s - B_j) m_k + d_j|| over the masked model points m_k, for a
@@ -377,8 +376,7 @@ def symmetric_distances(A, B, model, group: SymmetryGroup, mask, d=None):
     Each rotation overwrites the one buffer (fresh ones cost a page fault
     per page), so reduce or copy it before advancing.
     """
-    masked = np.asarray(model, dtype=float).reshape(-1, 3) * np.asarray(mask, dtype=float)
-    outer = np.einsum("ki,kj->kij", masked, masked).reshape(-1, 9)   # (K,9)
+    masked, outer = masked_outer(model, mask)
     sq = np.empty((B.shape[0], outer.shape[0]))
     for s in group.matrices:
         diff = (A @ s)[None] - B                              # (m,3,3)

@@ -296,8 +296,40 @@ def test_unknown_loss_selector_is_rejected(fn, loss):
         fn(loss, [make_instance(seed=18)])
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1e-5])
+def test_gradcheck_rejects_a_step_that_is_not_finite_and_positive(epsilon):
+    model = box_cloud((20, 30, 40), 10)
+    group, mask = build_symmetry_group(TWOFOLD), build_axis_mask(TWOFOLD)
+    with pytest.raises(ValueError, match="finite and positive"):
+        gradcheck("translation", [make_instance(seed=21)], epsilon=epsilon)
+    with pytest.raises(ValueError, match="finite and positive"):
+        gradcheck_trials("rotation", model, group, mask, trials=2, epsilon=epsilon)
+    with pytest.raises(ValueError, match="finite and positive"):
+        numeric_gradient_norm("total", [make_instance(seed=21)], epsilon=epsilon)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_gradcheck_trials_rejects_fewer_than_one_trial(trials):
+    group, mask = build_symmetry_group(TWOFOLD), build_axis_mask(TWOFOLD)
+    with pytest.raises(ValueError, match="at least one"):
+        gradcheck_trials("total", box_cloud((20, 30, 40), 10), group, mask, trials=trials)
+
+
+def test_gradcheck_rejects_a_non_finite_error():
+    inst = make_instance(seed=22)
+    inst.pred_centroids[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        gradcheck("translation", [inst])
+    # a trial that is not finite is not dropped from the worst error
+    model = box_cloud((20, 30, 40), 10)
+    model[3, 1] = np.nan
+    group, mask = build_symmetry_group(TWOFOLD), build_axis_mask(TWOFOLD)
+    with pytest.raises(ValueError, match="non-finite"):
+        gradcheck_trials("rotation", model, group, mask, trials=3)
+
+
 def _quat_matrix_partials_reference(q):
-    # the single-quaternion partials the batched version replaced
+    # d(rotation matrix)/d(quaternion component), the four components free
     w, x, y, z = q
     dw = 2.0 * np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     dx = 2.0 * np.array([[0.0, y, z], [y, -2.0 * x, -w], [z, w, -2.0 * x]])
@@ -306,20 +338,9 @@ def _quat_matrix_partials_reference(q):
     return np.stack([dw, dx, dy, dz])
 
 
-def test_batched_quat_partials_match_per_quaternion_reference():
-    from binpose.losses import _quat_matrix_partials
-
-    rng = np.random.default_rng(19)
-    quats = np.stack([random_quat(rng) for _ in range(7)])
-    batched = _quat_matrix_partials(quats)
-    assert batched.shape == (7, 4, 3, 3)
-    for q, partials in zip(quats, batched):
-        assert np.array_equal(partials, _quat_matrix_partials_reference(q))
-
-
 def _rotation_loss_grad_reference(instances):
     # rotation_loss_grad as it was with its own second forward pass
-    from binpose.losses import TIE_TOL, _quat_matrix_partials
+    from binpose.losses import TIE_TOL
     from binpose.so3 import quats_to_matrices
 
     n = len(instances)
@@ -343,7 +364,8 @@ def _rotation_loss_grad_reference(instances):
         unit[norms <= 1e-12] = 0.0
         m, K = norms.shape
         dL_dR = np.einsum("mki,kj->mij", unit, masked) / (n * m * K)
-        g_hat = np.einsum("mcij,mij->mc", _quat_matrix_partials(q_hat), dL_dR)
+        partials = np.stack([_quat_matrix_partials_reference(qh) for qh in q_hat])
+        g_hat = np.einsum("mcij,mij->mc", partials, dL_dR)
         radial = np.einsum("mc,mc->m", g_hat, q_hat)
         grads.append((g_hat - radial[:, None] * q_hat) / q_norm[:, None])
     return grads
@@ -362,3 +384,49 @@ def test_rotation_loss_grad_matches_two_pass_reference(desc):
                              _rotation_loss_grad_reference(instances)):
         # the gt points of the winning rotation are formed in another order
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _noisy_oracle_batch(shape, desc, seed):
+    # the near-GT training batch: ground truth plus the noisy oracle's predictions
+    from binpose.synth import (ObjectModel, OracleParams, SceneGenParams, apply_occlusion,
+                               cylinder_cloud, generate_scene, oracle_predict)
+
+    points = box_cloud((40, 120, 160), 12) if shape == "box" else cylinder_cloud(30, 120, 6)
+    model = ObjectModel(shape, points, desc)
+    params = SceneGenParams(instance_range=(3, 3), bin_extents=(700, 700, 500))
+    scene = apply_occlusion(generate_scene(model, params, seed), 5.0, 10.0)
+    pred = oracle_predict(scene, model, OracleParams(4.0, 8.0, True, 0.1), seed=seed,
+                          bin_extents=params.bin_extents)
+    return [LossInstance(inst.pose.rotation, inst.pose.t, model.points, model.group,
+                         model.mask, scene.points[inst.point_indices],
+                         pred.centroids[inst.point_indices], pred.quats[inst.point_indices])
+            for inst in scene.instances if inst.n_visible > 0]
+
+
+@pytest.mark.parametrize("shape,desc", [("box", TWOFOLD),
+                                        ("cylinder", SymmetryDescriptor(0, 0, 1, 15))])
+def test_rotation_loss_grad_matches_reference_on_noisy_oracle_batches(shape, desc):
+    from binpose.losses import rotation_loss_grad
+
+    for seed in range(2):
+        instances = _noisy_oracle_batch(shape, desc, seed)
+        for got, expected in zip(rotation_loss_grad(instances),
+                                 _rotation_loss_grad_reference(instances)):
+            assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
+
+
+def test_rotation_loss_grad_allocates_less_than_four_distance_arrays():
+    import tracemalloc
+
+    from binpose.losses import rotation_loss_grad
+
+    inst = _noisy_oracle_batch("box", TWOFOLD, 0)[0]
+    rotation_loss_grad([inst])                     # warm up lazily built state
+    tracemalloc.start()
+    try:
+        rotation_loss_grad([inst])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m, K = inst.pred_quats.shape[0], inst.model.shape[0]
+    assert peak < 4 * m * K * 8

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from binpose.cli import main as cli_main
-from binpose.fileio import load_config, load_labels, load_ply, load_predictions_csv
-from binpose.pipeline import StageWarning, read_scene, run_pipeline, run_scene, write_scene
+from binpose.cluster import PerPointPrediction
+from binpose.fileio import (load_config, load_labels, load_ply, load_predictions_csv,
+                            save_predictions_csv)
+from binpose.pipeline import (StageWarning, estimate_poses, read_scene, run_pipeline,
+                              run_scene, write_scene)
 from binpose.so3 import Pose
 from binpose.synth import SceneInstance, make_crossing_rods_scene
 
@@ -216,6 +219,16 @@ def test_cli_gradcheck_prints_records(tmp_path, capsys):
         assert r["epsilon"] == 1e-5
 
 
+@pytest.mark.parametrize("args", [("--epsilon", "nan"), ("--epsilon", "0"),
+                                  ("--trials", "0"), ("--trials", "-3"), ("--loss", ",")])
+def test_cli_gradcheck_rejects_bad_arguments(tmp_path, capsys, args):
+    cfg_path = write_config(tmp_path, PERFECT_CONFIG)
+    assert run_cli("gradcheck", "--config", str(cfg_path), "--trials", "1", *args) == 2
+    streams = capsys.readouterr()
+    assert "[gradcheck]" in streams.err
+    assert streams.out == ""
+
+
 def test_cli_single_stage_flag(tmp_path):
     cfg_path = write_config(tmp_path, NOISY_CONFIG)
     out_full = str(tmp_path / "full")
@@ -327,3 +340,37 @@ def test_cli_cluster_warns_when_mean_shift_stops_at_max_iters(tmp_path, capsys):
     converging = write_config(tmp_path, dict(noisy, cluster={}), name="converging.json")
     assert run_cli("cluster", "--config", str(converging), *common[2:]) == 0
     assert "max_iters" not in capsys.readouterr().err
+
+
+def test_failed_icp_warns_and_keeps_the_voted_pose(tmp_path, capsys):
+    # 80 collinear points voting for one instance: the ICP fit is rank deficient
+    cfg_path = write_config(tmp_path, PERFECT_CONFIG)
+    out = tmp_path / "run"
+    out.mkdir()
+    line = np.zeros((80, 3))
+    line[:, 0] = np.linspace(-40.0, 40.0, 80)
+    pred = PerPointPrediction(positions=line + [0.0, 5.0, 0.0], centroids=np.zeros((80, 3)),
+                              quats=np.tile([1.0, 0.0, 0.0, 0.0], (80, 1)))
+    save_predictions_csv(out / "predictions.csv", pred)
+    common = ("--config", str(cfg_path), "--out-dir", str(out))
+    assert run_cli("cluster", *common) == 0
+    voted = (out / "poses.json").read_bytes()
+    assert "ICP" not in capsys.readouterr().err
+    assert run_cli("cluster", *common, "--icp") == 0
+    err = capsys.readouterr().err
+    assert "warning: ICP failed on instance 0 (degenerate correspondences); kept its voted pose" in err
+    assert (out / "poses.json").read_bytes() == voted
+    with pytest.warns(StageWarning, match="ICP failed on instance 0"):
+        _, poses = estimate_poses(load_config(cfg_path), pred, use_icp=True)
+    assert len(poses) == 1
+
+
+def test_pipeline_warnings_name_their_scene(tmp_path, capsys):
+    noisy = dict(NOISY_CONFIG, cluster={"max_iters": 1},
+                 oracle={"sigma_t_mm": 4.0, "sigma_r_deg": 8.0, "outlier_fraction": 0.1})
+    cfg_path = write_config(tmp_path, noisy)
+    assert run_cli("pipeline", "--config", str(cfg_path), "--seed", "1", "--scenes", "3",
+                   "--out-dir", str(tmp_path / "multi")) == 0
+    lines = [l for l in capsys.readouterr().err.splitlines() if "max_iters=1" in l]
+    assert lines == [f"warning: scene_{i:03d} (seed {1 + i}): mean shift stopped at "
+                     "max_iters=1 before converging" for i in range(3)]
