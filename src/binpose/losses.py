@@ -229,23 +229,27 @@ def _central_differences(fn, instances: Sequence[LossInstance],
                          epsilon: float) -> np.ndarray:
     """Central-difference gradient of ``fn`` over every predicted
     centroid component and then every raw quaternion component, instance
-    by instance."""
+    by instance.
+
+    Every selectable loss is a mean over instances, so a component of one
+    instance moves ``fn`` by what it moves ``fn([instance]) / n``; only
+    that instance is re-evaluated."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"finite-difference step must be finite and positive, got {epsilon}")
-    work = [replace(i, pred_centroids=i.pred_centroids.copy(), pred_quats=i.pred_quats.copy())
-            for i in instances]
     out = []
-    for inst in work:
+    for inst in instances:
+        inst = replace(inst, pred_centroids=inst.pred_centroids.copy(),
+                       pred_quats=inst.pred_quats.copy())
         for arr in (inst.pred_centroids, inst.pred_quats):
             flat = arr.reshape(-1)
             for idx in range(flat.shape[0]):
                 orig = flat[idx]
                 flat[idx] = orig + epsilon
-                hi = fn(work)
+                hi = fn([inst])
                 flat[idx] = orig - epsilon
-                lo = fn(work)
+                lo = fn([inst])
                 flat[idx] = orig
-                out.append((hi - lo) / (2.0 * epsilon))
+                out.append((hi - lo) / (2.0 * epsilon * len(instances)))
     return np.array(out)
 
 

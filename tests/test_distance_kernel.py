@@ -7,9 +7,12 @@ and the rotation loss used before they shared one kernel, kept verbatim.
 import numpy as np
 import pytest
 
+from binpose import cluster
+from binpose.cluster import Stage1Cluster, pose_vote
 from binpose.losses import _rotation_values, random_instances, rotation_loss_grad
 from binpose.so3 import (Pose, SymmetryDescriptor, build_axis_mask, build_symmetry_group,
-                         quat_normalize, quat_to_matrix, quats_to_matrices, random_quat,
+                         matrix_to_quat, quat_from_axis_angle, quat_multiply, quat_normalize,
+                         quat_to_matrix, quats_to_matrices, random_quat,
                          rotation_distances_to_set, symmetric_distances,
                          symmetric_pose_distance)
 
@@ -100,6 +103,114 @@ def test_rotation_distances_to_set_is_the_reference_bit_for_bit(symmetry):
         got = rotation_distances_to_set(rep, quats, model, group, mask)
         want = ref_rotation_distances_to_set(rep, quats, model, group, mask)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _ring(k):
+    """k model points on a circle about z: for members rep * Rz(theta) the
+    s = identity term has every ||X m_k|| equal, the tightest case of the
+    pruning bounds (lower = upper / sqrt(2))."""
+    a = 2.0 * np.pi * np.arange(k) / k
+    return 50.0 * np.stack([np.cos(a), np.sin(a), np.zeros(k)], axis=1)
+
+
+def _pruning_cases(rng, group):
+    """(rep, member quaternions) sets where the pruning bounds are tight,
+    degenerate or cancel: X = A s - B_j at or a hair from 0, X = 0, members
+    near 180 degrees or turned about z, one member, and 640 clustered
+    members (several BLAS row blocks)."""
+    rep = random_quat(rng)
+    A = quat_to_matrix(rep)
+    equivalents = np.stack([matrix_to_quat(A @ s) for s in group.matrices])
+    near_180 = np.stack([quat_multiply(rep, quat_from_axis_angle(rng.normal(size=3), np.pi - a))
+                         for a in (0.0, 1e-9, 1e-6, 1e-3, 1e-3, 0.05)])
+    about_z = np.stack([quat_multiply(rep, quat_from_axis_angle([0.0, 0.0, 1.0], a))
+                        for a in (1e-3, 0.3, 1.0, 2.0)])
+    picks = equivalents[rng.integers(len(equivalents), size=640)]
+    clustered = picks + rng.normal(scale=0.02, size=picks.shape)
+    return {
+        "equivalents": (rep, equivalents),
+        "near_equivalents": (rep, equivalents + rng.normal(scale=1e-12, size=equivalents.shape)),
+        "rep_itself": (rep, np.vstack([rep, rng.normal(size=(7, 4))])),
+        "near_180": (rep, near_180),
+        "about_z": (rep, about_z),
+        "one_member": (rep, rng.normal(size=(1, 4))),
+        "clustered_640": (rep, clustered),
+    }
+
+
+def _vote_winner(candidates, members, group, mask, model, monkeypatch, distances):
+    monkeypatch.setattr(cluster, "rotation_distances_to_set", distances)
+    merged = [Stage1Cluster(np.arange(1), np.zeros(3), quat_normalize(c)) for c in candidates]
+    return pose_vote(merged, members, group, mask, model).quat
+
+
+def _assert_pruning_matches_reference(group, mask, model, rng, monkeypatch):
+    # pytest turns a RuntimeWarning (a 0/0 in the bounds) into a failure
+    for name, (rep, quats) in _pruning_cases(rng, group).items():
+        got = rotation_distances_to_set(rep, quats, model, group, mask)
+        want = ref_rotation_distances_to_set(rep, quats, model, group, mask)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), name
+        candidates = np.vstack([rep, quats[:3]])
+        assert np.array_equal(
+            _vote_winner(candidates, quats, group, mask, model, monkeypatch,
+                         rotation_distances_to_set),
+            _vote_winner(candidates, quats, group, mask, model, monkeypatch,
+                         ref_rotation_distances_to_set)), name
+
+
+def test_pruned_rotation_distances_match_the_unpruned_reference(symmetry, monkeypatch):
+    # K = 203 leaves a ragged BLAS column tail
+    group, mask = symmetry
+    rng = np.random.default_rng(5)
+    for model in (_model(rng, k=203), _ring(203)):
+        _assert_pruning_matches_reference(group, mask, model, rng, monkeypatch)
+
+
+# (group, mask, rounds): the cancellation noise of the bounds varies with the rotation
+DEGENERATE = {
+    # the masked model is its center point: r_max = tr(M2) = 0, every distance 0
+    "sphere": (SymmetryDescriptor(1, 1, 1), SymmetryDescriptor(1, 1, 1), 1),
+    "sphere_cube24": (SymmetryDescriptor(90, 90, 90), SymmetryDescriptor(1, 1, 1), 1),
+    # Rz(180) is in the group and fixes the masked z segment: every s ties with another
+    "z_axis_ties": (SymmetryDescriptor(180, 180, 1), SymmetryDescriptor(180, 180, 1), 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_pruning_on_degenerate_masks(name, monkeypatch):
+    group_desc, mask_desc, rounds = DEGENERATE[name]
+    group, mask = build_symmetry_group(group_desc), build_axis_mask(mask_desc)
+    rng = np.random.default_rng(7)
+    model = _model(rng)
+    for _ in range(rounds):
+        _assert_pruning_matches_reference(group, mask, model, rng, monkeypatch)
+
+
+def test_pruned_rows_round_like_the_reference():
+    # with K = 200 there is no ragged BLAS column tail, so every row layout of
+    # the survivor product rounds like the full kernel's, except a one-row
+    # product, which numpy sends to gemv. The last member keeps one pair, so
+    # about half the cases end on a one-row chunk that decides its minimum.
+    group = build_symmetry_group(SYMMETRIES["cube24"])
+    rng = np.random.default_rng(8)
+    model = _model(rng)
+    for _ in range(60):
+        rep = random_quat(rng)
+        near = quat_multiply(rep, quat_from_axis_angle(rng.normal(size=3), 0.1))
+        quats = np.vstack([rng.normal(size=(1, 4)), near])
+        got = rotation_distances_to_set(rep, quats, model, group, np.ones(3))
+        want = ref_rotation_distances_to_set(rep, quats, model, group, np.ones(3))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_a_non_finite_member_stays_nan_through_pruning():
+    group = build_symmetry_group(SYMMETRIES["cube24"])
+    rng = np.random.default_rng(9)
+    rep, model = random_quat(rng), _model(rng)
+    quats = np.vstack([[np.nan, 0.0, 0.0, 0.0], rep])
+    got = rotation_distances_to_set(rep, quats, model, group, np.ones(3))
+    want = ref_rotation_distances_to_set(rep, quats, model, group, np.ones(3))
+    assert np.isnan(got[0]) and np.isnan(want[0]) and got[1] == want[1] == 0.0
 
 
 def test_symmetric_pose_distance_matches_reference(symmetry):

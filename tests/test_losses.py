@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from binpose import losses
 from binpose.losses import (LossInstance, LossWeights, TieAtMinimumError,
                             center_weights, gradcheck, gradcheck_trials,
                             numeric_gradient_norm, random_instances,
@@ -326,6 +329,58 @@ def test_gradcheck_rejects_a_non_finite_error():
     group, mask = build_symmetry_group(TWOFOLD), build_axis_mask(TWOFOLD)
     with pytest.raises(ValueError, match="non-finite"):
         gradcheck_trials("rotation", model, group, mask, trials=3)
+
+
+def _all_instance_central_differences(fn, instances, epsilon):
+    # the form that re-evaluated every instance for each perturbed component
+    work = [replace(i, pred_centroids=i.pred_centroids.copy(), pred_quats=i.pred_quats.copy())
+            for i in instances]
+    out = []
+    for inst in work:
+        for arr in (inst.pred_centroids, inst.pred_quats):
+            flat = arr.reshape(-1)
+            for idx in range(flat.shape[0]):
+                orig = flat[idx]
+                flat[idx] = orig + epsilon
+                hi = fn(work)
+                flat[idx] = orig - epsilon
+                lo = fn(work)
+                flat[idx] = orig
+                out.append((hi - lo) / (2.0 * epsilon))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("loss", ["rotation", "translation", "total"])
+def test_central_differences_match_the_all_instance_form(loss):
+    group, mask = build_symmetry_group(TWOFOLD), build_axis_mask(TWOFOLD)
+    rng = np.random.default_rng(23)
+    instances = random_instances(box_cloud((20, 30, 40), 10), group, mask, rng,
+                                 n_instances=3, n_points=4)
+    fn = losses._selector(loss)[0]
+    # the forms differ only by rounding, about eps * loss / step in the
+    # all-instance form, so a step of 1e-4 keeps it well under the bound
+    got = losses._central_differences(fn, instances, 1e-4)
+    want = _all_instance_central_differences(fn, instances, 1e-4)
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_gradcheck_evaluates_only_the_perturbed_instance(monkeypatch):
+    calls = []
+    original = losses._rotation_values
+
+    def counted(inst):
+        calls.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(losses, "_rotation_values", counted)
+    desc = SymmetryDescriptor(dz_deg=180)
+    model = box_cloud((40, 120, 160), 12)
+    gradcheck_trials("rotation", model, build_symmetry_group(desc), build_axis_mask(desc),
+                     trials=1)
+    # 2 instances x (3 x 3 centroid + 3 x 4 quaternion components) x 2
+    # evaluations of one instance, plus one per instance for the analytic
+    # gradient; 170 when each evaluation covered both instances
+    assert len(calls) == 2 * (3 * 3 + 3 * 4) * 2 + 2
 
 
 def _quat_matrix_partials_reference(q):
