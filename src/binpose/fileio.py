@@ -10,6 +10,7 @@ load/save cycle is byte identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import get_type_hints
@@ -26,6 +27,9 @@ SCHEMA_VERSION = 1
 
 
 class PlyParseError(ValueError):
+    """A malformed line of an ASCII input, PLY or prediction CSV; the
+    message starts with its 1-based line number."""
+
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
@@ -79,9 +83,16 @@ def load_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
             if tok[1:] != ["ascii", "1.0"]:
                 raise PlyParseError("only 'format ascii 1.0' is supported", ln)
         elif tok[0] == "element":
+            if len(tok) < 3:
+                raise PlyParseError("expected 'element <name> <count>'", ln)
             if tok[1] != "vertex":
                 raise PlyParseError(f"unsupported element '{tok[1]}'", ln)
-            n_vertex = int(tok[2])
+            try:
+                n_vertex = int(tok[2])
+            except ValueError:
+                raise PlyParseError(f"element count '{tok[2]}' is not an integer", ln) from None
+            if n_vertex < 0:
+                raise PlyParseError(f"element count {n_vertex} is negative", ln)
         elif tok[0] == "property":
             props.append(tok[-1])
         elif tok[0] == "end_header":
@@ -158,10 +169,17 @@ def load_predictions_csv(path) -> PerPointPrediction:
         raise ValueError(f"prediction CSV must start with header '{PRED_HEADER}'")
     body = [ln for ln in lines[1:] if ln.strip()]
     data = _load_rows(body, delimiter=",", ndmin=2)
-    if data is None:
-        data = np.array([[float(v) for v in ln.split(",")] for ln in body])
-    if data.size == 0:
-        data = data.reshape(0, 10)
+    if data is None:   # the fast parse failed: scan for the first bad row
+        data = np.empty((len(body), 10))
+        numbered = ((i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip())
+        for row, (i, ln) in zip(data, numbered):
+            values = ln.split(",")
+            if len(values) != 10:
+                raise PlyParseError(f"expected 10 values, got {len(values)}", i)
+            try:
+                row[:] = [float(v) for v in values]
+            except ValueError as e:
+                raise PlyParseError(str(e), i) from None
     if data.shape[1] != 10:
         raise ValueError("prediction CSV rows must have 10 columns")
     return PerPointPrediction(positions=data[:, 0:3], centroids=data[:, 3:6],
@@ -276,10 +294,32 @@ _BUILTIN_SHAPES = {
 }
 
 
+def _section(section: str, d) -> dict:
+    """Config section ``d``, which must be a JSON object ("" is the top level)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config section {section or '(top level)'} must be a JSON "
+                         f"object, got {json.dumps(d)}")
+    return d
+
+
+def _check_finite(key: str, value) -> None:
+    """Reject a NaN or infinite number anywhere in config value ``value``,
+    which json.load accepts, naming its key."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _check_finite(f"{key}.{k}" if key else k, v)
+    elif isinstance(value, list):
+        for v in value:
+            _check_finite(key, v)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"config key {key}: {value} is not finite")
+
+
 def _check_keys(section: str, d: dict, known) -> None:
     """Reject keys of config section ``d`` outside ``known``; the error
     names each one as section.key ("" is the top level)."""
-    unknown = [f"{section}.{k}" if section else k for k in sorted(set(d) - set(known))]
+    unknown = [f"{section}.{k}" if section else k
+               for k in sorted(set(_section(section, d)) - set(known))]
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
 
@@ -306,7 +346,7 @@ def _load_section(section: str, d: dict, cls):
 
 def _builtin_points(shape: dict) -> tuple[str, np.ndarray]:
     """(kind, model points) of an ``object.builtin`` section."""
-    kind = shape.get("kind", "box")
+    kind = _section("object.builtin", shape).get("kind", "box")
     if kind not in _BUILTIN_SHAPES:
         raise ValueError(f"unknown builtin model kind {kind!r}")
     build, defaults = _BUILTIN_SHAPES[kind]
@@ -318,11 +358,13 @@ def load_config(path) -> Config:
     """Parse and validate the JSON config; referenced files must exist.
 
     Every section but ``object`` is read into the dataclass of the
-    matching Config field. An unknown key anywhere raises ValueError.
+    matching Config field. An unknown key, a non-finite number or a
+    section that is not a JSON object anywhere raises ValueError.
     """
     with open(path) as f:
         raw = json.load(f)
     _check_keys("", raw, ["object", *_SECTIONS])
+    _check_finite("", raw)
     obj = raw.get("object", {})
     _check_keys("object", obj, ("model_path", "name", "builtin", "symmetry"))
     symmetry = _load_section("object.symmetry", obj.get("symmetry", {}), SymmetryDescriptor)

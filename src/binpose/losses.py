@@ -99,9 +99,8 @@ def _rotation_values(inst: LossInstance) -> np.ndarray:
     Entry s is the mean over predicted points j and model points k of
     ||R_gt s m_k - R(q_j) m_k|| with the axis mask applied to m.
     """
-    return np.array([dists.mean() for dists in symmetric_distances(
-        inst.rotation_gt, quats_to_matrices(inst.pred_quats), inst.model, inst.group,
-        inst.mask)])
+    return symmetric_distances(inst.rotation_gt, quats_to_matrices(inst.pred_quats),
+                               inst.model, inst.group, inst.mask)[0]
 
 
 def rotation_loss(instances: Sequence[LossInstance]) -> float:
@@ -179,17 +178,16 @@ def rotation_loss_grad(instances: Sequence[LossInstance]) -> list[np.ndarray]:
     n = len(instances)
     grads = []
     for inst in instances:
-        vals = _rotation_values(inst)
+        q = inst.pred_quats
+        q_norm = np.linalg.norm(q, axis=1)[:, None]
+        Rp = quats_to_matrices(q)
+        vals, dists = symmetric_distances(inst.rotation_gt, Rp, inst.model, inst.group,
+                                          inst.mask)              # dists: (m,K), winning s
         order = np.argsort(vals)
         if vals.shape[0] > 1 and vals[order[1]] - vals[order[0]] < TIE_TOL:
             raise TieAtMinimumError(
                 f"symmetry-rotation gap {vals[order[1]] - vals[order[0]]:.2e} below {TIE_TOL}")
-        q = inst.pred_quats
-        q_norm = np.linalg.norm(q, axis=1)[:, None]
-        Rp = quats_to_matrices(q)
         S = inst.rotation_gt @ inst.group.matrices[order[0]]
-        dists = next(symmetric_distances(S, Rp, inst.model, SymmetryGroup.identity(),
-                                         inst.mask))                    # (m,K)
         weights = np.divide(1.0, dists, out=np.zeros_like(dists), where=dists > 1e-12)
         m, K = dists.shape
         W = (weights @ masked_outer(inst.model, inst.mask)[1]).reshape(m, 3, 3)

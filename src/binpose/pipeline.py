@@ -9,8 +9,6 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cluster import ClusterResult, PerPointPrediction, cluster_predictions
 from .fileio import (Config, load_ply, load_scene_json, save_labels, save_ply,
                      save_poses_json, save_predictions_csv, save_report_json,
@@ -18,8 +16,7 @@ from .fileio import (Config, load_ply, load_scene_json, save_labels, save_ply,
 from .icp import icp_refine
 from .metrics import EvalReport, evaluate, f1_inst
 from .so3 import Pose
-from .synth import (Scene, SceneInstance, apply_occlusion, generate_scene,
-                    oracle_predict)
+from .synth import Scene, apply_occlusion, generate_scene, oracle_predict
 from .workspace import denormalize_pose, fit_normalization, normalize_scene
 
 ORACLE_SEED_OFFSET = 500009  # decorrelates oracle noise from scene layout
@@ -131,14 +128,12 @@ def write_scene(out_dir: str, scene: Scene) -> None:
 
 def read_scene(out_dir: str) -> Scene:
     """The scene write_scene stored in ``out_dir``; an instance with no
-    visible point keeps its pose and an empty index array."""
+    visible point keeps its pose."""
     points, labels = load_ply(os.path.join(out_dir, "scene.ply"))
     if labels is None:
         raise ValueError("scene.ply has no instance_id column")
     sidecar = load_scene_json(os.path.join(out_dir, "scene.json"))
-    instances = [SceneInstance(pose=pose, point_indices=np.nonzero(labels == i)[0])
-                 for i, pose in enumerate(sidecar["poses"])]
-    return Scene(points=points, labels=labels, instances=instances, seed=sidecar["seed"])
+    return Scene(points=points, labels=labels, poses=sidecar["poses"], seed=sidecar["seed"])
 
 
 def write_poses(out_dir: str, clusters: ClusterResult, poses: list[Pose]) -> None:

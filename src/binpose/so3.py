@@ -386,19 +386,26 @@ def _point_distances(diff, masked, outer, out, d=None) -> np.ndarray:
     return np.sqrt(np.maximum(out, 0.0, out=out), out=out)
 
 
-def symmetric_distances(A, B, model, group: SymmetryGroup, mask, d=None):
-    """Yield, for each symmetry rotation s in turn, the (m,K) distances
-    ||(A s - B_j) m_k + d_j|| over the masked model points m_k, for a
-    (3,3) rotation A, (m,3,3) rotations B and (m,3) translation
-    differences d (None for zero). Callers reduce over s as they need.
+def symmetric_distances(A, B, model, group: SymmetryGroup, mask,
+                        d=None) -> tuple[np.ndarray, np.ndarray]:
+    """The distances ||(A s - B_j) m_k + d_j|| over the masked model points
+    m_k, for a (3,3) rotation A, (m,3,3) rotations B, (m,3) translation
+    differences d (None for zero) and each symmetry rotation s.
 
-    Each rotation overwrites the one buffer (fresh ones cost a page fault
-    per page), so reduce or copy it before advancing.
+    Returns the (n_s,) means of each s's (m,K) distances and the (m,K)
+    distances of the first s with the smallest mean. Two buffers serve
+    every s: the current one and the best so far swap when the current s
+    wins, so nothing is copied and each call returns fresh arrays.
     """
     masked, outer = masked_outer(model, mask)
-    sq = np.empty((B.shape[0], outer.shape[0]))
-    for s in group.matrices:
-        yield _point_distances((A @ s)[None] - B, masked, outer, sq, d)
+    shape = (B.shape[0], outer.shape[0])
+    cur, best = np.empty(shape), np.empty(shape)
+    means = np.empty(len(group))
+    for i, s in enumerate(group.matrices):
+        means[i] = _point_distances((A @ s)[None] - B, masked, outer, cur, d).mean()
+        if i == 0 or means[i] < means[winner]:
+            winner, cur, best = i, best, cur
+    return means, best
 
 
 def symmetric_pose_distance(model, gt: Pose, pred: Pose,
@@ -413,13 +420,9 @@ def symmetric_pose_distance(model, gt: Pose, pred: Pose,
     """
     if np.asarray(model).size == 0:
         raise ValueError("model point cloud is empty")
-    best, per_point = None, None
-    for dists in symmetric_distances(gt.rotation, pred.rotation[None], model, group, mask,
-                                     (gt.t - pred.t)[None]):
-        mean = dists[0].mean()
-        if per_point is None or mean < best:
-            best, per_point = mean, dists[0].copy()
-    return per_point, float(best)
+    means, dists = symmetric_distances(gt.rotation, pred.rotation[None], model, group, mask,
+                                       (gt.t - pred.t)[None])
+    return dists[0], float(means.min())
 
 
 def rotation_distances_to_set(rep_quat, quats, model, group: SymmetryGroup,

@@ -145,7 +145,7 @@ class SceneGenParams:
             raise ValueError("max_attempts must be at least 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneInstance:
     pose: Pose
     point_indices: np.ndarray   # indices into the scene cloud
@@ -158,15 +158,22 @@ class SceneInstance:
 @dataclass
 class Scene:
     points: np.ndarray          # (V,3) merged visible cloud, mm
-    labels: np.ndarray          # (V,) instance id per point
-    instances: list[SceneInstance]
+    labels: np.ndarray          # (V,) instance id per point, an index into poses
+    poses: list[Pose]           # ground truth of every instance, visible or not
     seed: int | None = None
+
+    @property
+    def instances(self) -> tuple[SceneInstance, ...]:
+        """Each ground-truth pose with the indices of the points labeled
+        with it, derived from ``labels`` on every access."""
+        return tuple(SceneInstance(pose, np.nonzero(self.labels == i)[0])
+                     for i, pose in enumerate(self.poses))
 
     def visible_counts(self) -> list[int]:
         return [inst.n_visible for inst in self.instances]
 
     def gt_poses(self) -> list[Pose]:
-        return [inst.pose for inst in self.instances]
+        return list(self.poses)
 
 
 def _euler_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -213,26 +220,16 @@ def generate_scene(model: ObjectModel, params: SceneGenParams,
     if not centers:
         raise SceneGenerationError("no instance could be placed in the bin")
 
-    clouds = []
-    labels = []
-    instances = []
-    offset = 0
-    for i, (c, R) in enumerate(zip(centers, rotations)):
-        pts = model.points @ R.T + c
-        clouds.append(pts)
-        labels.append(np.full(pts.shape[0], i, dtype=int))
-        instances.append(SceneInstance(
-            pose=Pose(matrix_to_quat(R), c),
-            point_indices=np.arange(offset, offset + pts.shape[0]),
-        ))
-        offset += pts.shape[0]
-    return Scene(points=np.concatenate(clouds), labels=np.concatenate(labels),
-                 instances=instances, seed=seed)
+    clouds = [model.points @ R.T + c for c, R in zip(centers, rotations)]
+    return Scene(points=np.concatenate(clouds),
+                 labels=np.repeat(np.arange(len(clouds)), model.points.shape[0]),
+                 poses=[Pose(matrix_to_quat(R), c) for c, R in zip(centers, rotations)],
+                 seed=seed)
 
 
 def apply_occlusion(scene: Scene, cell: float, depth: float) -> Scene:
     """Top-down visibility: per xy grid cell keep points within ``depth``
-    of the cell's highest point, then recount per-instance visibility."""
+    of the cell's highest point, with their labels."""
     if cell <= 0.0 or depth <= 0.0:
         raise ValueError("cell and depth must be positive")
     pts = scene.points
@@ -245,13 +242,8 @@ def apply_occlusion(scene: Scene, cell: float, depth: float) -> Scene:
     np.maximum.at(top, cell_of, pts[:, 2])
     keep = pts[:, 2] >= top[cell_of] - depth
 
-    new_points = pts[keep]
-    new_labels = scene.labels[keep]
-    instances = []
-    for i, inst in enumerate(scene.instances):
-        idx = np.nonzero(new_labels == i)[0]
-        instances.append(SceneInstance(pose=inst.pose, point_indices=idx))
-    return Scene(points=new_points, labels=new_labels, instances=instances, seed=scene.seed)
+    return Scene(points=pts[keep], labels=scene.labels[keep], poses=list(scene.poses),
+                 seed=scene.seed)
 
 
 def make_crossing_rods_scene(separation: float, angle_deg: float,
@@ -271,15 +263,10 @@ def make_crossing_rods_scene(separation: float, angle_deg: float,
     t1 = np.array([0.0, 0.0, -separation / 2.0])
     t2 = np.array([0.0, 0.0, separation / 2.0])
 
-    clouds = [model.points @ R1.T + t1, model.points @ R2.T + t2]
     n = model.points.shape[0]
-    instances = [
-        SceneInstance(pose=Pose(matrix_to_quat(R1), t1), point_indices=np.arange(n)),
-        SceneInstance(pose=Pose(matrix_to_quat(R2), t2), point_indices=np.arange(n, 2 * n)),
-    ]
-    return Scene(points=np.concatenate(clouds),
-                 labels=np.concatenate([np.zeros(n, dtype=int), np.ones(n, dtype=int)]),
-                 instances=instances)
+    return Scene(points=np.concatenate([model.points @ R1.T + t1, model.points @ R2.T + t2]),
+                 labels=np.repeat([0, 1], n),
+                 poses=[Pose(matrix_to_quat(R1), t1), Pose(matrix_to_quat(R2), t2)])
 
 
 # ---------------------------------------------------------------------------

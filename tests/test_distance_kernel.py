@@ -10,9 +10,10 @@ import pytest
 from binpose import cluster
 from binpose.cluster import Stage1Cluster, pose_vote
 from binpose.losses import _rotation_values, random_instances, rotation_loss_grad
-from binpose.so3 import (Pose, SymmetryDescriptor, build_axis_mask, build_symmetry_group,
-                         matrix_to_quat, quat_from_axis_angle, quat_multiply, quat_normalize,
-                         quat_to_matrix, quats_to_matrices, random_quat,
+from binpose.so3 import (Pose, SymmetryDescriptor, SymmetryGroup, build_axis_mask,
+                         build_symmetry_group, matrix_to_quat, quat_from_axis_angle,
+                         quat_multiply, quat_normalize, quat_to_matrix, quats_to_matrices,
+                         random_quat,
                          rotation_distances_to_set, symmetric_distances,
                          symmetric_pose_distance)
 
@@ -221,8 +222,8 @@ def test_symmetric_pose_distance_matches_reference(symmetry):
         per_point, mean = symmetric_pose_distance(model, gt, pred, group, mask)
         ref_points, ref_mean, ref_best = ref_symmetric_pose_distance(model, gt, pred,
                                                                      group, mask)
-        means = [d.mean() for d in symmetric_distances(
-            gt.rotation, pred.rotation[None], model, group, mask, (gt.t - pred.t)[None])]
+        means, _ = symmetric_distances(gt.rotation, pred.rotation[None], model, group, mask,
+                                       (gt.t - pred.t)[None])
         assert int(np.argmin(means)) == ref_best
         assert abs(mean - ref_mean) <= 1e-12 * ref_mean
         np.testing.assert_allclose(per_point, ref_points, rtol=0.0,
@@ -260,3 +261,39 @@ def test_kernel_results_ignore_quaternion_sign(symmetry):
         # the loss is even in q, so its gradient is odd
         np.testing.assert_allclose(rotation_loss_grad([inst])[0], -grad, rtol=0.0,
                                    atol=1e-12 * np.abs(grad).max())
+
+
+def test_symmetric_distances_returns_the_winner_in_fresh_arrays(symmetry):
+    group, mask = symmetry
+    rng = np.random.default_rng(10)
+    model = _model(rng, k=80)
+    A, B = quat_to_matrix(random_quat(rng)), quats_to_matrices(rng.normal(size=(6, 4)))
+    means, dists = symmetric_distances(A, B, model, group, mask)
+    assert means.shape == (len(group),) and dists.shape == (6, 80)
+    for i, s in enumerate(group.matrices):
+        one = symmetric_distances(A @ s, B, model, SymmetryGroup.identity(), mask)
+        assert one[0][0] == means[i]
+        if i == int(np.argmin(means)):
+            assert np.array_equal(one[1], dists)
+    kept = means.copy(), dists.copy()
+    symmetric_distances(quat_to_matrix(random_quat(rng)), B, model, group, mask)
+    assert np.array_equal(means, kept[0]) and np.array_equal(dists, kept[1])
+
+
+def test_symmetric_distances_on_exact_ties_keeps_the_first_minimal_s():
+    # with the z_axis_ties object, s and s Rz(180) often give the same mean
+    # to the last bit while their distances differ in the last bits
+    group_desc, mask_desc, _ = DEGENERATE["z_axis_ties"]
+    group, mask = build_symmetry_group(group_desc), build_axis_mask(mask_desc)
+    rng = np.random.default_rng(11)
+    model = _model(rng)
+    ties = 0
+    for _ in range(40):
+        A, B = quat_to_matrix(random_quat(rng)), quats_to_matrices(rng.normal(size=(5, 4)))
+        means, dists = symmetric_distances(A, B, model, group, mask)
+        tied = np.flatnonzero(means == means.min())
+        per_s = [symmetric_distances(A @ group.matrices[i], B, model,
+                                     SymmetryGroup.identity(), mask)[1] for i in tied]
+        assert np.array_equal(dists, per_s[0])
+        ties += tied.size > 1 and not np.array_equal(per_s[0], per_s[-1])
+    assert ties > 0

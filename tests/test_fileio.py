@@ -258,3 +258,89 @@ def test_writers_format_every_value_with_repr(tmp_path):
     rows = (tmp_path / "a.csv").read_text().splitlines()[1:]
     assert rows == [",".join(repr(float(v)) for v in list(p) + list(c) + list(q))
                     for p, c, q in zip(pred.positions, pred.centroids, pred.quats)]
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"eval": {"tolerance_mm": float("nan")}}, "eval.tolerance_mm"),
+    ({"eval": {"tolerance_mm": float("inf")}}, "eval.tolerance_mm"),
+    ({"cluster": {"convergence_tol": float("nan")}}, "cluster.convergence_tol"),
+    ({"cluster": {"max_iters": float("inf")}}, "cluster.max_iters"),
+    ({"synth": {"occlusion_cell": float("nan")}}, "synth.occlusion_cell"),
+    ({"synth": {"instance_range": [3, float("inf")]}}, "synth.instance_range"),
+    ({"oracle": {"sigma_t_mm": -float("inf")}}, "oracle.sigma_t_mm"),
+    ({"object": dict(BOX, symmetry={"ts_deg": float("nan")})}, "object.symmetry.ts_deg"),
+    ({"object": {"builtin": {"kind": "box", "pitch": float("nan")}}}, "object.builtin.pitch"),
+], ids=["tol-nan", "tol-inf", "conv-nan", "iters-inf", "cell-nan", "range-inf",
+        "sigma-neg-inf", "ts-nan", "pitch-nan"])
+def test_config_rejects_non_finite_numbers(tmp_path, capsys, overrides, key):
+    # json.load reads the NaN, Infinity and -Infinity literals json.dumps writes here
+    from binpose.cli import main
+
+    path = make_config(tmp_path, **overrides)
+    with pytest.raises(ValueError, match=f"config key {key}: .* is not finite"):
+        load_config(path)
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, section", [
+    ({"object": 5}, "object"),
+    ({"cluster": [1, 2]}, "cluster"),
+    ({"eval": None}, "eval"),
+    ({"object": dict(BOX, symmetry=180)}, "object.symmetry"),
+    ({"object": {"builtin": "box"}}, "object.builtin"),
+], ids=["object", "cluster", "eval", "symmetry", "builtin"])
+def test_config_rejects_a_section_that_is_not_an_object(tmp_path, capsys, overrides, section):
+    from binpose.cli import main
+
+    path = make_config(tmp_path, **overrides)
+    with pytest.raises(ValueError, match=f"config section {section} must be a JSON object"):
+        load_config(path)
+    assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert section in capsys.readouterr().err
+
+
+def test_config_top_level_must_be_an_object(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="top level"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("element", ["element vertex", "element", "element vertex 2.5",
+                                     "element vertex three", "element vertex -1"],
+                         ids=["no-count", "bare", "float", "word", "negative"])
+def test_ply_bad_element_count_names_its_line(tmp_path, capsys, element):
+    from binpose.cli import main
+
+    p = tmp_path / "model.ply"
+    p.write_text(PLY_HEADER.replace("element vertex 3", element) + "1 2 3 0\n")
+    with pytest.raises(PlyParseError) as exc:
+        load_ply(p)
+    assert exc.value.line == 3
+    path = make_config(tmp_path, object={"model_path": "model.ply", "symmetry": {}})
+    assert main(["cluster", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+CSV_ROW = "1,2,3,4,5,6,1,0,0,0"
+
+
+@pytest.mark.parametrize("rows, line", [
+    ([CSV_ROW, "1,2,3,4,5,6,1,0,0"], 3),          # short row
+    ([CSV_ROW, CSV_ROW + ",7"], 3),                # long row
+    ([CSV_ROW, "", "1,2,x,4,5,6,1,0,0,0"], 4),     # bad float after a blank line
+    (["1_0,2,3,4,5,6,1,0,0,0", "1,2,3"], 3),       # the slow scan finds the short row
+], ids=["short", "long", "bad-float", "short-after-underscore"])
+def test_predictions_csv_bad_row_names_its_line(tmp_path, capsys, rows, line):
+    from binpose.cli import main
+
+    p = tmp_path / "predictions.csv"
+    p.write_text("x,y,z,cx,cy,cz,qw,qx,qy,qz\n" + "\n".join(rows) + "\n")
+    with pytest.raises(PlyParseError) as exc:
+        load_predictions_csv(p)
+    assert exc.value.line == line
+    assert main(["cluster", "--config", str(make_config(tmp_path)),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert f"line {line}:" in capsys.readouterr().err

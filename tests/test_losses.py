@@ -378,9 +378,9 @@ def test_gradcheck_evaluates_only_the_perturbed_instance(monkeypatch):
     gradcheck_trials("rotation", model, build_symmetry_group(desc), build_axis_mask(desc),
                      trials=1)
     # 2 instances x (3 x 3 centroid + 3 x 4 quaternion components) x 2
-    # evaluations of one instance, plus one per instance for the analytic
-    # gradient; 170 when each evaluation covered both instances
-    assert len(calls) == 2 * (3 * 3 + 3 * 4) * 2 + 2
+    # evaluations of one instance; the analytic gradient reads the kernel
+    # directly, and each evaluation covering both instances made it 170
+    assert len(calls) == 2 * (3 * 3 + 3 * 4) * 2
 
 
 def _quat_matrix_partials_reference(q):

@@ -12,7 +12,7 @@ from binpose.fileio import (load_config, load_labels, load_ply, load_predictions
 from binpose.pipeline import (StageWarning, estimate_poses, read_scene, run_pipeline,
                               run_scene, write_scene)
 from binpose.so3 import Pose
-from binpose.synth import SceneInstance, make_crossing_rods_scene
+from binpose.synth import Scene, make_crossing_rods_scene
 
 PERFECT_CONFIG = {
     "object": {"builtin": {"kind": "box", "extents": [40, 60, 90], "pitch": 10},
@@ -173,8 +173,7 @@ def test_cli_oracle_without_scene_is_stage_tagged(tmp_path, capsys):
 def test_read_scene_inverts_write_scene(tmp_path):
     scene = make_crossing_rods_scene(10.0, 90.0)
     # a third instance buried under the others keeps its pose, with no points
-    scene.instances.append(SceneInstance(Pose([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -50.0]),
-                                         np.empty(0, dtype=int)))
+    scene.poses.append(Pose([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -50.0]))
     scene.seed = 11
     write_scene(str(tmp_path), scene)
     back = read_scene(str(tmp_path))
@@ -185,6 +184,19 @@ def test_read_scene_inverts_write_scene(tmp_path):
     for a, b in zip(scene.instances, back.instances):
         assert np.array_equal(a.point_indices, b.point_indices)
         assert np.array_equal(a.pose.quat, b.pose.quat) and np.array_equal(a.pose.t, b.pose.t)
+
+
+def test_read_scene_counts_only_ids_with_a_pose(tmp_path):
+    # id 2 has no pose in scene.json: its points belong to no instance
+    poses = [Pose([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 5.0]),
+             Pose([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 9.0])]
+    scene = Scene(points=np.arange(15.0).reshape(5, 3), labels=np.array([0, 2, 1, 2, 0]),
+                  poses=poses, seed=3)
+    write_scene(str(tmp_path), scene)
+    back = read_scene(str(tmp_path))
+    assert np.array_equal(back.labels, scene.labels)
+    assert back.visible_counts() == [2, 1]
+    assert [inst.point_indices.tolist() for inst in back.instances] == [[0, 4], [2]]
 
 
 def test_cli_pipeline_determinism_subprocess(tmp_path):

@@ -110,23 +110,33 @@ def test_occlusion_buries_lower_plate():
     # falls below the visibility threshold
     from binpose.metrics import count_visible_gt
     from binpose.so3 import Pose
-    from binpose.synth import Scene, SceneInstance
+    from binpose.synth import Scene
     plate = box_cloud((80, 80, 4), 4)
     lower = plate + np.array([0.0, 0.0, 10.0])
     upper = plate + np.array([0.0, 0.0, 20.0])
     pts = np.concatenate([lower, upper])
     labels = np.concatenate([np.zeros(len(plate), dtype=int),
                              np.ones(len(plate), dtype=int)])
-    scene = Scene(points=pts, labels=labels, instances=[
-        SceneInstance(Pose([1, 0, 0, 0], [0, 0, 10.0]), np.arange(len(plate))),
-        SceneInstance(Pose([1, 0, 0, 0], [0, 0, 20.0]), np.arange(len(plate), 2 * len(plate))),
-    ])
+    scene = Scene(points=pts, labels=labels, poses=[
+        Pose([1, 0, 0, 0], [0, 0, 10.0]), Pose([1, 0, 0, 0], [0, 0, 20.0])])
     occluded = apply_occlusion(scene, cell=5.0, depth=5.0)
     counts = occluded.visible_counts()
     assert counts[1] == len(plate)               # top plate fully visible
     assert counts[0] == 0                        # bottom plate buried
     n, keep = count_visible_gt(counts, 0.4)
     assert n == 1 and keep == [1]
+
+
+def test_scene_instances_are_a_read_only_view_of_the_labels():
+    model = ObjectModel("m", box_cloud((30, 40, 50), 10), TWOFOLD)
+    scene = apply_occlusion(generate_scene(model, SceneGenParams((4, 6), (500, 500, 400)),
+                                           seed=4), 5.0, 10.0)
+    with pytest.raises(AttributeError):
+        scene.instances.append(scene.instances[0])
+    assert len(scene.instances) == len(scene.poses)
+    assert all(inst.pose is pose for inst, pose in zip(scene.instances, scene.poses))
+    for i, inst in enumerate(scene.instances):
+        assert np.array_equal(inst.point_indices, np.flatnonzero(scene.labels == i))
 
 
 def test_occlusion_infinite_depth_removes_nothing():
