@@ -15,7 +15,7 @@ import warnings
 
 from .fileio import (load_config, load_poses_json, load_predictions_csv,
                      save_predictions_csv, save_report_csv, save_report_json)
-from .losses import gradcheck_trials
+from .losses import GRADCHECK_STEP, gradcheck_trials
 from .metrics import evaluate
 from .pipeline import (StageError, StageWarning, estimate_poses, predict, read_scene,
                        run_pipeline, synthesize, write_poses, write_scene)
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", default="translation,rotation",
                    help="comma-separated: translation, rotation, total")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--epsilon", type=float, default=1e-5)
+    p.add_argument("--epsilon", type=float, default=GRADCHECK_STEP)
 
     p = sub.add_parser("pipeline", help="run synth through eval in one go")
     _add_common(p)

@@ -296,8 +296,9 @@ def pose_vote(merged: list[Stage1Cluster], member_quats: np.ndarray,
     centroids = np.stack([c.centroid for c in merged])
     translation = (centroids * counts[:, None]).sum(axis=0) / counts.sum()
 
-    costs = [rotation_distances_to_set(c.rep_quat, member_quats, model, group, mask).sum()
-             for c in merged]
+    reps = np.stack([c.rep_quat for c in merged])
+    costs = [row.sum() for row in rotation_distances_to_set(reps, member_quats, model,
+                                                             group, mask)]
     return Pose(merged[int(np.argmin(costs))].rep_quat, translation)
 
 

@@ -326,11 +326,14 @@ def _check_keys(section: str, d: dict, known) -> None:
 
 def _coerce(section: str, d: dict, defaults: dict) -> dict:
     """Config section ``d`` with each value converted to the type of its
-    key's default."""
+    key's default; a string key takes only a JSON string, as str() would
+    turn any value into one."""
     _check_keys(section, d, defaults)
     out = {}
     for key, value in d.items():
         try:
+            if isinstance(defaults[key], str) and not isinstance(value, str):
+                raise TypeError(f"expected a string, got {json.dumps(value)}")
             out[key] = type(defaults[key])(value)
         except (TypeError, ValueError) as e:
             raise ValueError(f"config key {section}.{key}: {e}") from None
@@ -346,7 +349,8 @@ def _load_section(section: str, d: dict, cls):
 
 def _builtin_points(shape: dict) -> tuple[str, np.ndarray]:
     """(kind, model points) of an ``object.builtin`` section."""
-    kind = _section("object.builtin", shape).get("kind", "box")
+    shape = _section("object.builtin", shape)
+    kind = _coerce("object.builtin", {"kind": shape.get("kind", "box")}, {"kind": ""})["kind"]
     if kind not in _BUILTIN_SHAPES:
         raise ValueError(f"unknown builtin model kind {kind!r}")
     build, defaults = _BUILTIN_SHAPES[kind]
@@ -367,11 +371,13 @@ def load_config(path) -> Config:
     _check_finite("", raw)
     obj = raw.get("object", {})
     _check_keys("object", obj, ("model_path", "name", "builtin", "symmetry"))
+    names = _coerce("object", {k: obj[k] for k in ("model_path", "name") if k in obj},
+                    {"model_path": "", "name": ""})
     symmetry = _load_section("object.symmetry", obj.get("symmetry", {}), SymmetryDescriptor)
     if ("model_path" in obj) == ("builtin" in obj):
         raise ValueError("config object section needs exactly one of 'model_path' or 'builtin'")
     if "model_path" in obj:
-        model_path = obj["model_path"]
+        model_path = names["model_path"]
         if not os.path.isabs(model_path):
             model_path = os.path.join(os.path.dirname(os.path.abspath(path)), model_path)
         if not os.path.exists(model_path):
@@ -380,6 +386,6 @@ def load_config(path) -> Config:
         default_name = os.path.basename(model_path)
     else:
         default_name, pts = _builtin_points(obj["builtin"])
-    model = ObjectModel(obj.get("name", default_name), pts, symmetry)
+    model = ObjectModel(names.get("name", default_name), pts, symmetry)
     return Config(model=model, **{name: _load_section(name, raw.get(name, {}), cls)
                                   for name, cls in _SECTIONS.items()})

@@ -13,6 +13,7 @@ axis mask that projects model points onto the symmetric axis instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -361,27 +362,94 @@ def build_axis_mask(desc: SymmetryDescriptor) -> np.ndarray:
 # symmetry-aware pose distance
 
 
-def masked_outer(model, mask) -> tuple[np.ndarray, np.ndarray]:
-    """The masked model points m_k, (K,3), and their outer products
-    m_k m_k^T flattened row-major, (K,9)."""
-    masked = np.asarray(model, dtype=float).reshape(-1, 3) * np.asarray(mask, dtype=float)
-    return masked, np.einsum("ki,kj->kij", masked, masked).reshape(-1, 9)
+@dataclass(frozen=True)
+class KernelModel:
+    """A (model, mask) pair as the distance kernel sees it.
+
+    ``points`` (K',3) are the masked model points m_k and ``outer`` (K',9)
+    their outer products m_k m_k^T flattened row-major. When masking makes
+    points coincide, which a continuous-symmetry axis does (a cylinder's
+    points fall onto its axis, a sphere's onto its center), ``points`` keeps
+    each distinct one once, ``counts`` (K',) holds how many model points
+    map to it and ``inverse`` (K,) which one each model point maps to.
+    Otherwise both are None and ``points`` is the masked model in order.
+    ``size`` is the full model count K, ``m2`` (9,) the mean of m m^T over
+    all K points, ``tr_m2`` its trace and ``r_max`` the largest ||m_k||.
+    """
+
+    points: np.ndarray
+    outer: np.ndarray
+    counts: np.ndarray | None
+    inverse: np.ndarray | None
+    size: int
+    m2: np.ndarray
+    tr_m2: float
+    r_max: float
+
+    def mean(self, dists, axis=None):
+        """Mean over the K model points of (n,K') distances to ``points``,
+        per row with axis=1 and over the rows too with axis=None. Without
+        counts it is the unweighted mean, so those results keep their bits."""
+        if self.counts is None:
+            return dists.mean(axis=axis)
+        rows = dists @ self.counts / self.size
+        return rows if axis == 1 else rows.mean()
 
 
-def _point_distances(diff, masked, outer, out, d=None) -> np.ndarray:
-    """The (n,K) distances ||X_i m_k + d_i|| for (n,3,3) matrices X_i =
-    ``diff``, written into ``out``; ``masked`` and ``outer`` are
-    :func:`masked_outer` of the model and ``d`` is (n,3) or None for zero.
+def kernel_model(model, mask) -> KernelModel:
+    """The :class:`KernelModel` of a (K,3) model and a 3-vector axis mask.
+
+    Results are memoized on the bytes of both, so repeated calls with the
+    same content cost a hash and share read-only arrays, and a model
+    changed in place gets a fresh result.
+    """
+    model = np.ascontiguousarray(model, dtype=float).reshape(-1, 3)
+    mask = np.ascontiguousarray(mask, dtype=float).reshape(3)
+    return _kernel_model(model.tobytes(), mask.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_model(model_bytes: bytes, mask_bytes: bytes) -> KernelModel:
+    mask = np.frombuffer(mask_bytes)
+    masked = np.frombuffer(model_bytes).reshape(-1, 3) * mask
+    size = masked.shape[0]
+    if size == 0:
+        raise ValueError("model point cloud is empty")
+    counts = inverse = None
+    kept = np.flatnonzero(mask)
+    # a mask keeping at most one axis puts every masked point on that axis
+    # (on the origin when it keeps none), so the points that coincide are the
+    # equal values of one column; np.unique(axis=0) would cost ~1 ms per model
+    if kept.size <= 1 and not masked[:, mask == 0].any():
+        column = masked[:, kept[0]] if kept.size else np.zeros(size)
+        values, idx, cnt = np.unique(column, return_inverse=True, return_counts=True)
+        if values.size < size:
+            masked = np.zeros((values.size, 3))
+            masked[:, kept] = values[:, None]
+            counts, inverse = cnt.astype(float), idx
+    outer = np.einsum("ki,kj->kij", masked, masked).reshape(-1, 9)
+    m2 = outer.mean(axis=0) if counts is None else counts @ outer / size
+    for a in (masked, outer, counts, inverse, m2):
+        if a is not None:
+            a.flags.writeable = False
+    return KernelModel(masked, outer, counts, inverse, size, m2, m2[0] + m2[4] + m2[8],
+                       np.linalg.norm(masked, axis=1).max())
+
+
+def _point_distances(diff, km: KernelModel, out, d=None) -> np.ndarray:
+    """The (n,K') distances ||X_i m_k + d_i|| to the points m_k of ``km``
+    for (n,3,3) matrices X_i = ``diff``, written into ``out``; ``d`` is
+    (n,3) or None for zero.
 
     The squared norm is m_k^T (X^T X) m_k + 2 (X^T d_i).m_k + d_i.d_i, one
-    (n,9) x (9,K) product. Each row's value does not depend on which other
+    (n,9) x (9,K') product. Each row's value does not depend on which other
     rows are computed with it, except through the BLAS blocking of that
     product (the last bit of a few elements).
     """
     gram = np.einsum("mji,mjk->mik", diff, diff).reshape(-1, 9)
-    np.matmul(gram, outer.T, out=out)
+    np.matmul(gram, km.outer.T, out=out)
     if d is not None:
-        out += 2.0 * (np.einsum("mji,mj->mi", diff, d) @ masked.T)
+        out += 2.0 * (np.einsum("mji,mj->mi", diff, d) @ km.points.T)
         out += np.einsum("mj,mj->m", d, d)[:, None]
     return np.sqrt(np.maximum(out, 0.0, out=out), out=out)
 
@@ -392,17 +460,19 @@ def symmetric_distances(A, B, model, group: SymmetryGroup, mask,
     m_k, for a (3,3) rotation A, (m,3,3) rotations B, (m,3) translation
     differences d (None for zero) and each symmetry rotation s.
 
-    Returns the (n_s,) means of each s's (m,K) distances and the (m,K)
-    distances of the first s with the smallest mean. Two buffers serve
-    every s: the current one and the best so far swap when the current s
-    wins, so nothing is copied and each call returns fresh arrays.
+    Returns the (n_s,) means of each s's distances over all m rows and K
+    model points, and the (m,K') distances to the K' points of
+    :func:`kernel_model` for the first s with the smallest mean. Two
+    buffers serve every s: the current one and the best so far swap when
+    the current s wins, so nothing is copied and each call returns fresh
+    arrays.
     """
-    masked, outer = masked_outer(model, mask)
-    shape = (B.shape[0], outer.shape[0])
+    km = kernel_model(model, mask)
+    shape = (B.shape[0], km.points.shape[0])
     cur, best = np.empty(shape), np.empty(shape)
     means = np.empty(len(group))
     for i, s in enumerate(group.matrices):
-        means[i] = _point_distances((A @ s)[None] - B, masked, outer, cur, d).mean()
+        means[i] = km.mean(_point_distances((A @ s)[None] - B, km, cur, d))
         if i == 0 or means[i] < means[winner]:
             winner, cur, best = i, best, cur
     return means, best
@@ -418,22 +488,24 @@ def symmetric_pose_distance(model, gt: Pose, pred: Pose,
     their mean), both in mm. Zero for any pred equal to a symmetric
     equivalent of gt.
     """
-    if np.asarray(model).size == 0:
-        raise ValueError("model point cloud is empty")
     means, dists = symmetric_distances(gt.rotation, pred.rotation[None], model, group, mask,
                                        (gt.t - pred.t)[None])
-    return dists[0], float(means.min())
+    inverse = kernel_model(model, mask).inverse
+    return (dists[0] if inverse is None else dists[0][inverse]), float(means.min())
 
 
-def rotation_distances_to_set(rep_quat, quats, model, group: SymmetryGroup,
+def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
                               mask) -> np.ndarray:
-    """Symmetry-aware rotation distance from one quaternion to a batch.
+    """Symmetry-aware rotation distances from candidate quaternions to a batch.
 
     Equivalent to symmetric_pose_distance with zero translations between
-    (rep_quat) and each quaternion in ``quats``; returns the (m,) vector
-    of mean point distances min_s mu_js, mu_js = mean_k ||X m_k||,
-    X = A s - B_j, A = R(rep_quat), B_j = R(quats[j]). Used for
-    medoid-style rotation voting.
+    a candidate and each quaternion in ``quats``: for (C,4) candidates
+    ``rep_quats`` returns the (C,m) mean point distances min_s mu_js,
+    mu_js = mean_k ||X m_k||, X = A s - B_j, A = R(candidate), B_j =
+    R(quats[j]); a (4,) candidate gives the (m,) row. Used for
+    medoid-style rotation voting. The batch's rotations and bound tables
+    are built once; each candidate's pruning is that of a one-candidate
+    call, so its row is the same to the bit.
 
     Only the (j, s) pairs that can be the minimum get the exact K-term
     mean (Elkan, ICML 2003, prunes k-means distances the same way). With
@@ -471,34 +543,34 @@ def rotation_distances_to_set(rep_quat, quats, model, group: SymmetryGroup,
     blocking can move the last bit of a mean (1e-15 relative at most). A
     row with a NaN bound keeps every pair and stays NaN.
     """
-    A = quat_to_matrix(quat_normalize(rep_quat))
     B = quats_to_matrices(quats)
     m = B.shape[0]
-    masked, outer = masked_outer(model, mask)
-    m2 = outer.mean(axis=0)
-    tr_m2 = m2[0] + m2[4] + m2[8]
-    r_max = np.linalg.norm(masked, axis=1).max()
-    AS = A @ group.matrices                                               # (G,3,3)
-    # (m,G) tables of t = tr(X^T X M2) and ||X||_F^2
-    t = 2.0 * tr_m2 - 2.0 * ((B @ m2.reshape(3, 3)).reshape(m, 9) @ AS.reshape(-1, 9).T)
-    fro2 = 6.0 - 2.0 * (B.reshape(m, 9) @ AS.reshape(-1, 9).T)
-    slack = BOUND_ABS_SLACK * tr_m2
-    upper = np.sqrt(np.maximum(t + slack, 0.0))
-    denom = r_max * np.sqrt(np.maximum(fro2 + BOUND_ABS_SLACK, 0.0))
-    lower = np.divide(np.maximum(t - slack, 0.0), denom, out=np.zeros_like(t),
-                      where=denom > 0.0)
-    cutoff = (1.0 + BOUND_REL_SLACK) * upper.min(axis=1, keepdims=True)
-    # the surviving pairs, member by member; each member keeps at least the
-    # pair with its smallest upper bound
-    rows, s_idx = np.nonzero(~(lower > cutoff))
+    km = kernel_model(model, mask)
+    BM2 = (B @ km.m2.reshape(3, 3)).reshape(m, 9)
+    slack = BOUND_ABS_SLACK * km.tr_m2
+    sq = np.empty((m, km.points.shape[0]))
+    out = np.empty((np.size(rep_quats) // 4, m))
+    for c, rep in enumerate(np.reshape(rep_quats, (-1, 4))):
+        AS = quat_to_matrix(quat_normalize(rep)) @ group.matrices           # (G,3,3)
+        # (m,G) tables of t = tr(X^T X M2) and ||X||_F^2
+        t = 2.0 * km.tr_m2 - 2.0 * (BM2 @ AS.reshape(-1, 9).T)
+        fro2 = 6.0 - 2.0 * (B.reshape(m, 9) @ AS.reshape(-1, 9).T)
+        upper = np.sqrt(np.maximum(t + slack, 0.0))
+        denom = km.r_max * np.sqrt(np.maximum(fro2 + BOUND_ABS_SLACK, 0.0))
+        lower = np.divide(np.maximum(t - slack, 0.0), denom, out=np.zeros_like(t),
+                          where=denom > 0.0)
+        cutoff = (1.0 + BOUND_REL_SLACK) * upper.min(axis=1, keepdims=True)
+        # the surviving pairs, member by member; each member keeps at least
+        # the pair with its smallest upper bound
+        rows, s_idx = np.nonzero(~(lower > cutoff))
 
-    means = np.empty(rows.size)
-    sq = np.empty((m, outer.shape[0]))
-    for lo in range(0, rows.size, m):                  # m rows at a time, like the full kernel
-        j, s = rows[lo:lo + m], s_idx[lo:lo + m]
-        n = j.size
-        if n == 1 < m:   # a one-row product is a BLAS gemv, which rounds unlike gemm
-            j, s = np.repeat(j, 2), np.repeat(s, 2)
-        means[lo:lo + n] = _point_distances(AS[s] - B[j], masked, outer,
-                                            sq[:j.size]).mean(axis=1)[:n]
-    return np.minimum.reduceat(means, np.flatnonzero(np.diff(rows, prepend=-1)))
+        means = np.empty(rows.size)
+        for lo in range(0, rows.size, m):              # m rows at a time, like the full kernel
+            j, s = rows[lo:lo + m], s_idx[lo:lo + m]
+            n = j.size
+            if n == 1 < m:   # a one-row product is a BLAS gemv, which rounds unlike gemm
+                j, s = np.repeat(j, 2), np.repeat(s, 2)
+            means[lo:lo + n] = km.mean(_point_distances(AS[s] - B[j], km, sq[:j.size]),
+                                       axis=1)[:n]
+        out[c] = np.minimum.reduceat(means, np.flatnonzero(np.diff(rows, prepend=-1)))
+    return out if np.ndim(rep_quats) == 2 else out[0]

@@ -7,15 +7,18 @@ and the rotation loss used before they shared one kernel, kept verbatim.
 import numpy as np
 import pytest
 
-from binpose import cluster
+from dataclasses import replace
+
+from binpose import cluster, metrics
 from binpose.cluster import Stage1Cluster, pose_vote
 from binpose.losses import _rotation_values, random_instances, rotation_loss_grad
+from binpose.metrics import EvalConfig, evaluate
 from binpose.so3 import (Pose, SymmetryDescriptor, SymmetryGroup, build_axis_mask,
-                         build_symmetry_group, matrix_to_quat, quat_from_axis_angle,
-                         quat_multiply, quat_normalize, quat_to_matrix, quats_to_matrices,
-                         random_quat,
-                         rotation_distances_to_set, symmetric_distances,
-                         symmetric_pose_distance)
+                         build_symmetry_group, kernel_model, matrix_to_quat,
+                         quat_from_axis_angle, quat_multiply, quat_normalize, quat_to_matrix,
+                         quats_to_matrices, random_quat, rotation_distances_to_set,
+                         symmetric_distances, symmetric_pose_distance)
+from binpose.synth import cylinder_cloud
 
 
 def ref_symmetric_pose_distance(model, gt, pred, group, mask):
@@ -139,6 +142,11 @@ def _pruning_cases(rng, group):
     }
 
 
+def _one_candidate_at_a_time(distances):
+    # pose_vote passes every candidate at once; the reference takes one
+    return lambda reps, *args: np.stack([distances(rep, *args) for rep in reps])
+
+
 def _vote_winner(candidates, members, group, mask, model, monkeypatch, distances):
     monkeypatch.setattr(cluster, "rotation_distances_to_set", distances)
     merged = [Stage1Cluster(np.arange(1), np.zeros(3), quat_normalize(c)) for c in candidates]
@@ -156,7 +164,7 @@ def _assert_pruning_matches_reference(group, mask, model, rng, monkeypatch):
             _vote_winner(candidates, quats, group, mask, model, monkeypatch,
                          rotation_distances_to_set),
             _vote_winner(candidates, quats, group, mask, model, monkeypatch,
-                         ref_rotation_distances_to_set)), name
+                         _one_candidate_at_a_time(ref_rotation_distances_to_set))), name
 
 
 def test_pruned_rotation_distances_match_the_unpruned_reference(symmetry, monkeypatch):
@@ -297,3 +305,108 @@ def test_symmetric_distances_on_exact_ties_keeps_the_first_minimal_s():
         assert np.array_equal(dists, per_s[0])
         ties += tied.size > 1 and not np.array_equal(per_s[0], per_s[-1])
     assert ties > 0
+
+
+def test_candidate_batch_rows_are_the_one_candidate_results(symmetry):
+    group, mask = symmetry
+    rng = np.random.default_rng(12)
+    model = _model(rng)
+    reps, quats = rng.normal(size=(6, 4)), rng.normal(size=(30, 4))
+    got = rotation_distances_to_set(reps, quats, model, group, mask)
+    assert got.shape == (6, 30)
+    for rep, row in zip(reps, got):
+        one = rotation_distances_to_set(rep, quats, model, group, mask)
+        assert np.array_equal(row.view(np.uint64), one.view(np.uint64))
+
+
+# (model, group, mask) whose masked points coincide, and the distinct count K':
+# the cylinder's 779 points fall on 21 heights of its z axis, and an all-zero
+# mask puts every point on the origin
+COLLAPSING = {
+    "cylinder_z": (lambda rng: cylinder_cloud(30, 120, 6),
+                   SymmetryDescriptor(dx_deg=180, dz_deg=1), 21),
+    "all_zero": (_model, SymmetryDescriptor(1, 1, 1), 1),
+}
+
+
+@pytest.fixture(params=sorted(COLLAPSING), ids=str)
+def collapsing(request):
+    make, desc, distinct = COLLAPSING[request.param]
+    return (make(np.random.default_rng(13)), build_symmetry_group(desc), build_axis_mask(desc),
+            distinct)
+
+
+def test_collapsing_models_run_the_kernel_on_distinct_points(collapsing):
+    model, group, mask, distinct = collapsing
+    rng = np.random.default_rng(14)
+    km = kernel_model(model, mask)
+    assert km.points.shape == (distinct, 3) and km.counts.sum() == km.size == len(model)
+    assert np.array_equal(km.points[km.inverse], model * mask)
+    A, B = quat_to_matrix(random_quat(rng)), quats_to_matrices(rng.normal(size=(5, 4)))
+    assert symmetric_distances(A, B, model, group, mask)[1].shape == (5, distinct)
+
+
+def test_collapsed_distances_match_the_references(collapsing):
+    model, group, mask, _ = collapsing
+    rng = np.random.default_rng(15)
+    for gt, pred in _pose_pairs(rng, n=10):
+        per_point, mean = symmetric_pose_distance(model, gt, pred, group, mask)
+        ref_points, ref_mean, _ = ref_symmetric_pose_distance(model, gt, pred, group, mask)
+        assert per_point.shape == (len(model),)
+        assert abs(mean - ref_mean) <= 1e-12 * ref_mean
+        np.testing.assert_allclose(per_point, ref_points, rtol=0.0,
+                                   atol=1e-10 * ref_points.max())
+    for _ in range(3):
+        rep, quats = random_quat(rng), rng.normal(size=(40, 4))
+        got = rotation_distances_to_set(rep, quats, model, group, mask)
+        want = ref_rotation_distances_to_set(rep, quats, model, group, mask)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_collapsed_loss_matches_the_references(collapsing):
+    # the pre-masked model under an all-ones mask collapses nothing, so it
+    # runs the unweighted K-term kernel on the same masked points
+    model, group, mask, _ = collapsing
+    rng = np.random.default_rng(16)
+    instances = random_instances(model, group, mask, rng, n_instances=4, n_points=6)
+    unmasked = [replace(inst, model=inst.model * inst.mask, mask=np.ones(3))
+                for inst in instances]
+    for inst in instances:
+        np.testing.assert_allclose(_rotation_values(inst), ref_rotation_values(inst),
+                                   rtol=1e-12, atol=0.0)
+    for got, want in zip(rotation_loss_grad(instances), rotation_loss_grad(unmasked)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_collapsed_recall_counts_equal_the_reference(collapsing, monkeypatch):
+    model, group, mask, _ = collapsing
+    rng = np.random.default_rng(17)
+    gts = [Pose(random_quat(rng), rng.uniform(-100.0, 100.0, size=3)) for _ in range(4)]
+    # predictions a few degrees and millimetres off, so the 5 mm tolerance
+    # splits each instance's points
+    preds = [Pose(quat_multiply(g.quat, quat_from_axis_angle(rng.normal(size=3), 0.05)),
+                  g.t + rng.normal(scale=2.0, size=3)) for g in gts]
+    cfg = EvalConfig(5.0, 0.4)
+    got = evaluate(preds, gts, [1] * 4, model, group, mask, cfg)
+    monkeypatch.setattr(metrics, "symmetric_pose_distance",
+                        lambda *args: ref_symmetric_pose_distance(*args)[:2])
+    want = evaluate(preds, gts, [1] * 4, model, group, mask, cfg)
+    assert got.matched_points == want.matched_points and got.tp == want.tp
+
+
+def test_kernel_model_memo_is_read_only_and_keyed_on_content():
+    rng = np.random.default_rng(18)
+    model, mask = cylinder_cloud(30, 120, 6), np.array([0.0, 0.0, 1.0])
+    km = kernel_model(model, mask)
+    assert kernel_model(model.copy(), mask.copy()) is km
+    for a in (km.points, km.outer, km.counts, km.inverse, km.m2):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    gt, pred = _pose_pairs(rng, n=2)[1]
+    model[:40, 2] += 0.5    # moves some points off the shared heights
+    assert kernel_model(model, mask) is not km
+    per_point, mean = symmetric_pose_distance(model, gt, pred, SymmetryGroup.identity(), mask)
+    ref_points, ref_mean, _ = ref_symmetric_pose_distance(model, gt, pred,
+                                                          SymmetryGroup.identity(), mask)
+    assert abs(mean - ref_mean) <= 1e-12 * ref_mean
+    np.testing.assert_allclose(per_point, ref_points, rtol=0.0, atol=1e-10 * ref_points.max())

@@ -214,6 +214,21 @@ def test_config_value_of_wrong_type_names_its_key(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("obj, key", [
+    ({"model_path": 5}, "object.model_path"),
+    ({"builtin": {"kind": [1]}}, "object.builtin.kind"),
+    ({"name": 5, "builtin": {"kind": "box"}}, "object.name"),
+], ids=["model_path", "kind", "name"])
+def test_config_string_of_wrong_type_names_its_key(tmp_path, capsys, obj, key):
+    from binpose.cli import main
+
+    path = make_config(tmp_path, object=obj)
+    with pytest.raises(ValueError, match=f"config key {key}: expected a string"):
+        load_config(path)
+    assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
 PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
               "property float y\nproperty float z\nproperty int instance_id\nend_header\n")
 

@@ -271,6 +271,32 @@ def test_gradcheck_total_combines_both():
     assert err < 1e-4
 
 
+# the bound the benchmark's train_losses workload gates gradcheck on
+GRADCHECK_GATE = 1e-6
+
+
+@pytest.mark.parametrize("loss", ["rotation", "total"])
+def test_default_step_passes_a_configuration_at_the_norm_kink(loss):
+    # the box batch of scene seed 140318 puts a model point 0.057 mm from its
+    # target; a step of 1e-5 read 2.55e-6 there, all truncation error
+    desc = SymmetryDescriptor(dz_deg=180)
+    model = box_cloud((40, 120, 160), 12)
+    err = gradcheck_trials(loss, model, build_symmetry_group(desc), build_axis_mask(desc),
+                           trials=1, seed=140318)
+    assert err <= GRADCHECK_GATE
+
+
+def test_default_step_flags_a_slightly_scaled_rotation_gradient(monkeypatch):
+    desc = SymmetryDescriptor(dz_deg=180)
+    model = box_cloud((40, 120, 160), 12)
+    group, mask = build_symmetry_group(desc), build_axis_mask(desc)
+    original = losses.rotation_loss_grad
+    monkeypatch.setattr(losses, "rotation_loss_grad",
+                        lambda ins: [g * (1.0 + 1e-5) for g in original(ins)])
+    for loss in ("rotation", "total"):
+        assert gradcheck_trials(loss, model, group, mask, trials=3, seed=140318) > GRADCHECK_GATE
+
+
 def test_numeric_gradient_vanishes_at_global_minimum():
     insts = [make_instance(perfect=True, seed=17)]
     # central differences cancel at the kink; use a small step so the

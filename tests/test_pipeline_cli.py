@@ -9,6 +9,7 @@ from binpose.cli import main as cli_main
 from binpose.cluster import PerPointPrediction
 from binpose.fileio import (load_config, load_labels, load_ply, load_predictions_csv,
                             save_predictions_csv)
+from binpose.losses import GRADCHECK_STEP
 from binpose.pipeline import (StageWarning, estimate_poses, read_scene, run_pipeline,
                               run_scene, write_scene)
 from binpose.so3 import Pose
@@ -228,7 +229,7 @@ def test_cli_gradcheck_prints_records(tmp_path, capsys):
     for r in lines:
         assert r["max_rel_err"] < 1e-4
         assert r["trials"] == 3
-        assert r["epsilon"] == 1e-5
+        assert r["epsilon"] == GRADCHECK_STEP
 
 
 @pytest.mark.parametrize("args", [("--epsilon", "nan"), ("--epsilon", "0"),
