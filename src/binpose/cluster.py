@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import (Pose, SymmetryGroup, quat_normalize, quat_normalize_batch,
-                  rotation_distances_to_set)
+from .so3 import (UNIT_TOL, Pose, SymmetryGroup, quat_normalize,
+                  quat_normalize_batch, rotation_distances_to_set)
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class PerPointPrediction:
         if not (np.isfinite(self.positions).all() and np.isfinite(self.centroids).all()):
             raise ValueError("prediction positions and centroids must be finite")
         norms = np.linalg.norm(self.quats, axis=1)
-        if m and not np.abs(norms - 1.0).max() <= 1e-6:
+        if m and not np.abs(norms - 1.0).max() <= UNIT_TOL:
             raise ValueError("prediction quaternions must be finite and unit norm")
 
     def __len__(self) -> int:
@@ -78,9 +78,14 @@ class PerPointPrediction:
 @dataclass
 class MeanShiftResult:
     modes: np.ndarray                  # (C,k)
-    labels: np.ndarray                 # (N,) int, -1 = discarded
-    members: list[np.ndarray]          # per cluster, sorted point indices
+    labels: np.ndarray                 # (N,) int, an index into modes; -1 = discarded
     converged: bool = True             # False: seeds still moving at max_iters
+
+    @property
+    def members(self) -> tuple[np.ndarray, ...]:
+        """Each cluster's sorted point indices, derived from ``labels``
+        on every access."""
+        return tuple(np.nonzero(self.labels == c)[0] for c in range(self.modes.shape[0]))
 
 
 @dataclass
@@ -90,7 +95,7 @@ class Stage1Cluster:
     rep_quat: np.ndarray               # member quat nearest the converged mode
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstancePrediction:
     pose: Pose
     indices: np.ndarray
@@ -99,10 +104,17 @@ class InstancePrediction:
 @dataclass
 class ClusterResult:
     stage1: list[Stage1Cluster]
-    instances: list[InstancePrediction]
-    labels: np.ndarray                 # (M,) final instance id per point, -1 unassigned
+    poses: list[Pose]                  # one per instance
+    labels: np.ndarray                 # (M,) index into poses per point, -1 unassigned
     warning: str | None = None
     converged: bool = True             # False: a mean-shift stage hit max_iters
+
+    @property
+    def instances(self) -> tuple[InstancePrediction, ...]:
+        """Each instance's pose with the indices of the points labeled
+        with it, derived from ``labels`` on every access."""
+        return tuple(InstancePrediction(pose, np.nonzero(self.labels == i)[0])
+                     for i, pose in enumerate(self.poses))
 
 
 WINDOW_BLOCK = 1 << 20   # (mean, candidate) pairs per distance block
@@ -174,6 +186,15 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
+def _drop_small(labels: np.ndarray, n_labels: int,
+                min_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, relabeled): which of the ids 0..n_labels-1 label at least
+    ``min_points`` points, and ``labels`` renumbered in order over the
+    kept ids, with -1 for the rest (a -1 label stays -1)."""
+    kept = np.bincount(labels[labels >= 0], minlength=n_labels) >= min_points
+    return kept, np.append(np.where(kept, np.cumsum(kept) - 1, -1), -1)[labels]
+
+
 def mean_shift(features, bandwidth: float, min_points: int = 1,
                max_iters: int = 300, tol: float = 1e-3) -> MeanShiftResult:
     """Flat-kernel mean shift with every point as a seed.
@@ -210,7 +231,7 @@ def mean_shift(features, bandwidth: float, min_points: int = 1,
     n = X.shape[0]
     if n == 0:
         return MeanShiftResult(np.empty((0, X.shape[1] if X.ndim > 1 else 1)),
-                               np.empty(0, dtype=int), [])
+                               np.empty(0, dtype=int))
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
     if not np.isfinite(X).all():
@@ -255,21 +276,8 @@ def mean_shift(features, bandwidth: float, min_points: int = 1,
     d2 = (X[:, None, 0] - modes_arr[None, :, 0]) ** 2
     for j in range(1, X.shape[1]):
         d2 += (X[:, None, j] - modes_arr[None, :, j]) ** 2
-    assign = np.argmin(d2, axis=1)
-
-    labels = np.full(n, -1, dtype=int)
-    members: list[np.ndarray] = []
-    kept_modes = []
-    next_label = 0
-    for c in range(modes_arr.shape[0]):
-        idx = np.nonzero(assign == c)[0]
-        if idx.shape[0] >= min_points:
-            labels[idx] = next_label
-            members.append(idx)
-            kept_modes.append(modes_arr[c])
-            next_label += 1
-    kept = np.stack(kept_modes) if kept_modes else np.empty((0, X.shape[1]))
-    return MeanShiftResult(kept, labels, members, converged=not active.any())
+    kept, labels = _drop_small(np.argmin(d2, axis=1), n_modes, min_points)
+    return MeanShiftResult(modes_arr[kept], labels, converged=not active.any())
 
 
 def stage1_features(pred: PerPointPrediction, quat_scale: float) -> np.ndarray:
@@ -310,6 +318,7 @@ def two_stage_pipeline(pred: PerPointPrediction, params: ClusterParams,
     its member indices, mean predicted centroid and a representative
     quaternion (the member nearest the converged mode). Stage 2: mean
     shift over the stage-1 mean centroids with the tighter bandwidth;
+    a point's instance is the stage-2 cluster of its stage-1 cluster, and
     the minimum-points rule counts the total underlying member points so
     thin symmetric splits still merge. Pose voting produces one pose per
     surviving stage-2 cluster.
@@ -319,36 +328,27 @@ def two_stage_pipeline(pred: PerPointPrediction, params: ClusterParams,
     feats = stage1_features(pred, params.quat_scale)
     ms1 = mean_shift(feats, params.bandwidth_1, params.min_points_1,
                      params.max_iters, params.convergence_tol)
-    stage1 = []
-    for c, idx in enumerate(ms1.members):
-        mode = ms1.modes[c]
-        dist_to_mode = np.linalg.norm(feats[idx] - mode, axis=1)
-        rep = pred.quats[idx[int(np.argmin(dist_to_mode))]]
-        stage1.append(Stage1Cluster(indices=idx,
-                                    centroid=pred.centroids[idx].mean(axis=0),
-                                    rep_quat=quat_normalize(rep)))
-    labels = np.full(len(pred), -1, dtype=int)
-    if not stage1:
-        return ClusterResult([], [], labels, warning="no stage-1 clusters survived",
+    members = ms1.members
+    if not members:
+        return ClusterResult([], [], ms1.labels, warning="no stage-1 clusters survived",
                              converged=ms1.converged)
+    reps = quat_normalize_batch([
+        pred.quats[idx[int(np.argmin(np.linalg.norm(feats[idx] - mode, axis=1)))]]
+        for idx, mode in zip(members, ms1.modes)])
+    stage1 = [Stage1Cluster(indices=idx, centroid=pred.centroids[idx].mean(axis=0),
+                            rep_quat=rep) for idx, rep in zip(members, reps)]
 
-    centroids = np.stack([c.centroid for c in stage1])
-    ms2 = mean_shift(centroids, params.bandwidth_2, min_points=1,
-                     max_iters=params.max_iters, tol=params.convergence_tol)
+    ms2 = mean_shift(np.stack([c.centroid for c in stage1]), params.bandwidth_2,
+                     min_points=1, max_iters=params.max_iters, tol=params.convergence_tol)
+    # ms2 labels every stage-1 cluster; a point discarded in stage 1 stays -1
+    kept, labels = _drop_small(np.append(ms2.labels, -1)[ms1.labels],
+                               ms2.modes.shape[0], params.min_points_2)
+    merged = [ids for ids, keep in zip(ms2.members, kept) if keep]
+    poses = [pose_vote([stage1[i] for i in ids], pred.quats[labels == k], group, mask, model)
+             for k, ids in enumerate(merged)]
 
-    instances = []
-    for cluster_ids in ms2.members:
-        merged = [stage1[i] for i in cluster_ids]
-        total = sum(c.indices.shape[0] for c in merged)
-        if total < params.min_points_2:
-            continue
-        member_idx = np.sort(np.concatenate([c.indices for c in merged]))
-        pose = pose_vote(merged, pred.quats[member_idx], group, mask, model)
-        labels[member_idx] = len(instances)
-        instances.append(InstancePrediction(pose=pose, indices=member_idx))
-
-    warning = None if instances else "no clusters survive the point thresholds"
-    return ClusterResult(stage1, instances, labels, warning,
+    warning = None if poses else "no clusters survive the point thresholds"
+    return ClusterResult(stage1, poses, labels, warning,
                          converged=ms1.converged and ms2.converged)
 
 
@@ -365,21 +365,17 @@ def single_stage_pipeline(pred: PerPointPrediction, params: ClusterParams) -> Cl
         return ClusterResult([], [], np.empty(0, dtype=int), warning="no input points")
     ms = mean_shift(pred.centroids, params.bandwidth_1, params.min_points_1,
                     params.max_iters, params.convergence_tol)
-    labels = np.full(len(pred), -1, dtype=int)
     stage1 = []
-    instances = []
-    for c, idx in enumerate(ms.members):
+    for idx in ms.members:
         quats = quat_normalize_batch(pred.quats[idx])
         mean_q = quats.mean(axis=0)
         if np.linalg.norm(mean_q) < 1e-9:
             mean_q = quats[0]
-        rep = quat_normalize(mean_q)
-        centroid = pred.centroids[idx].mean(axis=0)
-        stage1.append(Stage1Cluster(indices=idx, centroid=centroid, rep_quat=rep))
-        labels[idx] = len(instances)
-        instances.append(InstancePrediction(pose=Pose(rep, centroid), indices=idx))
-    warning = None if instances else "no clusters survive the point thresholds"
-    return ClusterResult(stage1, instances, labels, warning, converged=ms.converged)
+        stage1.append(Stage1Cluster(indices=idx, centroid=pred.centroids[idx].mean(axis=0),
+                                    rep_quat=quat_normalize(mean_q)))
+    poses = [Pose(c.rep_quat, c.centroid) for c in stage1]
+    warning = None if poses else "no clusters survive the point thresholds"
+    return ClusterResult(stage1, poses, ms.labels, warning, converged=ms.converged)
 
 
 def cluster_predictions(pred: PerPointPrediction, params: ClusterParams,

@@ -302,19 +302,6 @@ def _section(section: str, d) -> dict:
     return d
 
 
-def _check_finite(key: str, value) -> None:
-    """Reject a NaN or infinite number anywhere in config value ``value``,
-    which json.load accepts, naming its key."""
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _check_finite(f"{key}.{k}" if key else k, v)
-    elif isinstance(value, list):
-        for v in value:
-            _check_finite(key, v)
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"config key {key}: {value} is not finite")
-
-
 def _check_keys(section: str, d: dict, known) -> None:
     """Reject keys of config section ``d`` outside ``known``; the error
     names each one as section.key ("" is the top level)."""
@@ -324,18 +311,39 @@ def _check_keys(section: str, d: dict, known) -> None:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
 
 
+# a default's type -> the JSON values its key takes, and their name
+_JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int, float), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _convert(default, value):
+    """JSON ``value`` as the type of ``default``, which it must have, as
+    bool(), int() and str() turn many a wrong value into a right one: a
+    number key takes no boolean, an int key only an integral number, a
+    tuple key a list of the default's length whose elements follow the
+    same rule, and no key a NaN or infinity (which json.load accepts)."""
+    if isinstance(default, tuple):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise TypeError(f"expected a list of {len(default)} values, got {json.dumps(value)}")
+        return tuple(_convert(d, v) for d, v in zip(default, value))
+    if isinstance(value, float) and not math.isfinite(value):
+        raise TypeError(f"{value} is not finite")
+    accepted, name = _JSON_TYPES[type(default)]
+    if (not isinstance(value, accepted) or isinstance(value, bool) != isinstance(default, bool)
+            or (type(default) is int and value != int(value))):
+        raise TypeError(f"expected {name}, got {json.dumps(value)}")
+    return type(default)(value)
+
+
 def _coerce(section: str, d: dict, defaults: dict) -> dict:
-    """Config section ``d`` with each value converted to the type of its
-    key's default; a string key takes only a JSON string, as str() would
-    turn any value into one."""
+    """Config section ``d`` with each value converted by ``_convert`` to
+    the type of its key's default."""
     _check_keys(section, d, defaults)
     out = {}
     for key, value in d.items():
         try:
-            if isinstance(defaults[key], str) and not isinstance(value, str):
-                raise TypeError(f"expected a string, got {json.dumps(value)}")
-            out[key] = type(defaults[key])(value)
-        except (TypeError, ValueError) as e:
+            out[key] = _convert(defaults[key], value)
+        except (TypeError, OverflowError) as e:
             raise ValueError(f"config key {section}.{key}: {e}") from None
     return out
 
@@ -362,13 +370,13 @@ def load_config(path) -> Config:
     """Parse and validate the JSON config; referenced files must exist.
 
     Every section but ``object`` is read into the dataclass of the
-    matching Config field. An unknown key, a non-finite number or a
-    section that is not a JSON object anywhere raises ValueError.
+    matching Config field. An unknown key, a value of the wrong JSON type
+    or a non-finite one, or a section that is not a JSON object anywhere
+    raises ValueError.
     """
     with open(path) as f:
         raw = json.load(f)
     _check_keys("", raw, ["object", *_SECTIONS])
-    _check_finite("", raw)
     obj = raw.get("object", {})
     _check_keys("object", obj, ("model_path", "name", "builtin", "symmetry"))
     names = _coerce("object", {k: obj[k] for k in ("model_path", "name") if k in obj},

@@ -9,10 +9,12 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cluster import ClusterResult, PerPointPrediction, cluster_predictions
-from .fileio import (Config, load_ply, load_scene_json, save_labels, save_ply,
-                     save_poses_json, save_predictions_csv, save_report_json,
-                     save_scene_json, write_json)
+from .fileio import (SCHEMA_VERSION, Config, load_ply, load_scene_json, save_labels,
+                     save_ply, save_poses_json, save_predictions_csv,
+                     save_report_json, save_scene_json, write_json)
 from .icp import icp_refine
 from .metrics import EvalReport, evaluate, f1_inst
 from .so3 import Pose
@@ -85,7 +87,7 @@ def estimate_poses(config: Config, pred: PerPointPrediction, single_stage: bool 
         clusters = cluster_predictions(pred_norm, config.cluster, model.group,
                                        model.mask, model.points,
                                        single_stage=single_stage)
-        poses = [denormalize_pose(inst.pose, transform) for inst in clusters.instances]
+        poses = [denormalize_pose(pose, transform) for pose in clusters.poses]
     if clusters.warning:
         warnings.warn(clusters.warning, StageWarning, stacklevel=2)
     if not clusters.converged:
@@ -137,8 +139,8 @@ def read_scene(out_dir: str) -> Scene:
 
 
 def write_poses(out_dir: str, clusters: ClusterResult, poses: list[Pose]) -> None:
-    save_poses_json(os.path.join(out_dir, "poses.json"), poses,
-                    [int(inst.indices.shape[0]) for inst in clusters.instances])
+    counts = np.bincount(clusters.labels[clusters.labels >= 0], minlength=len(poses))
+    save_poses_json(os.path.join(out_dir, "poses.json"), poses, counts.tolist())
     save_labels(os.path.join(out_dir, "labels.txt"), clusters.labels)
 
 
@@ -204,5 +206,5 @@ def run_pipeline(config: Config, seed: int, out_dir: str | None = None,
         ]
         if out_dir is not None:
             write_json(os.path.join(out_dir, "report.json"),
-                       dict(payload, schema_version=1))
+                       dict(payload, schema_version=SCHEMA_VERSION))
     return payload

@@ -410,23 +410,16 @@ def kernel_model(model, mask) -> KernelModel:
 
 @functools.lru_cache(maxsize=16)
 def _kernel_model(model_bytes: bytes, mask_bytes: bytes) -> KernelModel:
-    mask = np.frombuffer(mask_bytes)
-    masked = np.frombuffer(model_bytes).reshape(-1, 3) * mask
+    masked = np.frombuffer(model_bytes).reshape(-1, 3) * np.frombuffer(mask_bytes)
     size = masked.shape[0]
     if size == 0:
         raise ValueError("model point cloud is empty")
     counts = inverse = None
-    kept = np.flatnonzero(mask)
-    # a mask keeping at most one axis puts every masked point on that axis
-    # (on the origin when it keeps none), so the points that coincide are the
-    # equal values of one column; np.unique(axis=0) would cost ~1 ms per model
-    if kept.size <= 1 and not masked[:, mask == 0].any():
-        column = masked[:, kept[0]] if kept.size else np.zeros(size)
-        values, idx, cnt = np.unique(column, return_inverse=True, return_counts=True)
-        if values.size < size:
-            masked = np.zeros((values.size, 3))
-            masked[:, kept] = values[:, None]
-            counts, inverse = cnt.astype(float), idx
+    # + 0.0 scrubs the negative zeros masking leaves
+    distinct, idx, cnt = np.unique(masked + 0.0, axis=0, return_inverse=True,
+                                   return_counts=True)
+    if distinct.shape[0] < size:
+        masked, counts, inverse = distinct, cnt.astype(float), idx
     outer = np.einsum("ki,kj->kij", masked, masked).reshape(-1, 9)
     m2 = outer.mean(axis=0) if counts is None else counts @ outer / size
     for a in (masked, outer, counts, inverse, m2):

@@ -46,6 +46,8 @@ class ObjectModel:
         pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
         if pts.shape[0] == 0:
             raise ValueError("object model cloud is empty")
+        if not np.isfinite(pts).all():
+            raise ValueError(f"object model {self.name!r} has non-finite points")
         pts = pts - pts.mean(axis=0)
         if np.abs(pts.mean(axis=0)).max() > 1e-6:
             raise ValueError("model centroid could not be zeroed")
@@ -200,7 +202,6 @@ def generate_scene(model: ObjectModel, params: SceneGenParams,
     centers: list[np.ndarray] = []
     rotations: list[np.ndarray] = []
     for _ in range(requested):
-        placed = False
         for _attempt in range(params.max_attempts):
             R = _euler_rotation(rng)
             x = rng.uniform(-ex / 2.0, ex / 2.0)
@@ -213,10 +214,7 @@ def generate_scene(model: ObjectModel, params: SceneGenParams,
             if z + r <= ez:
                 centers.append(np.array([x, y, z]))
                 rotations.append(R)
-                placed = True
                 break
-        if not placed:
-            continue
     if not centers:
         raise SceneGenerationError("no instance could be placed in the bin")
 

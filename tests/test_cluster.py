@@ -393,6 +393,39 @@ def test_final_instances_disjoint_and_labeled():
     assert not (set(unassigned.tolist()) & seen)
 
 
+@pytest.mark.parametrize("single_stage", [False, True])
+def test_cluster_views_derive_from_labels(single_stage):
+    model = ObjectModel("box", box_cloud((40, 120, 160), 10), TWOFOLD)
+    scene = generate_scene(model, SceneGenParams((3, 4), (700, 700, 500)), seed=0)
+    res, _ = run_pipeline_on_scene(model, scene, OracleParams(4.0, 8.0, True, 0.1),
+                                   ClusterParams(), seed=0, single_stage=single_stage)
+    n_points, labels = scene.points.shape[0], res.labels
+    labeled = int(((labels >= 0) & (labels < len(res.poses))).sum())
+    discarded = int((labels == -1).sum())
+    assert labels.shape == (n_points,) and labeled + discarded == n_points
+    assert labeled and discarded   # the outliers are discarded
+    instances = res.instances
+    assert isinstance(instances, tuple) and len(instances) == len(res.poses)
+    for i, (inst, pose) in enumerate(zip(instances, res.poses)):
+        assert inst.pose is pose
+        assert np.array_equal(inst.indices, np.nonzero(labels == i)[0])
+    with pytest.raises(AttributeError):
+        res.instances = ()
+    with pytest.raises(AttributeError):
+        instances[0].indices = np.arange(3)
+    instances[0].indices[:] = -1   # a fresh copy: labels and later views keep theirs
+    assert np.array_equal(res.instances[0].indices, np.nonzero(labels == 0)[0])
+
+
+def test_mean_shift_members_derive_from_labels():
+    res = mean_shift(np.array([0.0, 0.05, 0.1, 5.0, 5.1, 9.0]), bandwidth=0.5, min_points=2)
+    assert res.labels.tolist() == [0, 0, 0, 1, 1, -1]
+    assert isinstance(res.members, tuple)
+    assert [m.tolist() for m in res.members] == [[0, 1, 2], [3, 4]]
+    with pytest.raises(AttributeError):
+        res.members = ()
+
+
 def test_pipeline_permutation_invariance():
     model = ObjectModel("box", box_cloud((40, 120, 160), 10), TWOFOLD)
     scene = generate_scene(model, SceneGenParams((3, 4), (700, 700, 500)), seed=3)
@@ -451,7 +484,7 @@ def test_cluster_params_validation():
 def test_empty_prediction_gives_warning():
     empty = PerPointPrediction(np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 4)))
     res = two_stage_pipeline(empty, ClusterParams(), *_identity_symmetry())
-    assert res.instances == []
+    assert res.instances == () and res.poses == []
     assert res.warning is not None
 
 

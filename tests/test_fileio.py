@@ -199,6 +199,18 @@ def test_config_rejects_two_model_sources(tmp_path, capsys):
     assert "[synth]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_config_rejects_a_non_finite_model(tmp_path, capsys, bad):
+    from binpose.cli import main
+
+    save_ply(tmp_path / "model.ply", np.array([[0.0, 0.0, -10.0], [0.0, bad, 10.0]]))
+    path = make_config(tmp_path, object={"model_path": "model.ply"})
+    with pytest.raises(ValueError, match="object model 'model.ply' has non-finite points"):
+        load_config(path)
+    assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "[synth] object model 'model.ply' has non-finite points" in capsys.readouterr().err
+
+
 def test_config_object_name_names_every_model(tmp_path):
     save_ply(tmp_path / "model.ply", np.array([[0.0, 0.0, -10.0], [0.0, 0.0, 10.0]]))
     for obj, name in [({"builtin": {"kind": "cylinder"}}, "cylinder"),
@@ -227,6 +239,44 @@ def test_config_string_of_wrong_type_names_its_key(tmp_path, capsys, obj, key):
         load_config(path)
     assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, key, expected", [
+    ({"object": dict(BOX, symmetry={"dz_deg": True})}, "object.symmetry.dz_deg", "a number"),
+    ({"oracle": {"symmetric_ambiguity": "false"}}, "oracle.symmetric_ambiguity", "a boolean"),
+    ({"oracle": {"symmetric_ambiguity": 1}}, "oracle.symmetric_ambiguity", "a boolean"),
+    ({"cluster": {"min_points_1": 20.7}}, "cluster.min_points_1", "an integer"),
+    ({"object": {"builtin": {"kind": "sphere", "n_points": 100.9}}},
+     "object.builtin.n_points", "an integer"),
+    ({"synth": {"instance_range": "35"}}, "synth.instance_range", "a list of 2 values"),
+    ({"synth": {"instance_range": [3, 4.5]}}, "synth.instance_range", "an integer"),
+    ({"synth": {"bin_extents": [700, 700]}}, "synth.bin_extents", "a list of 3 values"),
+    ({"cluster": {"bandwidth_1": True}}, "cluster.bandwidth_1", "a number"),
+    ({"cluster": {"bandwidth_1": "5.0"}}, "cluster.bandwidth_1", "a number"),
+    ({"cluster": {"bandwidth_1": 10 ** 400}}, "cluster.bandwidth_1", "too large"),
+], ids=["bool-as-float", "string-as-bool", "int-as-bool", "fraction-as-int",
+        "fraction-as-builtin-int", "string-as-tuple", "tuple-element", "tuple-length",
+        "bool-as-bandwidth", "string-as-float", "int-overflows-float"])
+def test_config_value_of_wrong_json_type_names_its_key(tmp_path, capsys, overrides, key,
+                                                       expected):
+    from binpose.cli import main
+
+    path = make_config(tmp_path, **overrides)
+    with pytest.raises(ValueError, match=f"config key {key}: .*{expected}"):
+        load_config(path)
+    assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_integral_numbers_load_as_their_keys_type(tmp_path):
+    cfg = load_config(make_config(tmp_path, synth={"instance_range": [3, 5.0],
+                                                   "bin_extents": [700, 700, 500]},
+                                  cluster={"min_points_1": 20.0}))
+    assert cfg.synth.instance_range == (3, 5) and cfg.cluster.min_points_1 == 20
+    assert all(type(v) is float for v in cfg.synth.bin_extents)
+    assert type(cfg.model.symmetry.dz_deg) is float
+    assert all(type(v) is int for v in (*cfg.synth.instance_range, cfg.cluster.min_points_1))
 
 
 PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"

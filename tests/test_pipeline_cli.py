@@ -7,8 +7,8 @@ import pytest
 
 from binpose.cli import main as cli_main
 from binpose.cluster import PerPointPrediction
-from binpose.fileio import (load_config, load_labels, load_ply, load_predictions_csv,
-                            save_predictions_csv)
+from binpose.fileio import (load_config, load_labels, load_ply, load_poses_json,
+                            load_predictions_csv, save_predictions_csv)
 from binpose.losses import GRADCHECK_STEP
 from binpose.pipeline import (StageWarning, estimate_poses, read_scene, run_pipeline,
                               run_scene, write_scene)
@@ -65,6 +65,16 @@ def test_pipeline_reports_are_bit_identical(tmp_path):
     for name in ("report.json", "labels.txt", "poses.json", "scene.ply",
                  "scene.json", "predictions.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("single_stage", [False, True])
+def test_poses_json_member_counts_are_label_counts(tmp_path, single_stage):
+    cfg = load_config(write_config(tmp_path, NOISY_CONFIG))
+    run_pipeline(cfg, seed=1, out_dir=str(tmp_path / "out"), single_stage=single_stage)
+    _, counts = load_poses_json(tmp_path / "out" / "poses.json")
+    labels = load_labels(tmp_path / "out" / "labels.txt")
+    assert counts == np.bincount(labels[labels >= 0], minlength=len(counts)).tolist()
+    assert counts and labels.min() >= -1 and labels.max() < len(counts)
 
 
 def test_pipeline_multi_scene_aggregation(tmp_path):
