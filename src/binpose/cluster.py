@@ -85,14 +85,11 @@ class MeanShiftResult:
     def members(self) -> tuple[np.ndarray, ...]:
         """Each cluster's sorted point indices, derived from ``labels``
         on every access."""
-        return tuple(np.nonzero(self.labels == c)[0] for c in range(self.modes.shape[0]))
+        return tuple(np.nonzero(self.labels == c)[0] for c in range(len(self)))
 
-
-@dataclass
-class Stage1Cluster:
-    indices: np.ndarray
-    centroid: np.ndarray               # mean predicted centroid of members (3,)
-    rep_quat: np.ndarray               # member quat nearest the converged mode
+    def __len__(self) -> int:
+        """The number of clusters."""
+        return self.modes.shape[0]
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ class InstancePrediction:
 
 @dataclass
 class ClusterResult:
-    stage1: list[Stage1Cluster]
+    stage1: MeanShiftResult            # stage-1 clusters (single-stage: the only ones)
     poses: list[Pose]                  # one per instance
     labels: np.ndarray                 # (M,) index into poses per point, -1 unassigned
     warning: str | None = None
@@ -230,8 +227,7 @@ def mean_shift(features, bandwidth: float, min_points: int = 1,
         X = X[:, None]
     n = X.shape[0]
     if n == 0:
-        return MeanShiftResult(np.empty((0, X.shape[1] if X.ndim > 1 else 1)),
-                               np.empty(0, dtype=int))
+        return MeanShiftResult(np.empty((0, X.shape[1])), np.empty(0, dtype=int))
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
     if not np.isfinite(X).all():
@@ -290,9 +286,11 @@ def stage1_features(pred: PerPointPrediction, quat_scale: float) -> np.ndarray:
                           axis=1)
 
 
-def pose_vote(merged: list[Stage1Cluster], member_quats: np.ndarray,
-              group: SymmetryGroup, mask, model) -> Pose:
-    """One pose for a final instance built from its merged stage-1 clusters.
+def pose_vote(counts: np.ndarray, centroids: np.ndarray, reps: np.ndarray,
+              member_quats: np.ndarray, group: SymmetryGroup, mask, model) -> Pose:
+    """One pose for a final instance built from its merged stage-1 clusters,
+    given as their member counts (n,), mean predicted centroids (n,3) and
+    representative quaternions (n,4).
 
     Translation: member-count-weighted mean of the stage-1 cluster
     centroids. Rotation: the stage-1 representative quaternion with the
@@ -300,22 +298,18 @@ def pose_vote(merged: list[Stage1Cluster], member_quats: np.ndarray,
     point's quaternion (a medoid, so blends of symmetric equivalents
     cannot be produced). Ties break toward the first representative.
     """
-    counts = np.array([c.indices.shape[0] for c in merged], dtype=float)
-    centroids = np.stack([c.centroid for c in merged])
     translation = (centroids * counts[:, None]).sum(axis=0) / counts.sum()
-
-    reps = np.stack([c.rep_quat for c in merged])
     costs = [row.sum() for row in rotation_distances_to_set(reps, member_quats, model,
                                                              group, mask)]
-    return Pose(merged[int(np.argmin(costs))].rep_quat, translation)
+    return Pose(reps[int(np.argmin(costs))], translation)
 
 
 def two_stage_pipeline(pred: PerPointPrediction, params: ClusterParams,
                        group: SymmetryGroup, mask, model) -> ClusterResult:
     """Instance segmentation + pose estimation via two clustering stages.
 
-    Stage 1: mean shift over the joint features; each cluster records
-    its member indices, mean predicted centroid and a representative
+    Stage 1: mean shift over the joint features; each cluster gives
+    its member count, mean predicted centroid and a representative
     quaternion (the member nearest the converged mode). Stage 2: mean
     shift over the stage-1 mean centroids with the tighter bandwidth;
     a point's instance is the stage-2 cluster of its stage-1 cluster, and
@@ -323,32 +317,30 @@ def two_stage_pipeline(pred: PerPointPrediction, params: ClusterParams,
     thin symmetric splits still merge. Pose voting produces one pose per
     surviving stage-2 cluster.
     """
-    if len(pred) == 0:
-        return ClusterResult([], [], np.empty(0, dtype=int), warning="no input points")
     feats = stage1_features(pred, params.quat_scale)
     ms1 = mean_shift(feats, params.bandwidth_1, params.min_points_1,
                      params.max_iters, params.convergence_tol)
-    members = ms1.members
-    if not members:
-        return ClusterResult([], [], ms1.labels, warning="no stage-1 clusters survived",
+    if not len(ms1):
+        return ClusterResult(ms1, [], ms1.labels, warning="no stage-1 clusters survived",
                              converged=ms1.converged)
+    members = ms1.members
+    counts = np.bincount(ms1.labels[ms1.labels >= 0], minlength=len(ms1))
+    centroids = np.stack([pred.centroids[idx].mean(axis=0) for idx in members])
     reps = quat_normalize_batch([
         pred.quats[idx[int(np.argmin(np.linalg.norm(feats[idx] - mode, axis=1)))]]
         for idx, mode in zip(members, ms1.modes)])
-    stage1 = [Stage1Cluster(indices=idx, centroid=pred.centroids[idx].mean(axis=0),
-                            rep_quat=rep) for idx, rep in zip(members, reps)]
 
-    ms2 = mean_shift(np.stack([c.centroid for c in stage1]), params.bandwidth_2,
-                     min_points=1, max_iters=params.max_iters, tol=params.convergence_tol)
+    ms2 = mean_shift(centroids, params.bandwidth_2, min_points=1,
+                     max_iters=params.max_iters, tol=params.convergence_tol)
     # ms2 labels every stage-1 cluster; a point discarded in stage 1 stays -1
-    kept, labels = _drop_small(np.append(ms2.labels, -1)[ms1.labels],
-                               ms2.modes.shape[0], params.min_points_2)
+    kept, labels = _drop_small(np.append(ms2.labels, -1)[ms1.labels], len(ms2),
+                               params.min_points_2)
     merged = [ids for ids, keep in zip(ms2.members, kept) if keep]
-    poses = [pose_vote([stage1[i] for i in ids], pred.quats[labels == k], group, mask, model)
-             for k, ids in enumerate(merged)]
+    poses = [pose_vote(counts[ids], centroids[ids], reps[ids], pred.quats[labels == k],
+                       group, mask, model) for k, ids in enumerate(merged)]
 
     warning = None if poses else "no clusters survive the point thresholds"
-    return ClusterResult(stage1, poses, labels, warning,
+    return ClusterResult(ms1, poses, labels, warning,
                          converged=ms1.converged and ms2.converged)
 
 
@@ -361,21 +353,17 @@ def single_stage_pipeline(pred: PerPointPrediction, params: ClusterParams) -> Cl
     intersecting-instance predictions the average is unlike any member,
     which is exactly the failure the two-stage pipeline avoids.
     """
-    if len(pred) == 0:
-        return ClusterResult([], [], np.empty(0, dtype=int), warning="no input points")
     ms = mean_shift(pred.centroids, params.bandwidth_1, params.min_points_1,
                     params.max_iters, params.convergence_tol)
-    stage1 = []
+    poses = []
     for idx in ms.members:
         quats = quat_normalize_batch(pred.quats[idx])
         mean_q = quats.mean(axis=0)
         if np.linalg.norm(mean_q) < 1e-9:
             mean_q = quats[0]
-        stage1.append(Stage1Cluster(indices=idx, centroid=pred.centroids[idx].mean(axis=0),
-                                    rep_quat=quat_normalize(mean_q)))
-    poses = [Pose(c.rep_quat, c.centroid) for c in stage1]
+        poses.append(Pose(quat_normalize(mean_q), pred.centroids[idx].mean(axis=0)))
     warning = None if poses else "no clusters survive the point thresholds"
-    return ClusterResult(stage1, poses, ms.labels, warning, converged=ms.converged)
+    return ClusterResult(ms, poses, ms.labels, warning, converged=ms.converged)
 
 
 def cluster_predictions(pred: PerPointPrediction, params: ClusterParams,

@@ -199,8 +199,29 @@ def _pose_to_dict(pose: Pose, member_count: int | None = None) -> dict:
     return d
 
 
-def _pose_from_dict(d: dict) -> Pose:
-    return Pose([d["qw"], d["qx"], d["qy"], d["qz"]], [d["tx"], d["ty"], d["tz"]])
+def _load_poses_payload(path, lists) -> tuple[dict, list[Pose]]:
+    """The JSON object in ``path`` and its ``poses`` list read into
+    Poses. A payload that is not an object holding a list under each key
+    of ``lists``, or a bad pose, raises ValueError naming the file and
+    the key."""
+    with open(path) as f:
+        payload = json.load(f)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {json.dumps(payload)[:60]}")
+    for key in lists:
+        if key not in payload:
+            raise ValueError(f"{path}: missing key {key!r}")
+        if not isinstance(payload[key], list):
+            raise ValueError(f"{path}: key {key!r} must be a list")
+    poses = []
+    for i, d in enumerate(payload["poses"]):
+        try:
+            poses.append(Pose([d["qw"], d["qx"], d["qy"], d["qz"]], [d["tx"], d["ty"], d["tz"]]))
+        except KeyError as e:
+            raise ValueError(f"{path}: poses[{i}] is missing key {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: poses[{i}]: {e}") from None
+    return payload, poses
 
 
 def write_json(path, payload: dict) -> None:
@@ -218,11 +239,8 @@ def save_poses_json(path, poses: list[Pose], member_counts=None) -> None:
 
 
 def load_poses_json(path) -> tuple[list[Pose], list[int | None]]:
-    with open(path) as f:
-        payload = json.load(f)
-    poses = [_pose_from_dict(d) for d in payload["poses"]]
-    counts = [d.get("member_count") for d in payload["poses"]]
-    return poses, counts
+    payload, poses = _load_poses_payload(path, ("poses",))
+    return poses, [d.get("member_count") for d in payload["poses"]]
 
 
 def save_labels(path, labels) -> None:
@@ -246,10 +264,8 @@ def save_scene_json(path, poses: list[Pose], visible_counts, seed) -> None:
 
 
 def load_scene_json(path) -> dict:
-    with open(path) as f:
-        payload = json.load(f)
-    payload["poses"] = [_pose_from_dict(d) for d in payload["poses"]]
-    return payload
+    payload, poses = _load_poses_payload(path, ("poses", "n_visible"))
+    return dict(payload, poses=poses)
 
 
 def save_report_json(path, report: EvalReport, extra: dict | None = None) -> None:

@@ -213,17 +213,18 @@ def rotation_loss_grad(instances: Sequence[LossInstance]) -> list[np.ndarray]:
 # finite-difference verification
 
 
-# loss selector -> (loss, centroid gradient, quaternion gradient); None is a
-# zero gradient. Lambdas look the functions up at call time, so wrappers
-# installed on this module's attributes see every call.
+# loss selector -> (loss, {prediction array: gradient}); the loss does not
+# read the arrays left out, so their gradient is exactly zero. Lambdas look
+# the functions up at call time, so wrappers installed on this module's
+# attributes see every call.
 _SELECTORS = {
-    "rotation": (lambda ins: rotation_loss(ins), None,
-                 lambda ins: rotation_loss_grad(ins)),
+    "rotation": (lambda ins: rotation_loss(ins),
+                 {"pred_quats": lambda ins: rotation_loss_grad(ins)}),
     "translation": (lambda ins: translation_loss(ins),
-                    lambda ins: translation_loss_grad(ins), None),
+                    {"pred_centroids": lambda ins: translation_loss_grad(ins)}),
     "total": (lambda ins: total_loss(ins, LossWeights(1.0, 1.0)),
-              lambda ins: translation_loss_grad(ins),
-              lambda ins: rotation_loss_grad(ins)),
+              {"pred_centroids": lambda ins: translation_loss_grad(ins),
+               "pred_quats": lambda ins: rotation_loss_grad(ins)}),
 }
 
 
@@ -233,11 +234,11 @@ def _selector(loss: str):
     return _SELECTORS[loss]
 
 
-def _central_differences(fn, instances: Sequence[LossInstance],
-                         epsilon: float) -> np.ndarray:
-    """Central-difference gradient of ``fn`` over every predicted
-    centroid component and then every raw quaternion component, instance
-    by instance.
+def _central_differences(fn, instances: Sequence[LossInstance], epsilon: float,
+                         fields: Sequence[str]) -> np.ndarray:
+    """Central-difference gradient of ``fn`` over every component of each
+    prediction array named in ``fields``, in that order, instance by
+    instance.
 
     Every selectable loss is a mean over instances, so a component of one
     instance moves ``fn`` by what it moves ``fn([instance]) / n``; only
@@ -246,10 +247,9 @@ def _central_differences(fn, instances: Sequence[LossInstance],
         raise ValueError(f"finite-difference step must be finite and positive, got {epsilon}")
     out = []
     for inst in instances:
-        inst = replace(inst, pred_centroids=inst.pred_centroids.copy(),
-                       pred_quats=inst.pred_quats.copy())
-        for arr in (inst.pred_centroids, inst.pred_quats):
-            flat = arr.reshape(-1)
+        inst = replace(inst, **{f: getattr(inst, f).copy() for f in fields})
+        for f in fields:
+            flat = getattr(inst, f).reshape(-1)
             for idx in range(flat.shape[0]):
                 orig = flat[idx]
                 flat[idx] = orig + epsilon
@@ -266,8 +266,9 @@ def gradcheck(loss: str, instances: Sequence[LossInstance],
     """Compare analytic and central finite-difference gradients.
 
     ``loss`` is 'rotation', 'translation' or 'total' (unit weights). The
-    parameter vector is every predicted centroid component and every raw
-    quaternion component. Returns the max-norm relative error
+    parameter vector is every component of the prediction arrays the
+    loss reads: predicted centroids, raw quaternions or both (the others'
+    gradient is exactly zero). Returns the max-norm relative error
     ||g_a - g_n||_inf / max(||g_a||_inf, ||g_n||_inf, 1e-12).
 
     Raises TieAtMinimumError when the rotation loss sits at a symmetry
@@ -275,14 +276,10 @@ def gradcheck(loss: str, instances: Sequence[LossInstance],
     ValueError when ``epsilon`` is not finite and positive or the error
     is not finite.
     """
-    fn, cent_grad, quat_grad = _selector(loss)
-    g_cent = (cent_grad(instances) if cent_grad
-              else [np.zeros_like(i.pred_centroids) for i in instances])
-    g_quat = (quat_grad(instances) if quat_grad
-              else [np.zeros_like(i.pred_quats) for i in instances])
-    analytic = np.concatenate([np.concatenate([c.ravel(), q.ravel()])
-                               for c, q in zip(g_cent, g_quat)])
-    numeric = _central_differences(fn, instances, epsilon)
+    fn, grads = _selector(loss)
+    per_field = [grad(instances) for grad in grads.values()]
+    analytic = np.concatenate([g.ravel() for per_inst in zip(*per_field) for g in per_inst])
+    numeric = _central_differences(fn, instances, epsilon, tuple(grads))
     scale = max(np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-12)
     err = float(np.abs(analytic - numeric).max() / scale)
     if not math.isfinite(err):
@@ -343,5 +340,6 @@ def numeric_gradient_norm(loss: str, instances: Sequence[LossInstance],
                           epsilon: float = GRADCHECK_STEP) -> float:
     """Max-norm of the central-difference gradient alone (no analytic
     side); useful at non-differentiable stationary points."""
-    fn = _selector(loss)[0]
-    return float(np.abs(_central_differences(fn, instances, epsilon)).max(initial=0.0))
+    fn, grads = _selector(loss)
+    return float(np.abs(_central_differences(fn, instances, epsilon,
+                                              tuple(grads))).max(initial=0.0))

@@ -144,7 +144,11 @@ def pointwise_recall(matches: list[MatchRow], n_gt: int, n_model_points: int,
 
 def evaluate(pred_poses: list[Pose], gt_poses: list[Pose], visible_counts,
              model, group: SymmetryGroup, mask, config: EvalConfig) -> EvalReport:
-    """Full scene evaluation: visibility filter, matching, F1 and recall."""
+    """Full scene evaluation: visibility filter, matching, F1 and recall.
+    ``visible_counts`` holds one count per ground-truth pose."""
+    if len(visible_counts) != len(gt_poses):
+        raise ValueError(f"{len(visible_counts)} visible counts for {len(gt_poses)} "
+                         "ground-truth poses")
     n_gt, keep = count_visible_gt(visible_counts, config.visibility_threshold)
     visible = [gt_poses[i] for i in keep]
     matches, tp = match_predictions(pred_poses, visible, model, group, mask,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from binpose.cluster import (ClusterParams, PerPointPrediction,
+from binpose.cluster import (ClusterParams, MeanShiftResult, PerPointPrediction,
                              cluster_predictions, mean_shift, pose_vote,
                              stage1_features, two_stage_pipeline)
 from binpose.so3 import (SymmetryDescriptor, matrix_to_quat, quat_normalize,
@@ -280,20 +280,18 @@ def test_crossing_rods_two_stage_vs_translation_only():
 
 
 def test_pose_vote_unanimous_quaternion():
-    from binpose.cluster import Stage1Cluster
     q = quat_normalize([0.3, 0.2, 0.8, -0.1])
-    clusters = [Stage1Cluster(np.arange(10), np.array([1.0, 2.0, 3.0]), q)]
     model = box_cloud((20, 30, 40), 10)
     desc = TWOFOLD
     from binpose.so3 import build_axis_mask, build_symmetry_group
-    pose = pose_vote(clusters, np.tile(q, (10, 1)), build_symmetry_group(desc),
-                     build_axis_mask(desc), model)
+    pose = pose_vote(np.array([10]), np.array([[1.0, 2.0, 3.0]]), q[None, :],
+                     np.tile(q, (10, 1)), build_symmetry_group(desc), build_axis_mask(desc),
+                     model)
     assert np.array_equal(pose.quat, q)
     assert np.allclose(pose.t, [1.0, 2.0, 3.0], atol=0)
 
 
 def test_pose_vote_never_blends_equivalents():
-    from binpose.cluster import Stage1Cluster
     from binpose.so3 import build_axis_mask, build_symmetry_group, Pose
     desc = TWOFOLD
     group, mask = build_symmetry_group(desc), build_axis_mask(desc)
@@ -302,9 +300,8 @@ def test_pose_vote_never_blends_equivalents():
     q = random_quat(rng)
     q_flip = matrix_to_quat(quat_to_matrix(q) @ group.matrices[1])
     members = np.concatenate([np.tile(q, (8, 1)), np.tile(q_flip, (8, 1))])
-    clusters = [Stage1Cluster(np.arange(8), np.zeros(3), q),
-                Stage1Cluster(np.arange(8, 16), np.zeros(3), q_flip)]
-    pose = pose_vote(clusters, members, group, mask, model)
+    pose = pose_vote(np.array([8, 8]), np.zeros((2, 3)), np.stack([q, q_flip]), members,
+                     group, mask, model)
     # voted rotation is one of the equivalents, never a blend
     assert (np.array_equal(pose.quat, q) or np.array_equal(pose.quat, q_flip))
     gt = Pose(q, np.zeros(3))
@@ -313,12 +310,10 @@ def test_pose_vote_never_blends_equivalents():
 
 
 def test_pose_vote_count_weighted_translation():
-    from binpose.cluster import Stage1Cluster
     from binpose.so3 import SymmetryGroup
     q = quat_normalize([1.0, 0, 0, 0])
-    clusters = [Stage1Cluster(np.arange(30), np.array([0.0, 0.0, 0.0]), q),
-                Stage1Cluster(np.arange(30, 40), np.array([4.0, 0.0, 0.0]), q)]
-    pose = pose_vote(clusters, np.tile(q, (40, 1)), SymmetryGroup.identity(),
+    pose = pose_vote(np.array([30, 10]), np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]]),
+                     np.stack([q, q]), np.tile(q, (40, 1)), SymmetryGroup.identity(),
                      np.ones(3), box_cloud((10, 10, 10), 5))
     assert np.allclose(pose.t, [1.0, 0.0, 0.0], atol=1e-12)
 
@@ -415,6 +410,26 @@ def test_cluster_views_derive_from_labels(single_stage):
         instances[0].indices = np.arange(3)
     instances[0].indices[:] = -1   # a fresh copy: labels and later views keep theirs
     assert np.array_equal(res.instances[0].indices, np.nonzero(labels == 0)[0])
+
+
+@pytest.mark.parametrize("single_stage", [False, True])
+def test_cluster_result_keeps_the_stage1_mean_shift(single_stage):
+    model = ObjectModel("box", box_cloud((40, 120, 160), 10), TWOFOLD)
+    scene = generate_scene(model, SceneGenParams((3, 4), (700, 700, 500)), seed=0)
+    res, _ = run_pipeline_on_scene(model, scene, OracleParams(4.0, 8.0, True, 0.1),
+                                   ClusterParams(), seed=0, single_stage=single_stage)
+    stage1 = res.stage1
+    assert isinstance(stage1, MeanShiftResult)
+    assert stage1.labels.shape == (scene.points.shape[0],)
+    assert len(stage1) == stage1.modes.shape[0]
+    assert np.unique(stage1.labels).tolist() == list(range(-1, len(stage1)))
+    # the outliers stage 1 discards stay unassigned
+    assert (res.labels[stage1.labels == -1] == -1).all()
+    # each instance is a union of whole stage-1 clusters
+    for c in range(len(stage1)):
+        assert np.unique(res.labels[stage1.labels == c]).shape == (1,)
+    if single_stage:
+        assert np.array_equal(stage1.labels, res.labels)
 
 
 def test_mean_shift_members_derive_from_labels():

@@ -10,7 +10,7 @@ import pytest
 from dataclasses import replace
 
 from binpose import cluster, metrics
-from binpose.cluster import Stage1Cluster, pose_vote
+from binpose.cluster import pose_vote
 from binpose.losses import _rotation_values, random_instances, rotation_loss_grad
 from binpose.metrics import EvalConfig, evaluate
 from binpose.so3 import (Pose, SymmetryDescriptor, SymmetryGroup, build_axis_mask,
@@ -149,8 +149,10 @@ def _one_candidate_at_a_time(distances):
 
 def _vote_winner(candidates, members, group, mask, model, monkeypatch, distances):
     monkeypatch.setattr(cluster, "rotation_distances_to_set", distances)
-    merged = [Stage1Cluster(np.arange(1), np.zeros(3), quat_normalize(c)) for c in candidates]
-    return pose_vote(merged, members, group, mask, model).quat
+    n = len(candidates)
+    reps = np.stack([quat_normalize(c) for c in candidates])
+    return pose_vote(np.ones(n, dtype=int), np.zeros((n, 3)), reps, members, group, mask,
+                     model).quat
 
 
 def _assert_pruning_matches_reference(group, mask, model, rng, monkeypatch):

@@ -409,3 +409,37 @@ def test_predictions_csv_bad_row_names_its_line(tmp_path, capsys, rows, line):
     assert main(["cluster", "--config", str(make_config(tmp_path)),
                  "--out-dir", str(tmp_path)]) == 2
     assert f"line {line}:" in capsys.readouterr().err
+
+
+POSE = {"qw": 1.0, "qx": 0.0, "qy": 0.0, "qz": 0.0, "tx": 0.0, "ty": 0.0, "tz": 0.0}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"poses": [{"qw": 1.0}]}, "poses[0] is missing key 'qx'"),
+    ({"schema_version": 1}, "missing key 'poses'"),
+    ([1, 2], "expected a JSON object"),
+    ({"poses": {"qw": 1.0}}, "key 'poses' must be a list"),
+    ({"poses": [POSE, 3]}, "poses[1]"),
+    ({"poses": [dict(POSE, tz="far")]}, "poses[0]"),
+])
+def test_bad_poses_json_names_the_file_and_key(tmp_path, payload, message):
+    p = tmp_path / "poses.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as e:
+        load_poses_json(p)
+    assert message in str(e.value) and str(p) in str(e.value)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"seed": 0, "poses": [POSE]}, "missing key 'n_visible'"),
+    ({"seed": 0, "n_visible": [10]}, "missing key 'poses'"),
+    ({"seed": 0, "poses": [POSE], "n_visible": 10}, "key 'n_visible' must be a list"),
+    ({"seed": 0, "poses": [{"qw": 1.0}], "n_visible": [10]}, "poses[0] is missing key 'qx'"),
+    ("scene", "expected a JSON object"),
+])
+def test_bad_scene_json_names_the_file_and_key(tmp_path, payload, message):
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as e:
+        load_scene_json(p)
+    assert message in str(e.value) and str(p) in str(e.value)

@@ -382,12 +382,17 @@ def test_central_differences_match_the_all_instance_form(loss):
     rng = np.random.default_rng(23)
     instances = random_instances(box_cloud((20, 30, 40), 10), group, mask, rng,
                                  n_instances=3, n_points=4)
-    fn = losses._selector(loss)[0]
+    fn, grads = losses._selector(loss)
     # the forms differ only by rounding, about eps * loss / step in the
     # all-instance form, so a step of 1e-4 keeps it well under the bound
-    got = losses._central_differences(fn, instances, 1e-4)
+    got = losses._central_differences(fn, instances, 1e-4, tuple(grads))
     want = _all_instance_central_differences(fn, instances, 1e-4)
-    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    # the reference walks centroids (4 x 3) then quaternions (4 x 4) per instance
+    walked = np.tile(np.repeat(["pred_centroids", "pred_quats"], [12, 16]), 3)
+    walked = np.isin(walked, list(grads))
+    assert np.abs(got - want[walked]).max() <= 1e-9 * np.abs(want).max()
+    # the entries left out are those of arrays the loss does not read
+    assert np.all(want[~walked] == 0.0)
 
 
 def test_gradcheck_evaluates_only_the_perturbed_instance(monkeypatch):
@@ -403,10 +408,10 @@ def test_gradcheck_evaluates_only_the_perturbed_instance(monkeypatch):
     model = box_cloud((40, 120, 160), 12)
     gradcheck_trials("rotation", model, build_symmetry_group(desc), build_axis_mask(desc),
                      trials=1)
-    # 2 instances x (3 x 3 centroid + 3 x 4 quaternion components) x 2
-    # evaluations of one instance; the analytic gradient reads the kernel
-    # directly, and each evaluation covering both instances made it 170
-    assert len(calls) == 2 * (3 * 3 + 3 * 4) * 2
+    # 2 instances x 3 x 4 quaternion components x 2 evaluations of one
+    # instance; the rotation loss reads no centroid, so none is perturbed,
+    # and the analytic gradient reads the kernel directly
+    assert len(calls) == 2 * (3 * 4) * 2
 
 
 def _quat_matrix_partials_reference(q):

@@ -263,3 +263,12 @@ def test_eval_config_validation():
         EvalConfig(0.0, 0.4)
     with pytest.raises(ValueError):
         EvalConfig(5.0, 1.0)
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_evaluate_rejects_visible_counts_not_one_per_gt_pose(change):
+    model, group, mask = symmetry_setup()
+    preds, gts, counts = make_eval_inputs(np.random.default_rng(11), model, group, mask)
+    counts = (list(counts) + [100])[:len(gts) + change]
+    with pytest.raises(ValueError, match="visible counts for"):
+        evaluate(preds, gts, counts, model, group, mask, EvalConfig(5.0, 0.4))

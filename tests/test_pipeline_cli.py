@@ -397,3 +397,31 @@ def test_pipeline_warnings_name_their_scene(tmp_path, capsys):
     lines = [l for l in capsys.readouterr().err.splitlines() if "max_iters=1" in l]
     assert lines == [f"warning: scene_{i:03d} (seed {1 + i}): mean shift stopped at "
                      "max_iters=1 before converging" for i in range(3)]
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"poses": [{"qw": 1.0}]}, "poses[0] is missing key 'qx'"),
+    ({"schema_version": 1}, "missing key 'poses'"),
+    ([1, 2], "expected a JSON object"),
+])
+def test_cli_eval_rejects_a_malformed_poses_file(tmp_path, capsys, payload, message):
+    common, out = _cli_chain(tmp_path, PERFECT_CONFIG, "synth", "oracle", "cluster")
+    (out / "poses.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("eval", *common) == 2
+    err = capsys.readouterr().err
+    assert "[eval]" in err and "poses.json" in err and message in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_cli_eval_rejects_visible_counts_not_one_per_pose(tmp_path, capsys, change):
+    common, out = _cli_chain(tmp_path, PERFECT_CONFIG, "synth", "oracle", "cluster")
+    payload = json.loads((out / "scene.json").read_text())
+    n = len(payload["poses"])
+    payload["n_visible"] = (payload["n_visible"] + [100])[:n + change]
+    (out / "scene.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("eval", *common) == 2
+    assert f"{n + change} visible counts for {n} ground-truth poses" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
