@@ -93,9 +93,9 @@ def _cmd_oracle(args) -> int:
 def _cmd_cluster(args) -> int:
     cfg = load_config(args.config)
     pred = load_predictions_csv(os.path.join(args.out_dir, "predictions.csv"))
-    result, poses = estimate_poses(cfg, pred, args.single_stage, args.icp)
-    write_poses(args.out_dir, result, poses)
-    print(f"clustered {len(pred)} points into {len(poses)} instances")
+    result = estimate_poses(cfg, pred, args.single_stage, args.icp)
+    write_poses(args.out_dir, result)
+    print(f"clustered {len(pred)} points into {len(result.poses)} instances")
     return 0
 
 

@@ -230,11 +230,10 @@ def write_json(path, payload: dict) -> None:
         f.write("\n")
 
 
-def save_poses_json(path, poses: list[Pose], member_counts=None) -> None:
-    counts = member_counts if member_counts is not None else [None] * len(poses)
+def save_poses_json(path, poses: list[Pose], member_counts) -> None:
     write_json(path, {
         "schema_version": SCHEMA_VERSION,
-        "poses": [_pose_to_dict(p, c) for p, c in zip(poses, counts)],
+        "poses": [_pose_to_dict(p, c) for p, c in zip(poses, member_counts)],
     })
 
 
@@ -265,6 +264,10 @@ def save_scene_json(path, poses: list[Pose], visible_counts, seed) -> None:
 
 def load_scene_json(path) -> dict:
     payload, poses = _load_poses_payload(path, ("poses", "n_visible"))
+    for i, n in enumerate(payload["n_visible"]):
+        if type(n) is not int or n < 0:   # a bool is an int to isinstance
+            raise ValueError(f"{path}: n_visible[{i}] must be an integer >= 0, "
+                             f"got {json.dumps(n)}")
     return dict(payload, poses=poses)
 
 

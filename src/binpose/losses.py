@@ -213,49 +213,46 @@ def rotation_loss_grad(instances: Sequence[LossInstance]) -> list[np.ndarray]:
 # finite-difference verification
 
 
-# loss selector -> (loss, {prediction array: gradient}); the loss does not
-# read the arrays left out, so their gradient is exactly zero. Lambdas look
-# the functions up at call time, so wrappers installed on this module's
+# a loss term: (the prediction array it reads, value, gradient); a term does
+# not read the other array, so its gradient there is exactly zero. Lambdas
+# look the functions up at call time, so wrappers installed on this module's
 # attributes see every call.
-_SELECTORS = {
-    "rotation": (lambda ins: rotation_loss(ins),
-                 {"pred_quats": lambda ins: rotation_loss_grad(ins)}),
-    "translation": (lambda ins: translation_loss(ins),
-                    {"pred_centroids": lambda ins: translation_loss_grad(ins)}),
-    "total": (lambda ins: total_loss(ins, LossWeights(1.0, 1.0)),
-              {"pred_centroids": lambda ins: translation_loss_grad(ins),
-               "pred_quats": lambda ins: rotation_loss_grad(ins)}),
-}
+_TRANSLATION = ("pred_centroids", lambda ins: translation_loss(ins),
+                lambda ins: translation_loss_grad(ins))
+_ROTATION = ("pred_quats", lambda ins: rotation_loss(ins), lambda ins: rotation_loss_grad(ins))
+# loss selector -> its terms, unit weights; 'total' lists centroids first
+_SELECTORS = {"rotation": (_ROTATION,), "translation": (_TRANSLATION,),
+              "total": (_TRANSLATION, _ROTATION)}
 
 
-def _selector(loss: str):
+def _selector(loss: str) -> tuple[tuple, ...]:
     if loss not in _SELECTORS:
         raise ValueError(f"unknown loss selector {loss!r}")
     return _SELECTORS[loss]
 
 
-def _central_differences(fn, instances: Sequence[LossInstance], epsilon: float,
-                         fields: Sequence[str]) -> np.ndarray:
-    """Central-difference gradient of ``fn`` over every component of each
-    prediction array named in ``fields``, in that order, instance by
-    instance.
+def _central_differences(terms: Sequence[tuple], instances: Sequence[LossInstance],
+                         epsilon: float) -> np.ndarray:
+    """Central-difference gradient of the sum of ``terms``, instance by
+    instance, each term over the components of the one array it reads and
+    in term order; the other terms do not move with that array.
 
-    Every selectable loss is a mean over instances, so a component of one
-    instance moves ``fn`` by what it moves ``fn([instance]) / n``; only
+    Every term is a mean over instances, so a component of one instance
+    moves it by what it moves ``value([instance]) / n``; only that term of
     that instance is re-evaluated."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"finite-difference step must be finite and positive, got {epsilon}")
     out = []
     for inst in instances:
-        inst = replace(inst, **{f: getattr(inst, f).copy() for f in fields})
-        for f in fields:
+        inst = replace(inst, **{f: getattr(inst, f).copy() for f, _, _ in terms})
+        for f, value, _ in terms:
             flat = getattr(inst, f).reshape(-1)
             for idx in range(flat.shape[0]):
                 orig = flat[idx]
                 flat[idx] = orig + epsilon
-                hi = fn([inst])
+                hi = value([inst])
                 flat[idx] = orig - epsilon
-                lo = fn([inst])
+                lo = value([inst])
                 flat[idx] = orig
                 out.append((hi - lo) / (2.0 * epsilon * len(instances)))
     return np.array(out)
@@ -276,10 +273,10 @@ def gradcheck(loss: str, instances: Sequence[LossInstance],
     ValueError when ``epsilon`` is not finite and positive or the error
     is not finite.
     """
-    fn, grads = _selector(loss)
-    per_field = [grad(instances) for grad in grads.values()]
-    analytic = np.concatenate([g.ravel() for per_inst in zip(*per_field) for g in per_inst])
-    numeric = _central_differences(fn, instances, epsilon, tuple(grads))
+    terms = _selector(loss)
+    per_term = [grad(instances) for _, _, grad in terms]
+    analytic = np.concatenate([g.ravel() for per_inst in zip(*per_term) for g in per_inst])
+    numeric = _central_differences(terms, instances, epsilon)
     scale = max(np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-12)
     err = float(np.abs(analytic - numeric).max() / scale)
     if not math.isfinite(err):
@@ -340,6 +337,5 @@ def numeric_gradient_norm(loss: str, instances: Sequence[LossInstance],
                           epsilon: float = GRADCHECK_STEP) -> float:
     """Max-norm of the central-difference gradient alone (no analytic
     side); useful at non-differentiable stationary points."""
-    fn, grads = _selector(loss)
-    return float(np.abs(_central_differences(fn, instances, epsilon,
-                                              tuple(grads))).max(initial=0.0))
+    return float(np.abs(_central_differences(_selector(loss), instances,
+                                              epsilon)).max(initial=0.0))

@@ -7,7 +7,7 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,9 +47,12 @@ def _stage(name: str):
 class SceneRun:
     scene: Scene
     prediction: PerPointPrediction
-    clusters: ClusterResult
-    poses: list[Pose]
+    clusters: ClusterResult            # poses in scene mm, after ICP when it ran
     report: EvalReport
+
+    @property
+    def poses(self) -> list[Pose]:
+        return self.clusters.poses
 
 
 def synthesize(config: Config, seed: int) -> Scene:
@@ -69,10 +72,10 @@ def predict(config: Config, scene: Scene, seed: int) -> PerPointPrediction:
 
 
 def estimate_poses(config: Config, pred: PerPointPrediction, single_stage: bool = False,
-                   use_icp: bool = False) -> tuple[ClusterResult, list[Pose]]:
+                   use_icp: bool = False) -> ClusterResult:
     """Cluster the predictions in normalized space and return the
-    clusters with one pose per instance in scene mm, each optionally
-    refined by ICP against the points labeled with it."""
+    clusters with their one pose per instance in scene mm, each
+    optionally refined by ICP against the points labeled with it."""
     model = config.model
     with _stage("normalize"):
         transform = fit_normalization(model.points)
@@ -105,7 +108,7 @@ def estimate_poses(config: Config, pred: PerPointPrediction, single_stage: bool 
                         warnings.warn(f"ICP failed on instance {label} (degenerate "
                                       "correspondences); kept its voted pose",
                                       StageWarning, stacklevel=2)
-    return clusters, poses
+    return replace(clusters, poses=poses)
 
 
 def run_scene(config: Config, seed: int, single_stage: bool = False,
@@ -114,12 +117,11 @@ def run_scene(config: Config, seed: int, single_stage: bool = False,
     model = config.model
     scene = synthesize(config, seed)
     pred = predict(config, scene, seed)
-    clusters, poses = estimate_poses(config, pred, single_stage, use_icp)
+    clusters = estimate_poses(config, pred, single_stage, use_icp)
     with _stage("eval"):
-        report = evaluate(poses, scene.gt_poses(), scene.visible_counts(),
+        report = evaluate(clusters.poses, scene.gt_poses(), scene.visible_counts(),
                           model.points, model.group, model.mask, config.eval)
-    return SceneRun(scene=scene, prediction=pred, clusters=clusters,
-                    poses=poses, report=report)
+    return SceneRun(scene=scene, prediction=pred, clusters=clusters, report=report)
 
 
 def write_scene(out_dir: str, scene: Scene) -> None:
@@ -138,17 +140,17 @@ def read_scene(out_dir: str) -> Scene:
     return Scene(points=points, labels=labels, poses=sidecar["poses"], seed=sidecar["seed"])
 
 
-def write_poses(out_dir: str, clusters: ClusterResult, poses: list[Pose]) -> None:
-    counts = np.bincount(clusters.labels[clusters.labels >= 0], minlength=len(poses))
-    save_poses_json(os.path.join(out_dir, "poses.json"), poses, counts.tolist())
-    save_labels(os.path.join(out_dir, "labels.txt"), clusters.labels)
+def write_poses(out_dir: str, result: ClusterResult) -> None:
+    counts = np.bincount(result.labels[result.labels >= 0], minlength=len(result.poses))
+    save_poses_json(os.path.join(out_dir, "poses.json"), result.poses, counts.tolist())
+    save_labels(os.path.join(out_dir, "labels.txt"), result.labels)
 
 
 def write_scene_artifacts(out_dir: str, run: SceneRun) -> None:
     os.makedirs(out_dir, exist_ok=True)
     write_scene(out_dir, run.scene)
     save_predictions_csv(os.path.join(out_dir, "predictions.csv"), run.prediction)
-    write_poses(out_dir, run.clusters, run.poses)
+    write_poses(out_dir, run.clusters)
     save_report_json(os.path.join(out_dir, "report.json"), run.report,
                      extra={"seed": run.scene.seed})
 

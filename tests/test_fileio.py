@@ -436,10 +436,12 @@ def test_bad_poses_json_names_the_file_and_key(tmp_path, payload, message):
     ({"seed": 0, "poses": [POSE], "n_visible": 10}, "key 'n_visible' must be a list"),
     ({"seed": 0, "poses": [{"qw": 1.0}], "n_visible": [10]}, "poses[0] is missing key 'qx'"),
     ("scene", "expected a JSON object"),
-])
+] + [({"seed": 0, "poses": [POSE, POSE], "n_visible": [count, 10]},
+      "n_visible[0] must be an integer >= 0") for count in (True, -5, 0.5, "7", None, 537.0)])
 def test_bad_scene_json_names_the_file_and_key(tmp_path, payload, message):
     p = tmp_path / "scene.json"
     p.write_text(json.dumps(payload))
     with pytest.raises(ValueError) as e:
         load_scene_json(p)
     assert message in str(e.value) and str(p) in str(e.value)
+

@@ -382,36 +382,39 @@ def test_central_differences_match_the_all_instance_form(loss):
     rng = np.random.default_rng(23)
     instances = random_instances(box_cloud((20, 30, 40), 10), group, mask, rng,
                                  n_instances=3, n_points=4)
-    fn, grads = losses._selector(loss)
+    terms = losses._selector(loss)
+    fn = lambda ins: sum(value(ins) for _, value, _ in terms)
     # the forms differ only by rounding, about eps * loss / step in the
     # all-instance form, so a step of 1e-4 keeps it well under the bound
-    got = losses._central_differences(fn, instances, 1e-4, tuple(grads))
+    got = losses._central_differences(terms, instances, 1e-4)
     want = _all_instance_central_differences(fn, instances, 1e-4)
     # the reference walks centroids (4 x 3) then quaternions (4 x 4) per instance
     walked = np.tile(np.repeat(["pred_centroids", "pred_quats"], [12, 16]), 3)
-    walked = np.isin(walked, list(grads))
+    walked = np.isin(walked, [field for field, _, _ in terms])
     assert np.abs(got - want[walked]).max() <= 1e-9 * np.abs(want).max()
     # the entries left out are those of arrays the loss does not read
     assert np.all(want[~walked] == 0.0)
 
 
-def test_gradcheck_evaluates_only_the_perturbed_instance(monkeypatch):
-    calls = []
-    original = losses._rotation_values
-
-    def counted(inst):
-        calls.append(inst)
-        return original(inst)
-
-    monkeypatch.setattr(losses, "_rotation_values", counted)
+@pytest.mark.parametrize("loss, n_rotation, n_translation",
+                         [("rotation", 48, 0), ("total", 48, 36)], ids=["rotation", "total"])
+def test_gradcheck_evaluates_only_the_perturbed_instance(monkeypatch, loss, n_rotation,
+                                                         n_translation):
+    calls = {"_rotation_values": 0, "translation_loss": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(losses, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(losses, name, counted)
     desc = SymmetryDescriptor(dz_deg=180)
     model = box_cloud((40, 120, 160), 12)
-    gradcheck_trials("rotation", model, build_symmetry_group(desc), build_axis_mask(desc),
+    gradcheck_trials(loss, model, build_symmetry_group(desc), build_axis_mask(desc),
                      trials=1)
-    # 2 instances x 3 x 4 quaternion components x 2 evaluations of one
-    # instance; the rotation loss reads no centroid, so none is perturbed,
-    # and the analytic gradient reads the kernel directly
-    assert len(calls) == 2 * (3 * 4) * 2
+    # 2 instances x 3 points x (4 quaternion | 3 centroid components) x 2
+    # evaluations of one term of one instance; each term is re-evaluated
+    # only over the array it reads, and the analytic gradients read the
+    # kernel directly
+    assert calls == {"_rotation_values": n_rotation, "translation_loss": n_translation}
 
 
 def _quat_matrix_partials_reference(q):

@@ -95,6 +95,17 @@ def test_pipeline_icp_flag_keeps_scores(tmp_path):
     assert refined["f1_inst"] >= 0.8
 
 
+def test_cluster_instances_hold_the_run_poses(tmp_path):
+    # one copy of the poses: in scene mm and after ICP, where eval and
+    # poses.json read them
+    cfg = load_config(write_config(tmp_path, NOISY_CONFIG))
+    run = run_scene(cfg, seed=0, use_icp=True)
+    assert len(run.poses) == len(run.clusters.instances) > 0
+    for inst, pose in zip(run.clusters.instances, run.poses):
+        assert np.array_equal(inst.pose.quat, pose.quat)
+        assert np.array_equal(inst.pose.t, pose.t)
+
+
 def test_units_sentinel_round_trip(tmp_path):
     # everything at the file boundary stays in millimeters: a known gt
     # translation survives synth -> pipeline -> report unchanged
@@ -384,7 +395,7 @@ def test_failed_icp_warns_and_keeps_the_voted_pose(tmp_path, capsys):
     assert "warning: ICP failed on instance 0 (degenerate correspondences); kept its voted pose" in err
     assert (out / "poses.json").read_bytes() == voted
     with pytest.warns(StageWarning, match="ICP failed on instance 0"):
-        _, poses = estimate_poses(load_config(cfg_path), pred, use_icp=True)
+        poses = estimate_poses(load_config(cfg_path), pred, use_icp=True).poses
     assert len(poses) == 1
 
 
@@ -424,4 +435,17 @@ def test_cli_eval_rejects_visible_counts_not_one_per_pose(tmp_path, capsys, chan
     capsys.readouterr()
     assert run_cli("eval", *common) == 2
     assert f"{n + change} visible counts for {n} ground-truth poses" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("count", [True, -5, 0.5, "7", None])
+def test_cli_eval_rejects_a_visible_count_that_is_not_a_count(tmp_path, capsys, count):
+    common, out = _cli_chain(tmp_path, NOISY_CONFIG, "synth", "oracle", "cluster")
+    payload = json.loads((out / "scene.json").read_text())
+    payload["n_visible"][0] = count
+    (out / "scene.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("eval", *common) == 2
+    err = capsys.readouterr().err
+    assert "[eval]" in err and "scene.json" in err and "n_visible[0]" in err
     assert not (out / "report.json").exists()

@@ -39,7 +39,7 @@ def scene_runs():
 
 def _estimate_and_score(config, pred, gt, counts):
     model = config.model
-    _, poses = estimate_poses(config, pred)
+    poses = estimate_poses(config, pred).poses
     return poses, evaluate(poses, gt, counts, model.points, model.group, model.mask,
                            config.eval)
 
