@@ -72,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_synth(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_synth(args, cfg) -> int:
     scene = synthesize(cfg, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     write_scene(args.out_dir, scene)
@@ -82,16 +81,14 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_oracle(args, cfg) -> int:
     pred = predict(cfg, read_scene(args.out_dir), args.seed)
     save_predictions_csv(os.path.join(args.out_dir, "predictions.csv"), pred)
     print(f"wrote {len(pred)} per-point predictions -> {args.out_dir}/predictions.csv")
     return 0
 
 
-def _cmd_cluster(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_cluster(args, cfg) -> int:
     pred = load_predictions_csv(os.path.join(args.out_dir, "predictions.csv"))
     result = estimate_poses(cfg, pred, args.single_stage, args.icp)
     write_poses(args.out_dir, result)
@@ -99,15 +96,14 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, cfg) -> int:
     from .fileio import load_scene_json
-    cfg = load_config(args.config)
     gt = load_scene_json(os.path.join(args.out_dir, "scene.json"))
     poses, _ = load_poses_json(os.path.join(args.out_dir, "poses.json"))
     report = evaluate(poses, gt["poses"], gt["n_visible"], cfg.model.points,
                       cfg.model.group, cfg.model.mask, cfg.eval)
     save_report_json(os.path.join(args.out_dir, "report.json"), report,
-                     extra={"seed": gt.get("seed")})
+                     extra={"seed": gt["seed"]})
     if args.csv:
         save_report_csv(os.path.join(args.out_dir, "report.csv"), [report])
     print(json.dumps({"n_gt": report.n_gt, "n_pred": report.n_pred, "tp": report.tp,
@@ -115,8 +111,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_gradcheck(args, cfg) -> int:
     for loss in [s.strip() for s in args.loss.split(",")]:   # "" is an unknown selector
         err = gradcheck_trials(loss, cfg.model.points, cfg.model.group,
                                cfg.model.mask, trials=args.trials,
@@ -126,8 +121,7 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
-def _cmd_pipeline(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_pipeline(args, cfg) -> int:
     payload = run_pipeline(cfg, args.seed, out_dir=args.out_dir,
                            scenes=args.scenes, single_stage=args.single_stage,
                            use_icp=args.icp)
@@ -152,7 +146,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", StageWarning)
         try:
-            return _COMMANDS[args.command](args)
+            return _COMMANDS[args.command](args, load_config(args.config))
         except (ValueError, FileNotFoundError, RuntimeError) as e:
             tag = "" if isinstance(e, StageError) else f"[{args.command}] "
             print(f"error: {tag}{e}", file=sys.stderr)

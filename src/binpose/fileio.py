@@ -264,6 +264,11 @@ def save_scene_json(path, poses: list[Pose], visible_counts, seed) -> None:
 
 def load_scene_json(path) -> dict:
     payload, poses = _load_poses_payload(path, ("poses", "n_visible"))
+    if "seed" not in payload:
+        raise ValueError(f"{path}: missing key 'seed'")
+    if payload["seed"] is not None and type(payload["seed"]) is not int:
+        raise ValueError(f"{path}: key 'seed' must be an integer or null, "
+                         f"got {json.dumps(payload['seed'])}")
     for i, n in enumerate(payload["n_visible"]):
         if type(n) is not int or n < 0:   # a bool is an int to isinstance
             raise ValueError(f"{path}: n_visible[{i}] must be an integer >= 0, "

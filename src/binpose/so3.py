@@ -68,23 +68,27 @@ def quat_multiply(a, b) -> np.ndarray:
 
 
 def quat_from_axis_angle(axis, angle_rad: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float).reshape(3)
-    n = np.linalg.norm(axis)
-    if n == 0.0:
+    """Canonical quaternion of the rotation by ``angle_rad`` about ``axis``."""
+    return quat_normalize(quats_from_axis_angle(axis, [angle_rad])[0])
+
+
+def quats_from_axis_angle(axes, angles_rad) -> np.ndarray:
+    """Row-wise unit quaternions of the rotations by (m,) ``angles_rad``
+    about (m,3) ``axes``, which need not be unit (not re-canonicalized)."""
+    axes = np.asarray(axes, dtype=float).reshape(-1, 3)
+    half = np.asarray(angles_rad, dtype=float).reshape(-1) / 2.0
+    norms = np.linalg.norm(axes, axis=1)
+    if (norms == 0.0).any():
         raise ValueError("rotation axis must be nonzero")
-    half = 0.5 * angle_rad
-    q = np.empty(4)
-    q[0] = math.cos(half)
-    q[1:] = (math.sin(half) / n) * axis
-    return quat_normalize(q)
+    q = np.empty((axes.shape[0], 4))
+    q[:, 0] = np.cos(half)
+    q[:, 1:] = np.sin(half)[:, None] * (axes / norms[:, None])
+    return q
 
 
 def random_quat(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation as a canonical unit quaternion."""
-    q = rng.normal(size=4)
-    while np.linalg.norm(q) < 1e-6:
-        q = rng.normal(size=4)
-    return quat_normalize(q)
+    return quat_normalize(rng.normal(size=4))
 
 
 def quat_multiply_batch(a, b) -> np.ndarray:

@@ -20,7 +20,8 @@ import numpy as np
 from .cluster import PerPointPrediction
 from .so3 import (Pose, SymmetryDescriptor, SymmetryGroup, axis_rotation,
                   build_axis_mask, build_symmetry_group, classify_axes,
-                  matrix_to_quat, quat_multiply_batch, quat_normalize_batch)
+                  matrix_to_quat, quat_multiply_batch, quat_normalize_batch,
+                  quats_from_axis_angle)
 
 
 class SceneGenerationError(RuntimeError):
@@ -295,28 +296,6 @@ class OracleParams:
             raise ValueError("outlier fraction must be in [0, 1)")
 
 
-def _axis_quats(axis: int, angles_deg: np.ndarray) -> np.ndarray:
-    half = np.radians(angles_deg) / 2.0
-    q = np.zeros((angles_deg.shape[0], 4))
-    q[:, 0] = np.cos(half)
-    q[:, 1 + axis] = np.sin(half)
-    return q
-
-
-def _noise_quats(rng: np.random.Generator, sigma_deg: float, m: int) -> np.ndarray:
-    angles = np.radians(rng.normal(0.0, sigma_deg, size=m))
-    axes = rng.normal(size=(m, 3))
-    norms = np.linalg.norm(axes, axis=1)
-    for i in np.nonzero(norms < 1e-12)[0]:
-        axes[i] = (1.0, 0.0, 0.0)
-        norms[i] = 1.0
-    axes /= norms[:, None]
-    q = np.empty((m, 4))
-    q[:, 0] = np.cos(angles / 2.0)
-    q[:, 1:] = np.sin(angles / 2.0)[:, None] * axes
-    return q
-
-
 def oracle_predict(scene: Scene, model: ObjectModel, params: OracleParams,
                    seed: int = 0, bin_extents=(400.0, 400.0, 400.0)) -> PerPointPrediction:
     """Per-point predictions for every visible scene point.
@@ -325,8 +304,9 @@ def oracle_predict(scene: Scene, model: ObjectModel, params: OracleParams,
     noise; quaternions are the ground-truth rotation composed (in the
     object frame) with an optional symmetric equivalent, a uniform spin
     about each continuously symmetric axis, and a small random rotation.
-    A fraction of points becomes uniform outliers. Deterministic for a
-    given (scene, params, seed).
+    A fraction of points, and every point whose id has no pose, becomes
+    a uniform outlier: a centroid anywhere in the bin and a random
+    rotation. Deterministic for a given (scene, params, seed).
     """
     rng = np.random.default_rng(seed)
     n_pts = scene.points.shape[0]
@@ -347,22 +327,24 @@ def oracle_predict(scene: Scene, model: ObjectModel, params: OracleParams,
             if n_sym > 1:
                 q = quat_multiply_batch(q, sym_quats[rng.integers(n_sym, size=m)])
             for axis in inf_axes:
-                q = quat_multiply_batch(q, _axis_quats(axis, rng.uniform(0.0, 360.0, size=m)))
+                spins = np.radians(rng.uniform(0.0, 360.0, size=m))
+                q = quat_multiply_batch(q, quats_from_axis_angle(np.eye(3)[[axis] * m], spins))
         if params.sigma_r_deg > 0.0:
-            q = quat_multiply_batch(q, _noise_quats(rng, params.sigma_r_deg, m))
+            angles = np.radians(rng.normal(0.0, params.sigma_r_deg, size=m))
+            q = quat_multiply_batch(q, quats_from_axis_angle(rng.normal(size=(m, 3)), angles))
         # dividing by the axis=1 norm first keeps the oracle's bits: the
         # result is unit within 1e-12, so quat_normalize_batch only flips signs
         quats[idx] = quat_normalize_batch(q / np.linalg.norm(q, axis=1, keepdims=True))
 
-    if params.outlier_fraction > 0.0 and n_pts > 0:
-        outliers = np.nonzero(rng.random(n_pts) < params.outlier_fraction)[0]
-        ex, ey, ez = bin_extents
-        centroids[outliers] = rng.uniform(-0.5, 0.5, size=(outliers.shape[0], 3)) \
-            * np.array([ex, ey, ez]) + np.array([0.0, 0.0, ez / 2.0])
-        q = rng.normal(size=(outliers.shape[0], 4))
-        for i in np.nonzero(np.linalg.norm(q, axis=1) < 1e-9)[0]:
-            q[i] = (1.0, 0.0, 0.0, 0.0)
-        quats[outliers] = quat_normalize_batch(q / np.linalg.norm(q, axis=1, keepdims=True))
+    outliers = (scene.labels < 0) | (scene.labels >= len(scene.poses))
+    if params.outlier_fraction > 0.0:
+        outliers |= rng.random(n_pts) < params.outlier_fraction
+    k = np.count_nonzero(outliers)
+    ex, ey, ez = bin_extents
+    centroids[outliers] = rng.uniform(-0.5, 0.5, size=(k, 3)) \
+        * np.array([ex, ey, ez]) + np.array([0.0, 0.0, ez / 2.0])
+    q = rng.normal(size=(k, 4))
+    quats[outliers] = quat_normalize_batch(q / np.linalg.norm(q, axis=1, keepdims=True))
 
     return PerPointPrediction(positions=scene.points.copy(),
                               centroids=centroids, quats=quats)

@@ -437,7 +437,10 @@ def test_bad_poses_json_names_the_file_and_key(tmp_path, payload, message):
     ({"seed": 0, "poses": [{"qw": 1.0}], "n_visible": [10]}, "poses[0] is missing key 'qx'"),
     ("scene", "expected a JSON object"),
 ] + [({"seed": 0, "poses": [POSE, POSE], "n_visible": [count, 10]},
-      "n_visible[0] must be an integer >= 0") for count in (True, -5, 0.5, "7", None, 537.0)])
+      "n_visible[0] must be an integer >= 0") for count in (True, -5, 0.5, "7", None, 537.0)
+] + [({"poses": [POSE], "n_visible": [10]}, "missing key 'seed'")
+] + [({"seed": seed, "poses": [POSE], "n_visible": [10]},
+      "key 'seed' must be an integer or null") for seed in (True, 2.0, "3", [1])])
 def test_bad_scene_json_names_the_file_and_key(tmp_path, payload, message):
     p = tmp_path / "scene.json"
     p.write_text(json.dumps(payload))

@@ -1,6 +1,8 @@
 """Pinned artifact digests.
 
-``run_pipeline`` with ICP on three benchmark configs, seeds 0 and 1. A
+``run_pipeline`` with ICP on three benchmark configs and the clean
+cylinder (continuous z symmetry, so the oracle's axis spin runs), seeds
+0 and 1. A
 change that alters a bit of ``poses.json`` or ``labels.txt`` fails here
 and must update the digest and say why; the rerun test (A9) only
 compares two runs of the same code.
@@ -16,6 +18,7 @@ from binpose.pipeline import run_pipeline
 
 BOX = {"kind": "box", "extents": [40, 120, 160]}
 CUBE = {"kind": "box", "extents": [80, 80, 80]}
+CYLINDER = {"kind": "cylinder", "radius": 30, "height": 120}
 CLEAN = {"sigma_t_mm": 1.0, "sigma_r_deg": 2.0, "symmetric_ambiguity": True,
          "outlier_fraction": 0.0}
 NOISY = {"sigma_t_mm": 4.0, "sigma_r_deg": 8.0, "symmetric_ambiguity": True,
@@ -39,6 +42,7 @@ CONFIGS = {
     "noisy_box": _config(BOX, 9.0, {"dz_deg": 180}, NOISY),
     "cube24": _config(CUBE, 8.0, {"dx_deg": 90, "dy_deg": 90, "dz_deg": 90}, CLEAN,
                       min_points_1=10),
+    "cylinder": _config(CYLINDER, 6.0, {"dz_deg": 1}, CLEAN),
 }
 
 # (config, seed) -> sha256 of poses.json, labels.txt
@@ -55,6 +59,10 @@ GOLDEN = {
                     "556f32e3364296e73d6569d9900956b1845f191dedd7b1894789e4019ca7f622"),
     ("cube24", 1): ("7fe2032847b1a08e285afe200a383b2f6de3246885ac53267f2195b5b9b01f1e",
                     "0d7c677a6912715168736195ece75f63f78d046a2759f2334b6837de0963b5d8"),
+    ("cylinder", 0): ("ed1eeda368403d94d1b5c8d9ab1e595450a6b75d627071748bbd7228782ce079",
+                      "0a157ce9231faaeaa49e34d35ccb4b04ec812c3bbb67b45a7db02a02692e26e4"),
+    ("cylinder", 1): ("c14d2444cc4f657c20fd58725c00fbc320fa210144dcaacd65f2263fec42c807",
+                      "ac167dc5a9f7f53f9d785bb212a5683a880f8dc72d68ec287480a5c3314698db"),
 }
 
 

@@ -425,6 +425,43 @@ def test_cli_eval_rejects_a_malformed_poses_file(tmp_path, capsys, payload, mess
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["oracle", "eval"])
+def test_cli_rejects_a_scene_json_without_a_seed(tmp_path, capsys, command):
+    common, out = _cli_chain(tmp_path, PERFECT_CONFIG, "synth", "oracle", "cluster")
+    payload = json.loads((out / "scene.json").read_text())
+    del payload["seed"]
+    (out / "scene.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(command, *common) == 2
+    err = capsys.readouterr().err
+    assert f"[{command}]" in err and "scene.json: missing key 'seed'" in err
+
+
+def test_cli_accepts_a_null_seed_in_scene_json(tmp_path):
+    common, out = _cli_chain(tmp_path, PERFECT_CONFIG, "synth")
+    payload = json.loads((out / "scene.json").read_text())
+    payload["seed"] = None
+    (out / "scene.json").write_text(json.dumps(payload))
+    for stage in ("oracle", "cluster", "eval"):
+        assert run_cli(stage, *common) == 0
+    assert json.loads((out / "report.json").read_text())["seed"] is None
+
+
+def test_cli_warns_when_no_stage1_cluster_survives(tmp_path, capsys):
+    starved = dict(PERFECT_CONFIG, cluster={"min_points_1": 5000, "min_points_2": 5000})
+    common, out = _cli_chain(tmp_path, starved, "synth", "oracle")
+    capsys.readouterr()
+    assert run_cli("cluster", *common) == 0
+    assert "warning: no stage-1 clusters survived" in capsys.readouterr().err
+    assert load_poses_json(out / "poses.json")[0] == []
+    assert run_cli("pipeline", *common) == 0
+    assert "warning: no stage-1 clusters survived" in capsys.readouterr().err.splitlines()
+    assert run_cli("pipeline", *common, "--scenes", "2") == 0
+    lines = [l for l in capsys.readouterr().err.splitlines() if "stage-1" in l]
+    assert lines == [f"warning: scene_{i:03d} (seed {i}): no stage-1 clusters survived"
+                     for i in range(2)]
+
+
 @pytest.mark.parametrize("change", [-1, 1])
 def test_cli_eval_rejects_visible_counts_not_one_per_pose(tmp_path, capsys, change):
     common, out = _cli_chain(tmp_path, PERFECT_CONFIG, "synth", "oracle", "cluster")

@@ -5,8 +5,8 @@ from binpose.so3 import (Pose, SymmetryDescriptor, SymmetryGroup,
                          UnsupportedSymmetryError, axis_rotation,
                          build_axis_mask, build_symmetry_group, classify_axes,
                          matrix_to_quat, quat_from_axis_angle, quat_multiply,
-                         quat_normalize, quat_to_matrix, random_quat,
-                         symmetric_pose_distance)
+                         quat_normalize, quat_to_matrix, quats_from_axis_angle,
+                         random_quat, symmetric_pose_distance)
 
 
 def rodrigues(axis, angle):
@@ -47,6 +47,24 @@ def test_quat_to_matrix_matches_rodrigues():
         angle = rng.uniform(-np.pi, np.pi)
         q = quat_from_axis_angle(axis, angle)
         assert np.abs(quat_to_matrix(q) - rodrigues(axis, angle)).max() < 1e-9
+
+
+def test_quats_from_axis_angle_rows_are_the_single_builder():
+    rng = np.random.default_rng(2)
+    axes, angles = rng.normal(size=(50, 3)), rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=50)
+    rows = quats_from_axis_angle(axes, angles)
+    assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
+    assert (rows[:, 0] < 0.0).any()     # not re-canonicalized
+    for row, axis, angle in zip(rows, axes, angles):
+        assert np.array_equal(quat_normalize(row), quat_from_axis_angle(axis, angle))
+        assert np.abs(quat_to_matrix(row) - rodrigues(axis, angle)).max() < 1e-9
+
+
+def test_axis_angle_builders_reject_a_zero_axis():
+    with pytest.raises(ValueError, match="rotation axis must be nonzero"):
+        quat_from_axis_angle([0.0, 0.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match="rotation axis must be nonzero"):
+        quats_from_axis_angle([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 1.0])
 
 
 def test_quat_to_matrix_rejects_non_unit():

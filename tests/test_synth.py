@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from binpose.cluster import ClusterParams, PerPointPrediction, two_stage_pipeline
-from binpose.so3 import SymmetryDescriptor, quat_to_matrix
-from binpose.synth import (ObjectModel, OracleParams, SceneGenParams,
+from binpose.so3 import Pose, SymmetryDescriptor, quat_to_matrix
+from binpose.synth import (ObjectModel, OracleParams, Scene, SceneGenParams,
                            SceneGenerationError, apply_occlusion, box_cloud,
                            cylinder_cloud, generate_scene,
                            make_crossing_rods_scene, oracle_predict, rod_model,
@@ -258,6 +258,28 @@ def test_oracle_outliers_replace_fraction():
         [np.tile(i.pose.t, (i.n_visible, 1)) for i in scene.instances]), axis=1)
     frac = float((err > 1e-9).mean())
     assert 0.2 < frac < 0.4
+
+
+def test_oracle_gives_points_without_a_pose_outlier_predictions():
+    # ids 2 and -1 have no pose: their points belong to no instance
+    poses = [Pose([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 5.0]),
+             Pose([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 9.0])]
+    scene = Scene(points=np.arange(18.0).reshape(6, 3), labels=np.array([0, 2, 1, 2, 0, -1]),
+                  poses=poses)
+    model = ObjectModel("m", box_cloud((30, 40, 50), 10), TWOFOLD)
+    runs = []
+    for garbage in (np.nan, 1e300):
+        # freed buffers of the prediction arrays' sizes, which np.empty may reuse
+        np.full((6, 3), garbage), np.full((6, 4), garbage)
+        runs.append(oracle_predict(scene, model, OracleParams(0.0, 0.0, False), seed=4,
+                                   bin_extents=(400.0, 300.0, 200.0)))
+    a, b = runs
+    assert np.array_equal(a.centroids, b.centroids) and np.array_equal(a.quats, b.quats)
+    assert np.array_equal(a.centroids[[0, 2, 4]], [[0.0, 0.0, 5.0], [0.0, 0.0, 9.0],
+                                                   [0.0, 0.0, 5.0]])
+    outliers = a.centroids[[1, 3, 5]]
+    assert (np.abs(outliers) <= [200.0, 150.0, 200.0]).all() and (outliers[:, 2] >= 0.0).all()
+    assert np.abs(np.linalg.norm(a.quats, axis=1) - 1.0).max() < 1e-12
 
 
 def test_oracle_canonicalization_matches_old_canonical_batch():
