@@ -10,16 +10,17 @@ so values are size independent and comparable across instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .so3 import (SymmetryGroup, kernel_model, quat_multiply_batch, quat_to_matrix,
-                  quats_to_matrices, random_quat, symmetric_distances)
+from .so3 import (SymmetryGroup, kernel_model, quat_multiply_batch, quat_normalize_batch,
+                  quat_to_matrix, quats_to_matrices, random_quat, symmetric_distances)
 
 TIE_TOL = 1e-6       # gap below which the min over symmetry rotations is ambiguous
 DEGENERATE_MM = 1e-9
+STACK_BLOCK = 1 << 18   # (copy, point, model point) distances per gradient-check block
 MAX_RESAMPLES = 50   # consecutive symmetry ties gradcheck_trials resamples before raising
 # Central-difference step. The truncation error grows as step^2 where a model
 # point lies near its target, at the kink of the norm: a box configuration
@@ -52,7 +53,10 @@ class LossInstance:
     rotation_gt: (3,3); centroid_gt: (3,) mm; model: (K,3) object-frame
     cloud; group/mask: the object's symmetry; points: (m,3) scene points
     of the instance (drive the center weights); pred_centroids: (m,3);
-    pred_quats: (m,4), re-normalized inside the losses.
+    pred_quats: (m,4), re-normalized inside the losses. The targets, the
+    points and both prediction arrays must be finite and every quaternion
+    row normalizable, or ValueError names the field; the model is
+    ObjectModel's to check.
     """
 
     rotation_gt: np.ndarray
@@ -79,6 +83,15 @@ class LossInstance:
             raise ValueError("per-point prediction arrays must match the point count")
         if self.model.shape[0] == 0:
             raise ValueError("instance model cloud is empty")
+        for name in ("rotation_gt", "centroid_gt", "points", "pred_centroids", "pred_quats"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has a non-finite entry")
+        # the losses divide each quaternion by its norm
+        norm2 = np.einsum("ij,ij->i", self.pred_quats, self.pred_quats)
+        bad = np.flatnonzero(~(np.isfinite(norm2) & (norm2 > 0.0)))
+        if bad.size:
+            raise ValueError(f"pred_quats row {bad[0]} has squared norm {norm2[bad[0]]}, "
+                             "which cannot be normalized")
 
 
 def center_weights(points, centroid) -> np.ndarray:
@@ -98,14 +111,27 @@ def center_weights(points, centroid) -> np.ndarray:
     return 0.5 + (d - d.min()) / span
 
 
-def _rotation_values(inst: LossInstance) -> np.ndarray:
-    """Mean point-cloud distance for each symmetry rotation, shape (n_s,).
+def _rotation_values(inst: LossInstance, quats) -> np.ndarray:
+    """Mean point-cloud distance for each (m,4) copy in the (P,m,4) stack
+    ``quats`` of the instance's predicted quaternions and each symmetry
+    rotation, shape (P, n_s).
 
-    Entry s is the mean over predicted points j and model points k of
-    ||R_gt s m_k - R(q_j) m_k|| with the axis mask applied to m.
+    Entry (p, s) is the mean over predicted points j and model points k of
+    ||R_gt s m_k - R(q_pj) m_k|| with the axis mask applied to m; each
+    copy's values have the bits they have alone.
     """
-    return symmetric_distances(inst.rotation_gt, quats_to_matrices(inst.pred_quats),
-                               inst.model, inst.group, inst.mask)[0]
+    B = quats_to_matrices(quats).reshape(quats.shape[:-1] + (3, 3))
+    return symmetric_distances(inst.rotation_gt, B, inst.model, inst.group, inst.mask)[0]
+
+
+def _translation_values(inst: LossInstance, centroids) -> np.ndarray:
+    """Translation loss of the instance for each (m,3) copy in the (P,m,3)
+    stack ``centroids`` of its predicted centroids, shape (P,): the mean
+    over points j of ||T_gt - T_pj|| weighted by the point's center weight.
+    """
+    w = center_weights(inst.points, inst.centroid_gt)
+    err = np.linalg.norm(inst.centroid_gt - centroids, axis=-1)
+    return (err * w).mean(axis=-1)
 
 
 def rotation_loss(instances: Sequence[LossInstance]) -> float:
@@ -121,7 +147,7 @@ def rotation_loss(instances: Sequence[LossInstance]) -> float:
         raise ValueError("rotation loss needs at least one instance")
     total = 0.0
     for inst in instances:
-        total += float(_rotation_values(inst).min())
+        total += float(_rotation_values(inst, inst.pred_quats[None]).min())
     return total / len(instances)
 
 
@@ -135,9 +161,7 @@ def translation_loss(instances: Sequence[LossInstance]) -> float:
         raise ValueError("translation loss needs at least one instance")
     total = 0.0
     for inst in instances:
-        w = center_weights(inst.points, inst.centroid_gt)
-        err = np.linalg.norm(inst.centroid_gt - inst.pred_centroids, axis=1)
-        total += float((err * w).mean())
+        total += float(_translation_values(inst, inst.pred_centroids[None])[0])
     return total / len(instances)
 
 
@@ -213,16 +237,21 @@ def rotation_loss_grad(instances: Sequence[LossInstance]) -> list[np.ndarray]:
 # finite-difference verification
 
 
-# a loss term: (the prediction array it reads, value, gradient); a term does
-# not read the other array, so its gradient there is exactly zero. Lambdas
-# look the functions up at call time, so wrappers installed on this module's
-# attributes see every call.
+# a loss term: (the prediction array it reads, its loss, its gradient); a
+# term does not read the other array, so its gradient there is exactly zero.
+# Lambdas look the functions up at call time, so wrappers installed on this
+# module's attributes see the gradient calls of a check.
 _TRANSLATION = ("pred_centroids", lambda ins: translation_loss(ins),
                 lambda ins: translation_loss_grad(ins))
 _ROTATION = ("pred_quats", lambda ins: rotation_loss(ins), lambda ins: rotation_loss_grad(ins))
 # loss selector -> its terms, unit weights; 'total' lists centroids first
 _SELECTORS = {"rotation": (_ROTATION,), "translation": (_TRANSLATION,),
               "total": (_TRANSLATION, _ROTATION)}
+# the term reading each array, as its loss of one instance for every copy in
+# a (P, m, k) stack of that array, shape (P,); central differences evaluate
+# these, not the losses
+_STACKED = {"pred_centroids": _translation_values,
+            "pred_quats": lambda inst, quats: _rotation_values(inst, quats).min(axis=-1)}
 
 
 def _selector(loss: str) -> tuple[tuple, ...]:
@@ -238,24 +267,31 @@ def _central_differences(terms: Sequence[tuple], instances: Sequence[LossInstanc
     in term order; the other terms do not move with that array.
 
     Every term is a mean over instances, so a component of one instance
-    moves it by what it moves ``value([instance]) / n``; only that term of
-    that instance is re-evaluated."""
+    moves it by what it moves that instance's term / n. The copies of the
+    array with each component stepped by +epsilon and by -epsilon go
+    through the term as stacks of at most STACK_BLOCK (copy, point, model
+    point) distances; a copy's value has the bits it has alone, so the
+    result is that of stepping one component at a time."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"finite-difference step must be finite and positive, got {epsilon}")
     out = []
     for inst in instances:
-        inst = replace(inst, **{f: getattr(inst, f).copy() for f, _, _ in terms})
-        for f, value, _ in terms:
-            flat = getattr(inst, f).reshape(-1)
-            for idx in range(flat.shape[0]):
-                orig = flat[idx]
-                flat[idx] = orig + epsilon
-                hi = value([inst])
-                flat[idx] = orig - epsilon
-                lo = value([inst])
-                flat[idx] = orig
-                out.append((hi - lo) / (2.0 * epsilon * len(instances)))
-    return np.array(out)
+        per_copy = inst.points.shape[0] * kernel_model(inst.model, inst.mask).points.shape[0]
+        step = max(1, STACK_BLOCK // per_copy)       # copies per block
+        for field, _, _ in terms:
+            arr = getattr(inst, field)
+            flat = arr.reshape(-1)
+            n = flat.size
+            # copy c steps component c % n to stepped[c]: +epsilon, then -epsilon
+            stepped = np.concatenate([flat + epsilon, flat - epsilon])
+            values = np.empty(2 * n)
+            for lo in range(0, 2 * n, step):
+                c = np.arange(lo, min(lo + step, 2 * n))
+                stack = np.tile(flat, (c.size, 1))
+                stack[np.arange(c.size), c % n] = stepped[c]
+                values[c] = _STACKED[field](inst, stack.reshape((c.size,) + arr.shape))
+            out.append((values[:n] - values[n:]) / (2.0 * epsilon * len(instances)))
+    return np.concatenate(out) if out else np.empty(0)
 
 
 def gradcheck(loss: str, instances: Sequence[LossInstance],
@@ -302,7 +338,8 @@ def random_instances(model, group: SymmetryGroup, mask,
             mask=mask,
             points=pts,
             pred_centroids=t_gt + rng.uniform(-8.0, 8.0, size=(n_points, 3)),
-            pred_quats=np.stack([random_quat(rng) for _ in range(n_points)]),
+            # the draws of n_points random_quat calls, normalized row by row
+            pred_quats=quat_normalize_batch(rng.normal(size=(n_points, 4))),
         ))
     return instances
 

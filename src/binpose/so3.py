@@ -390,14 +390,15 @@ class KernelModel:
     tr_m2: float
     r_max: float
 
-    def mean(self, dists, axis=None):
-        """Mean over the K model points of (n,K') distances to ``points``,
-        per row with axis=1 and over the rows too with axis=None. Without
-        counts it is the unweighted mean, so those results keep their bits."""
+    def mean(self, dists, axis=(-2, -1)):
+        """Mean over the K model points of (..., n, K') distances to
+        ``points``, per row with axis=-1 and over the n rows too with the
+        default, one value per leading index. Without counts it is the
+        unweighted mean, so those results keep their bits."""
         if self.counts is None:
             return dists.mean(axis=axis)
         rows = dists @ self.counts / self.size
-        return rows if axis == 1 else rows.mean()
+        return rows if axis == -1 else rows.mean(axis=-1)
 
 
 def kernel_model(model, mask) -> KernelModel:
@@ -434,44 +435,58 @@ def _kernel_model(model_bytes: bytes, mask_bytes: bytes) -> KernelModel:
 
 
 def _point_distances(diff, km: KernelModel, out, d=None) -> np.ndarray:
-    """The (n,K') distances ||X_i m_k + d_i|| to the points m_k of ``km``
-    for (n,3,3) matrices X_i = ``diff``, written into ``out``; ``d`` is
-    (n,3) or None for zero.
+    """The (..., n, K') distances ||X_i m_k + d_i|| to the points m_k of
+    ``km`` for (..., n, 3, 3) matrices X_i = ``diff``, written into
+    ``out``; ``d`` is (..., n, 3) or None for zero.
 
     The squared norm is m_k^T (X^T X) m_k + 2 (X^T d_i).m_k + d_i.d_i, one
-    (n,9) x (9,K') product. Each row's value does not depend on which other
-    rows are computed with it, except through the BLAS blocking of that
-    product (the last bit of a few elements).
+    (n,9) x (9,K') product per leading index. Each row's value does not
+    depend on which other rows are computed with it, except through the
+    BLAS blocking of that product (the last bit of a few elements); a
+    stacked product runs each leading index's 2-D product on its own, so
+    every stack keeps the bits it has alone.
     """
-    gram = np.einsum("mji,mjk->mik", diff, diff).reshape(-1, 9)
+    X = diff.reshape(-1, 3, 3)
+    gram = np.einsum("mji,mjk->mik", X, X).reshape(diff.shape[:-2] + (9,))
     np.matmul(gram, km.outer.T, out=out)
     if d is not None:
-        out += 2.0 * (np.einsum("mji,mj->mi", diff, d) @ km.points.T)
-        out += np.einsum("mj,mj->m", d, d)[:, None]
+        D = d.reshape(-1, 3)
+        out += 2.0 * (np.einsum("mji,mj->mi", X, D).reshape(d.shape) @ km.points.T)
+        out += np.einsum("mj,mj->m", D, D).reshape(d.shape[:-1] + (1,))
     return np.sqrt(np.maximum(out, 0.0, out=out), out=out)
 
 
 def symmetric_distances(A, B, model, group: SymmetryGroup, mask,
                         d=None) -> tuple[np.ndarray, np.ndarray]:
     """The distances ||(A s - B_j) m_k + d_j|| over the masked model points
-    m_k, for a (3,3) rotation A, (m,3,3) rotations B, (m,3) translation
-    differences d (None for zero) and each symmetry rotation s.
+    m_k, for a (3,3) rotation A, (..., m, 3, 3) rotations B, (..., m, 3)
+    translation differences d (None for zero) and each symmetry rotation
+    s. Leading dimensions index stacks of m rows, each computed with the
+    bits it has alone.
 
-    Returns the (n_s,) means of each s's distances over all m rows and K
-    model points, and the (m,K') distances to the K' points of
-    :func:`kernel_model` for the first s with the smallest mean. Two
-    buffers serve every s: the current one and the best so far swap when
-    the current s wins, so nothing is copied and each call returns fresh
-    arrays.
+    Returns the (..., n_s) means of each s's distances over a stack's m
+    rows and K model points, and the (..., m, K') distances to the K'
+    points of :func:`kernel_model` for each stack's first s with the
+    smallest mean. Two buffers serve every s: the current one and the best
+    so far swap when the current s wins in every stack, and otherwise the
+    stacks it wins are copied (never, for a single stack), so each call
+    returns fresh arrays.
     """
     km = kernel_model(model, mask)
-    shape = (B.shape[0], km.points.shape[0])
+    shape = B.shape[:-2] + (km.points.shape[0],)
     cur, best = np.empty(shape), np.empty(shape)
-    means = np.empty(len(group))
+    means = np.empty(B.shape[:-3] + (len(group),))
     for i, s in enumerate(group.matrices):
-        means[i] = km.mean(_point_distances((A @ s)[None] - B, km, cur, d))
-        if i == 0 or means[i] < means[winner]:
-            winner, cur, best = i, best, cur
+        means[..., i] = mean = km.mean(_point_distances((A @ s)[None] - B, km, cur, d))
+        if i:
+            wins = mean < low      # the stacks whose smallest mean so far s beats
+            # a count, not .all() and .any(), which cost microseconds on a scalar
+            n = np.count_nonzero(wins)
+        if i == 0 or n == wins.size:
+            cur, best, low = best, cur, mean
+        elif n:
+            best[wins] = cur[wins]
+            low = np.where(wins, mean, low)
     return means, best
 
 
@@ -568,6 +583,6 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
             if n == 1 < m:   # a one-row product is a BLAS gemv, which rounds unlike gemm
                 j, s = np.repeat(j, 2), np.repeat(s, 2)
             means[lo:lo + n] = km.mean(_point_distances(AS[s] - B[j], km, sq[:j.size]),
-                                       axis=1)[:n]
+                                       axis=-1)[:n]
         out[c] = np.minimum.reduceat(means, np.flatnonzero(np.diff(rows, prepend=-1)))
     return out if np.ndim(rep_quats) == 2 else out[0]

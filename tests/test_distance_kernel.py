@@ -245,7 +245,7 @@ def test_rotation_loss_values_match_reference(symmetry):
     rng = np.random.default_rng(3)
     model = _model(rng, k=80)
     for inst in random_instances(model, group, mask, rng, n_instances=6, n_points=7):
-        got = _rotation_values(inst)
+        got = _rotation_values(inst, inst.pred_quats[None])[0]
         want = ref_rotation_values(inst)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -264,10 +264,10 @@ def test_kernel_results_ignore_quaternion_sign(symmetry):
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
     instances = random_instances(model, group, mask, rng, n_instances=3, n_points=5)
     for inst in instances:
-        before = _rotation_values(inst)
+        before = _rotation_values(inst, inst.pred_quats[None])[0]
         grad = rotation_loss_grad([inst])[0]
         inst.pred_quats = -inst.pred_quats
-        assert np.array_equal(_rotation_values(inst), before)
+        assert np.array_equal(_rotation_values(inst, inst.pred_quats[None])[0], before)
         # the loss is even in q, so its gradient is odd
         np.testing.assert_allclose(rotation_loss_grad([inst])[0], -grad, rtol=0.0,
                                    atol=1e-12 * np.abs(grad).max())
@@ -288,6 +288,24 @@ def test_symmetric_distances_returns_the_winner_in_fresh_arrays(symmetry):
     kept = means.copy(), dists.copy()
     symmetric_distances(quat_to_matrix(random_quat(rng)), B, model, group, mask)
     assert np.array_equal(means, kept[0]) and np.array_equal(dists, kept[1])
+
+
+@pytest.mark.parametrize("with_d", [False, True], ids=["rotation", "pose"])
+def test_stacked_symmetric_distances_are_the_one_stack_results(symmetry, with_d):
+    # unrelated stacks, so that their winning s differ and the winners' rows
+    # are copied as well as swapped
+    group, mask = symmetry
+    rng = np.random.default_rng(18)
+    model = _model(rng, k=80)
+    A = quat_to_matrix(random_quat(rng))
+    B = quats_to_matrices(rng.normal(size=(2 * 6 * 4, 4))).reshape(2, 6, 4, 3, 3)
+    d = rng.normal(scale=5.0, size=(2, 6, 4, 3)) if with_d else None
+    means, dists = symmetric_distances(A, B, model, group, mask, d)
+    assert means.shape == (2, 6, len(group)) and dists.shape == (2, 6, 4, 80)
+    for idx in np.ndindex(2, 6):
+        one = symmetric_distances(A, B[idx], model, group, mask, None if d is None else d[idx])
+        assert np.array_equal(one[0], means[idx]) and np.array_equal(one[1], dists[idx])
+    assert len(group) == 1 or len(np.unique(means.argmin(axis=-1))) > 1
 
 
 def test_symmetric_distances_on_exact_ties_keeps_the_first_minimal_s():
@@ -374,7 +392,8 @@ def test_collapsed_loss_matches_the_references(collapsing):
     unmasked = [replace(inst, model=inst.model * inst.mask, mask=np.ones(3))
                 for inst in instances]
     for inst in instances:
-        np.testing.assert_allclose(_rotation_values(inst), ref_rotation_values(inst),
+        np.testing.assert_allclose(_rotation_values(inst, inst.pred_quats[None])[0],
+                                   ref_rotation_values(inst),
                                    rtol=1e-12, atol=0.0)
     for got, want in zip(rotation_loss_grad(instances), rotation_loss_grad(unmasked)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

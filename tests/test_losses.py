@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from binpose import losses
-from binpose.losses import (LossInstance, LossWeights, TieAtMinimumError,
+from binpose import so3
+from binpose.losses import (GRADCHECK_STEP, LossInstance, LossWeights, TieAtMinimumError,
                             center_weights, gradcheck, gradcheck_trials,
                             numeric_gradient_norm, random_instances,
                             rotation_loss, total_loss, translation_loss)
 from binpose.so3 import (SymmetryDescriptor, SymmetryGroup, axis_rotation,
-                         build_axis_mask, build_symmetry_group, matrix_to_quat,
-                         quat_to_matrix, random_quat)
-from binpose.synth import box_cloud
+                         build_axis_mask, build_symmetry_group, kernel_model,
+                         matrix_to_quat, quat_to_matrix, random_quat)
+from binpose.synth import ObjectModel, box_cloud, cylinder_cloud, sphere_cloud
 
 TWOFOLD = SymmetryDescriptor(0, 0, 180, 15)
 
@@ -32,6 +33,35 @@ def make_instance(desc=TWOFOLD, n_points=4, seed=0, model=None, perfect=False):
         cents = t_gt + rng.uniform(-8, 8, (n_points, 3))
         quats = np.stack([random_quat(rng) for _ in range(n_points)])
     return LossInstance(R_gt, t_gt, model, group, mask, pts, cents, quats)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["rotation_gt", "centroid_gt", "points", "pred_centroids",
+                                   "pred_quats"])
+def test_loss_instance_rejects_a_non_finite_entry(field, value):
+    inst = make_instance(seed=26)
+    arrays = {f: getattr(inst, f).copy() for f in ("rotation_gt", "centroid_gt", "points",
+                                                  "pred_centroids", "pred_quats")}
+    arrays[field].flat[1] = value
+    with pytest.raises(ValueError, match=f"^{field} has a non-finite entry"):
+        replace(inst, **arrays)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-170, 1e170])
+def test_loss_instance_rejects_a_quaternion_row_it_cannot_normalize(scale):
+    inst = make_instance(seed=27)
+    quats = inst.pred_quats.copy()
+    quats[2] *= scale              # zero, or a squared norm that under- or overflows
+    with pytest.raises(ValueError, match="pred_quats row 2 has squared norm"):
+        replace(inst, pred_quats=quats)
+
+
+def test_loss_instance_accepts_small_and_large_quaternions():
+    inst = make_instance(seed=27)
+    base = rotation_loss([inst])
+    for scale in (1e-150, 1e150):
+        scaled = replace(inst, pred_quats=inst.pred_quats * scale)
+        assert rotation_loss([scaled]) == pytest.approx(base, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +316,21 @@ def test_default_step_passes_a_configuration_at_the_norm_kink(loss):
     assert err <= GRADCHECK_GATE
 
 
+@pytest.mark.parametrize("loss", ["rotation", "total"])
+def test_default_step_passes_the_benchmark_gate_on_its_first_scene_seeds(loss):
+    # the train_losses workload's objects and its check: scene seed s runs one
+    # trial seeded s, on the box when s is even and on the cylinder when odd
+    objects = [ObjectModel("box", box_cloud((40, 120, 160), 12), SymmetryDescriptor(dz_deg=180)),
+               ObjectModel("cylinder", cylinder_cloud(30, 120, 6),
+                           SymmetryDescriptor(dz_deg=1))]
+    worst = 0.0
+    for seed in range(200):
+        model = objects[seed % 2]
+        worst = max(worst, gradcheck_trials(loss, model.points, model.group, model.mask,
+                                            trials=1, seed=seed))
+    assert worst <= GRADCHECK_GATE
+
+
 def test_default_step_flags_a_slightly_scaled_rotation_gradient(monkeypatch):
     desc = SymmetryDescriptor(dz_deg=180)
     model = box_cloud((40, 120, 160), 12)
@@ -396,25 +441,103 @@ def test_central_differences_match_the_all_instance_form(loss):
     assert np.all(want[~walked] == 0.0)
 
 
-@pytest.mark.parametrize("loss, n_rotation, n_translation",
-                         [("rotation", 48, 0), ("total", 48, 36)], ids=["rotation", "total"])
-def test_gradcheck_evaluates_only_the_perturbed_instance(monkeypatch, loss, n_rotation,
-                                                         n_translation):
-    calls = {"_rotation_values": 0, "translation_loss": 0}
-    for name in calls:
-        def counted(*args, _original=getattr(losses, name), _name=name):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(losses, name, counted)
+def _per_component_central_differences(terms, instances, epsilon):
+    # the loop the stacked evaluation replaced: one component of one term of
+    # one instance per pair of loss calls
+    out = []
+    for inst in instances:
+        inst = replace(inst, **{f: getattr(inst, f).copy() for f, _, _ in terms})
+        for f, value, _ in terms:
+            flat = getattr(inst, f).reshape(-1)
+            for idx in range(flat.shape[0]):
+                orig = flat[idx]
+                flat[idx] = orig + epsilon
+                hi = value([inst])
+                flat[idx] = orig - epsilon
+                lo = value([inst])
+                flat[idx] = orig
+                out.append((hi - lo) / (2.0 * epsilon * len(instances)))
+    return np.array(out)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("loss, evaluations",
+                         [("rotation", {"pred_quats": 2, "pred_centroids": 0}),
+                          ("total", {"pred_quats": 2, "pred_centroids": 2})],
+                         ids=["rotation", "total"])
+def test_gradcheck_evaluates_each_term_of_an_instance_in_one_stacked_call(monkeypatch, loss,
+                                                                          evaluations):
+    calls = dict.fromkeys(evaluations, 0)
+    for field in calls:
+        def counted(inst, stack, _original=losses._STACKED[field], _field=field):
+            calls[_field] += 1
+            return _original(inst, stack)
+        monkeypatch.setitem(losses._STACKED, field, counted)
     desc = SymmetryDescriptor(dz_deg=180)
     model = box_cloud((40, 120, 160), 12)
     gradcheck_trials(loss, model, build_symmetry_group(desc), build_axis_mask(desc),
                      trials=1)
-    # 2 instances x 3 points x (4 quaternion | 3 centroid components) x 2
-    # evaluations of one term of one instance; each term is re-evaluated
-    # only over the array it reads, and the analytic gradients read the
-    # kernel directly
-    assert calls == {"_rotation_values": n_rotation, "translation_loss": n_translation}
+    # 2 instances, each term evaluated once per instance on the stack of its
+    # array's +/- steps (2 x 3 points x 4 or 3 components)
+    assert calls == evaluations
+
+
+# objects for the bit-identity grid: finite groups of 1, 2 and 24 rotations,
+# and masks that collapse the model onto an axis (with and without a flip)
+# or onto the center
+BIT_GRID_OBJECTS = {
+    "box": (lambda: box_cloud((40, 120, 160), 12), SymmetryDescriptor(dz_deg=180)),
+    "cube24": (lambda: box_cloud((50, 50, 50), 10), SymmetryDescriptor(90, 90, 90)),
+    "cylinder": (lambda: cylinder_cloud(30, 120, 6), SymmetryDescriptor(dz_deg=1)),
+    "flip_cylinder": (lambda: cylinder_cloud(30, 120, 6),
+                      SymmetryDescriptor(dx_deg=180, dz_deg=1)),
+    "sphere": (lambda: sphere_cloud(40, 300), SymmetryDescriptor(1, 1, 1)),
+    "asymmetric_box": (lambda: box_cloud((20, 30, 40), 10), SymmetryDescriptor()),
+}
+
+
+@pytest.mark.parametrize("obj", sorted(BIT_GRID_OBJECTS))
+def test_central_differences_are_the_per_component_loop_bit_for_bit(obj):
+    make, desc = BIT_GRID_OBJECTS[obj]
+    model, group, mask = make(), build_symmetry_group(desc), build_axis_mask(desc)
+    rng = np.random.default_rng(24)
+    for m in (1, 3, 5):
+        instances = random_instances(model, group, mask, rng, n_instances=2, n_points=m)
+        for loss in ("rotation", "translation", "total"):
+            terms = losses._selector(loss)
+            for epsilon in (1e-6, 1e-4):
+                assert _same_bits(losses._central_differences(terms, instances, epsilon),
+                                  _per_component_central_differences(terms, instances,
+                                                                     epsilon))
+
+
+def test_gradcheck_on_a_large_instance_keeps_kernel_buffers_within_the_block(monkeypatch):
+    model = box_cloud((20, 30, 40), 10)
+    group, mask = build_symmetry_group(TWOFOLD), build_axis_mask(TWOFOLD)
+    inst = random_instances(model, group, mask, np.random.default_rng(25), n_instances=1,
+                            n_points=300)[0]
+    # all 2 x 1200 quaternion steps at once would need 2400 x 300 x K' distances
+    distances = kernel_model(model, mask).points.shape[0] * 300
+    assert 2 * inst.pred_quats.size * distances > 100 * losses.STACK_BLOCK
+    sizes, numeric = [], []
+
+    def spy(diff, km, out, d=None, _original=so3._point_distances):
+        sizes.append(out.size)
+        return _original(diff, km, out, d)
+
+    def kept(*args, _original=losses._central_differences):
+        numeric.append(_original(*args))
+        return numeric[-1]
+
+    monkeypatch.setattr(so3, "_point_distances", spy)
+    monkeypatch.setattr(losses, "_central_differences", kept)
+    assert gradcheck("total", [inst]) < 1e-4
+    assert len(sizes) > 2 and max(sizes) <= losses.STACK_BLOCK
+    assert _same_bits(numeric[0], _per_component_central_differences(
+        losses._selector("total"), [inst], GRADCHECK_STEP))
 
 
 def _quat_matrix_partials_reference(q):
