@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import Pose, SymmetryGroup, symmetric_pose_distance
+from .so3 import Pose, SymmetryGroup, kernel_model, symmetric_distances
+# Unused here; bound because perfbench/tracing.py wraps this name on binpose.metrics.
+from .so3 import symmetric_pose_distance  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -90,16 +92,23 @@ def match_predictions(pred_poses: list[Pose], gt_poses: list[Pose], model,
     distance is below the tolerance. Ties in distance break toward lower
     (pred, gt) indices, keeping the result order independent. Each row
     keeps the per-point distances of its pair for pointwise_recall.
+
+    One symmetric_distances call scores every pair, each as a one-row
+    stack with its own translation difference, so each pair has the bits
+    of its own symmetric_pose_distance.
     """
     rows: list[MatchRow] = []
     if not pred_poses or not gt_poses:
         return rows, 0
     n_p, n_g = len(pred_poses), len(gt_poses)
-    dist = np.empty((n_p, n_g))
-    per_point = {}
-    for i, p in enumerate(pred_poses):
-        for j, g in enumerate(gt_poses):
-            per_point[i, j], dist[i, j] = symmetric_pose_distance(model, g, p, group, mask)
+    gt_t = np.stack([g.t for g in gt_poses])
+    pred_t = np.stack([p.t for p in pred_poses])
+    means, per_point = symmetric_distances(
+        np.stack([g.rotation for g in gt_poses]),
+        np.stack([p.rotation for p in pred_poses])[:, None, None], model, group, mask,
+        (gt_t[None] - pred_t[:, None])[:, :, None])
+    dist = means.min(axis=-1)                                    # (n_p, n_g)
+    inverse = kernel_model(model, mask).inverse
     order = sorted(((dist[i, j], i, j) for i in range(n_p) for j in range(n_g)))
     used_p = set()
     used_g = set()
@@ -110,7 +119,9 @@ def match_predictions(pred_poses: list[Pose], gt_poses: list[Pose], model,
         used_g.add(j)
         rows.append(MatchRow(pred_index=i, gt_index=j, mean_distance=float(d),
                              is_tp=bool(d < tolerance_mm),
-                             point_distances=per_point[i, j]))
+                             # a copy, so a report does not keep every pair's distances
+                             point_distances=(per_point[i, j, 0].copy() if inverse is None
+                                              else per_point[i, j, 0][inverse])))
         if len(used_p) == n_p or len(used_g) == n_g:
             break
     tp = sum(1 for r in rows if r.is_tp)
@@ -145,10 +156,15 @@ def pointwise_recall(matches: list[MatchRow], n_gt: int, n_model_points: int,
 def evaluate(pred_poses: list[Pose], gt_poses: list[Pose], visible_counts,
              model, group: SymmetryGroup, mask, config: EvalConfig) -> EvalReport:
     """Full scene evaluation: visibility filter, matching, F1 and recall.
-    ``visible_counts`` holds one count per ground-truth pose."""
+    ``visible_counts`` holds one finite, non-negative count per
+    ground-truth pose."""
     if len(visible_counts) != len(gt_poses):
         raise ValueError(f"{len(visible_counts)} visible counts for {len(gt_poses)} "
                          "ground-truth poses")
+    counts = np.asarray(visible_counts, dtype=float)
+    for i in np.flatnonzero(~(np.isfinite(counts) & (counts >= 0.0))):
+        raise ValueError(f"visible_counts[{i}] must be finite and >= 0, "
+                         f"got {visible_counts[i]!r}")
     n_gt, keep = count_visible_gt(visible_counts, config.visibility_threshold)
     visible = [gt_poses[i] for i in keep]
     matches, tp = match_predictions(pred_poses, visible, model, group, mask,

@@ -459,9 +459,10 @@ def _point_distances(diff, km: KernelModel, out, d=None) -> np.ndarray:
 def symmetric_distances(A, B, model, group: SymmetryGroup, mask,
                         d=None) -> tuple[np.ndarray, np.ndarray]:
     """The distances ||(A s - B_j) m_k + d_j|| over the masked model points
-    m_k, for a (3,3) rotation A, (..., m, 3, 3) rotations B, (..., m, 3)
+    m_k, for (..., 3, 3) rotations A, (..., m, 3, 3) rotations B, (..., m, 3)
     translation differences d (None for zero) and each symmetry rotation
-    s. Leading dimensions index stacks of m rows, each computed with the
+    s. Leading dimensions index stacks of m rows; A's broadcast against
+    B's, and a (3,3) A serves every stack. Each stack is computed with the
     bits it has alone.
 
     Returns the (..., n_s) means of each s's distances over a stack's m
@@ -473,11 +474,13 @@ def symmetric_distances(A, B, model, group: SymmetryGroup, mask,
     returns fresh arrays.
     """
     km = kernel_model(model, mask)
-    shape = B.shape[:-2] + (km.points.shape[0],)
+    stacks = np.broadcast_shapes(np.shape(A)[:-2], B.shape[:-3])
+    shape = stacks + B.shape[-3:-2] + (km.points.shape[0],)
     cur, best = np.empty(shape), np.empty(shape)
-    means = np.empty(B.shape[:-3] + (len(group),))
+    means = np.empty(stacks + (len(group),))
     for i, s in enumerate(group.matrices):
-        means[..., i] = mean = km.mean(_point_distances((A @ s)[None] - B, km, cur, d))
+        diff = (A @ s)[..., None, :, :] - B
+        means[..., i] = mean = km.mean(_point_distances(diff, km, cur, d))
         if i:
             wins = mean < low      # the stacks whose smallest mean so far s beats
             # a count, not .all() and .any(), which cost microseconds on a scalar
@@ -515,9 +518,10 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
     ``rep_quats`` returns the (C,m) mean point distances min_s mu_js,
     mu_js = mean_k ||X m_k||, X = A s - B_j, A = R(candidate), B_j =
     R(quats[j]); a (4,) candidate gives the (m,) row. Used for
-    medoid-style rotation voting. The batch's rotations and bound tables
-    are built once; each candidate's pruning is that of a one-candidate
-    call, so its row is the same to the bit.
+    medoid-style rotation voting. The rotations of all candidates and of
+    the batch are built once, and each candidate's bound tables are
+    written into the same buffers; each candidate's pruning is that of a
+    one-candidate call, so its row is the same to the bit.
 
     Only the (j, s) pairs that can be the minimum get the exact K-term
     mean (Elkan, ICML 2003, prunes k-means distances the same way). With
@@ -531,10 +535,13 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
     For rotations t = 2 tr(M2) - 2 <A s, B_j M2>_F and ||X||_F^2 =
     6 - 2 <A s, B_j>_F, so two (m,9) x (9,|G|) products give every
     bound. A pair whose lower bound exceeds the row's smallest upper
-    bound (times 1 + BOUND_REL_SLACK) cannot be the minimum and is
-    skipped; the pair with the smallest upper bound always survives.
-    Survivors go member by member, m rows at a time, through the Gram-form
-    step of the unpruned kernel.
+    bound (times 1 + BOUND_REL_SLACK), the cutoff, cannot be the minimum
+    and is skipped; the pair with the smallest upper bound always
+    survives. The test is made without the division, as t > cutoff
+    ||X||_F r_max, and the cutoff is taken from the row's smallest t, as
+    adding the slack, clamping at 0 and sqrt are monotone. Survivors go
+    member by member, m rows at a time, through the Gram-form step of the
+    unpruned kernel.
 
     Why the result is the unpruned one. Those Frobenius forms cancel when
     X ~ 0 and assume orthogonal matrices, which quats_to_matrices and the
@@ -543,38 +550,59 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
     150 eps tr(M2) and 100 eps of the exact values (measured: 22 and 28).
     Both bounds are widened by BOUND_ABS_SLACK = 4096 eps (times tr(M2)
     for t), so they hold for the exact values, and every upper bound is at
-    least sqrt(4096 eps tr(M2)). X = B_j (B_j^T A s - I) has two equal
-    singular values, so mu_js >= sqrt(2) times its lower bound: a skipped
-    mean exceeds the kept minimum by at least (sqrt(2) - 1) times the
-    cutoff. The Gram form computes each mean to 1e-15 relative except
-    where ||X m_k||^2 cancels, at most sqrt(72 eps) r_k per point, which
-    twice over is below 0.41 sqrt(4096 eps tr(M2)). So no skipped mean can
-    be the computed minimum. When every member keeps one pair, the usual
-    case, the survivor product has the full kernel's shape and row order,
-    so the result is bit-identical. Otherwise the rows shift, and BLAS
-    blocking can move the last bit of a mean (1e-15 relative at most). A
-    row with a NaN bound keeps every pair and stays NaN.
+    least sqrt(4096 eps tr(M2)). Multiplying the cutoff by the widened
+    ||X||_F r_max instead of dividing t by it rounds once, by half an ulp
+    at most, as the quotient did; that is far inside BOUND_REL_SLACK.
+    Where that product's factor ||X||_F r_max is 0, r_max = 0, so M2 = 0
+    and t = 0 exactly: 0 > 0 keeps the pair. X = B_j (B_j^T A s - I) has
+    two equal singular values, so mu_js >= sqrt(2) times its lower bound:
+    a skipped mean exceeds the kept minimum by at least (sqrt(2) - 1)
+    times the cutoff. The Gram form computes each mean to 1e-15 relative
+    except where ||X m_k||^2 cancels, at most sqrt(72 eps) r_k per point,
+    which twice over is below 0.41 sqrt(4096 eps tr(M2)). So no skipped
+    mean can be the computed minimum. When every member keeps one pair,
+    the usual case, the survivor product has the full kernel's shape and
+    row order, so the result is bit-identical. Otherwise the rows shift,
+    and BLAS blocking can move the last bit of a mean (1e-15 relative at
+    most). A row with a NaN bound keeps every pair and stays NaN.
     """
+    reps = quat_normalize_batch(rep_quats)
+    norms = np.linalg.norm(reps, axis=1)
+    for c in np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL)):    # a non-finite candidate
+        raise ValueError(f"candidate {c} has quaternion norm {norms[c]:.9f} after "
+                         f"normalizing, which deviates from 1 by more than {UNIT_TOL}")
+    AS = quats_to_matrices(reps)[:, None] @ group.matrices          # (C,G,3,3)
     B = quats_to_matrices(quats)
     m = B.shape[0]
+    out = np.empty((reps.shape[0], m))
+    if m == 0:
+        return out if np.ndim(rep_quats) == 2 else out[0]
     km = kernel_model(model, mask)
     BM2 = (B @ km.m2.reshape(3, 3)).reshape(m, 9)
     slack = BOUND_ABS_SLACK * km.tr_m2
     sq = np.empty((m, km.points.shape[0]))
-    out = np.empty((np.size(rep_quats) // 4, m))
-    for c, rep in enumerate(np.reshape(rep_quats, (-1, 4))):
-        AS = quat_to_matrix(quat_normalize(rep)) @ group.matrices           # (G,3,3)
-        # (m,G) tables of t = tr(X^T X M2) and ||X||_F^2
-        t = 2.0 * km.tr_m2 - 2.0 * (BM2 @ AS.reshape(-1, 9).T)
-        fro2 = 6.0 - 2.0 * (B.reshape(m, 9) @ AS.reshape(-1, 9).T)
-        upper = np.sqrt(np.maximum(t + slack, 0.0))
-        denom = km.r_max * np.sqrt(np.maximum(fro2 + BOUND_ABS_SLACK, 0.0))
-        lower = np.divide(np.maximum(t - slack, 0.0), denom, out=np.zeros_like(t),
-                          where=denom > 0.0)
-        cutoff = (1.0 + BOUND_REL_SLACK) * upper.min(axis=1, keepdims=True)
+    # each candidate's (m,G) tables, written in place: t = tr(X^T X M2),
+    # and ||X||_F^2 turned into the right side of the pruning test
+    t, rhs = np.empty((m, len(group))), np.empty((m, len(group)))
+    skip = np.empty((m, len(group)), dtype=bool)
+    every = np.arange(m)
+    for c, ASc in enumerate(AS):
+        np.matmul(BM2, ASc.reshape(-1, 9).T, out=t)
+        t *= -2.0
+        t += 2.0 * km.tr_m2
+        np.matmul(B.reshape(m, 9), ASc.reshape(-1, 9).T, out=rhs)
+        rhs *= -2.0
+        rhs += 6.0
+        rhs += BOUND_ABS_SLACK
+        np.sqrt(np.maximum(rhs, 0.0, out=rhs), out=rhs)
+        rhs *= km.r_max
+        low = t.min(axis=1, keepdims=True) + slack
+        rhs *= (1.0 + BOUND_REL_SLACK) * np.sqrt(np.maximum(low, 0.0, out=low), out=low)
+        t -= slack
+        np.greater(np.maximum(t, 0.0, out=t), rhs, out=skip)
         # the surviving pairs, member by member; each member keeps at least
         # the pair with its smallest upper bound
-        rows, s_idx = np.nonzero(~(lower > cutoff))
+        rows, s_idx = np.nonzero(np.logical_not(skip, out=skip))
 
         means = np.empty(rows.size)
         for lo in range(0, rows.size, m):              # m rows at a time, like the full kernel
@@ -582,7 +610,10 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
             n = j.size
             if n == 1 < m:   # a one-row product is a BLAS gemv, which rounds unlike gemm
                 j, s = np.repeat(j, 2), np.repeat(s, 2)
-            means[lo:lo + n] = km.mean(_point_distances(AS[s] - B[j], km, sq[:j.size]),
+            means[lo:lo + n] = km.mean(_point_distances(ASc[s] - B[j], km, sq[:j.size]),
                                        axis=-1)[:n]
-        out[c] = np.minimum.reduceat(means, np.flatnonzero(np.diff(rows, prepend=-1)))
+        if np.array_equal(rows, every):                # one pair per member
+            out[c] = means
+        else:
+            out[c] = np.minimum.reduceat(means, np.flatnonzero(np.diff(rows, prepend=-1)))
     return out if np.ndim(rep_quats) == 2 else out[0]

@@ -4,15 +4,17 @@ The references below are the per-caller formulas evaluation, pose voting
 and the rotation loss used before they shared one kernel, kept verbatim.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
-from binpose import cluster, metrics
+from binpose import cluster, so3
 from binpose.cluster import pose_vote
 from binpose.losses import _rotation_values, random_instances, rotation_loss_grad
-from binpose.metrics import EvalConfig, evaluate
+from binpose.metrics import EvalConfig, evaluate, match_predictions
 from binpose.so3 import (Pose, SymmetryDescriptor, SymmetryGroup, build_axis_mask,
                          build_symmetry_group, kernel_model, matrix_to_quat,
                          quat_from_axis_angle, quat_multiply, quat_normalize, quat_to_matrix,
@@ -83,6 +85,39 @@ def test_symmetry_fixture_covers_group_sizes_and_mask():
 
 def _model(rng, k=200):
     return rng.uniform(-60.0, 60.0, size=(k, 3))
+
+
+class _NumpySpy:
+    """numpy as binpose.so3 sees it, counting how rotation_distances_to_set
+    reduces each candidate's row: straight from one pair per member
+    (``one_pair``) or by np.minimum.reduceat over several (``reduceat``)."""
+
+    def __init__(self):
+        self.paths = collections.Counter()
+        spy = self
+
+        class _Minimum:
+            @staticmethod
+            def reduceat(*args):
+                spy.paths["reduceat"] += 1
+                return np.minimum.reduceat(*args)
+
+        self.minimum = _Minimum()
+
+    def array_equal(self, a, b):
+        same = np.array_equal(a, b)
+        self.paths["one_pair"] += same
+        return same
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.fixture
+def voting_paths(monkeypatch):
+    spy = _NumpySpy()
+    monkeypatch.setattr(so3, "np", spy)
+    return spy.paths
 
 
 def _pose_pairs(rng, n=40):
@@ -169,12 +204,16 @@ def _assert_pruning_matches_reference(group, mask, model, rng, monkeypatch):
                          _one_candidate_at_a_time(ref_rotation_distances_to_set))), name
 
 
-def test_pruned_rotation_distances_match_the_unpruned_reference(symmetry, monkeypatch):
+def test_pruned_rotation_distances_match_the_unpruned_reference(symmetry, monkeypatch,
+                                                                voting_paths):
     # K = 203 leaves a ragged BLAS column tail
     group, mask = symmetry
     rng = np.random.default_rng(5)
     for model in (_model(rng, k=203), _ring(203)):
         _assert_pruning_matches_reference(group, mask, model, rng, monkeypatch)
+    # with one symmetry every member keeps its one pair
+    assert voting_paths["one_pair"] > 0
+    assert (voting_paths["reduceat"] > 0) == (len(group) > 1)
 
 
 # (group, mask, rounds): the cancellation noise of the bounds varies with the rotation
@@ -188,16 +227,18 @@ DEGENERATE = {
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
-def test_pruning_on_degenerate_masks(name, monkeypatch):
+def test_pruning_on_degenerate_masks(name, monkeypatch, voting_paths):
     group_desc, mask_desc, rounds = DEGENERATE[name]
     group, mask = build_symmetry_group(group_desc), build_axis_mask(mask_desc)
     rng = np.random.default_rng(7)
     model = _model(rng)
     for _ in range(rounds):
         _assert_pruning_matches_reference(group, mask, model, rng, monkeypatch)
+    if name == "z_axis_ties":    # tied pairs survive together
+        assert voting_paths["reduceat"] > 0
 
 
-def test_pruned_rows_round_like_the_reference():
+def test_pruned_rows_round_like_the_reference(voting_paths):
     # with K = 200 there is no ragged BLAS column tail, so every row layout of
     # the survivor product rounds like the full kernel's, except a one-row
     # product, which numpy sends to gemv. The last member keeps one pair, so
@@ -212,6 +253,28 @@ def test_pruned_rows_round_like_the_reference():
         got = rotation_distances_to_set(rep, quats, model, group, np.ones(3))
         want = ref_rotation_distances_to_set(rep, quats, model, group, np.ones(3))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert voting_paths["one_pair"] > 0 and voting_paths["reduceat"] > 0
+
+
+def test_empty_batches_give_empty_rows():
+    group = build_symmetry_group(SYMMETRIES["cube24"])
+    rng = np.random.default_rng(20)
+    rep, quats, model = random_quat(rng), rng.normal(size=(5, 4)), _model(rng)
+    none = np.empty((0, 4))
+    assert rotation_distances_to_set(rep, none, model, group, np.ones(3)).shape == (0,)
+    assert rotation_distances_to_set(np.stack([rep, rep]), none, model, group,
+                                     np.ones(3)).shape == (2, 0)
+    assert rotation_distances_to_set(none, quats, model, group, np.ones(3)).shape == (0, 5)
+
+
+@pytest.mark.parametrize("members", [5, 0])
+def test_a_non_finite_candidate_raises(members):
+    group = build_symmetry_group(SYMMETRIES["cube24"])
+    rng = np.random.default_rng(21)
+    quats, model = rng.normal(size=(members, 4)), _model(rng)
+    for reps in ([np.nan, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0, 0.0], [0.5, np.nan, 0.5, 0.5]]):
+        with pytest.raises(ValueError, match="deviates from 1"):
+            rotation_distances_to_set(reps, quats, model, group, np.ones(3))
 
 
 def test_a_non_finite_member_stays_nan_through_pruning():
@@ -308,6 +371,58 @@ def test_stacked_symmetric_distances_are_the_one_stack_results(symmetry, with_d)
     assert len(group) == 1 or len(np.unique(means.argmin(axis=-1))) > 1
 
 
+@pytest.mark.parametrize("m", [1, 4])
+def test_stacked_A_gives_the_one_A_results(symmetry, m):
+    # A's stacks broadcast against B's; m = 1 is evaluation's one-row stack
+    group, mask = symmetry
+    rng = np.random.default_rng(19)
+    model = _model(rng, k=80)
+    A = quats_to_matrices(rng.normal(size=(5, 4)))
+    B = quats_to_matrices(rng.normal(size=(3 * m, 4))).reshape(3, 1, m, 3, 3)
+    d = rng.normal(scale=5.0, size=(3, 5, m, 3))
+    means, dists = symmetric_distances(A, B, model, group, mask, d)
+    assert means.shape == (3, 5, len(group)) and dists.shape == (3, 5, m, 80)
+    for i, j in np.ndindex(3, 5):
+        one = symmetric_distances(A[j], B[i, 0], model, group, mask, d[i, j])
+        assert np.array_equal(one[0], means[i, j]) and np.array_equal(one[1], dists[i, j])
+
+
+def _per_pair_matching(preds, gts, model, group, mask):
+    """match_predictions' greedy ranking over one symmetric_pose_distance
+    per pair: (pred, gt, per-point distances, mean) for each match."""
+    per_pair = {(i, j): symmetric_pose_distance(model, g, p, group, mask)
+                for i, p in enumerate(preds) for j, g in enumerate(gts)}
+    used_p, used_g, rows = set(), set(), []
+    for _, i, j in sorted((mean, i, j) for (i, j), (_, mean) in per_pair.items()):
+        if i not in used_p and j not in used_g:
+            used_p.add(i)
+            used_g.add(j)
+            rows.append((i, j) + per_pair[i, j])
+    return rows
+
+
+def _assert_matching_is_the_per_pair_distance(model, group, mask, rng):
+    gts = [Pose(random_quat(rng), rng.uniform(-100.0, 100.0, size=3)) for _ in range(4)]
+    preds = [Pose(quat_multiply(g.quat, quat_from_axis_angle(rng.normal(size=3), 0.05)),
+                  g.t + rng.normal(scale=2.0, size=3)) for g in gts[:3]]
+    preds += [Pose(random_quat(rng), rng.uniform(-100.0, 100.0, size=3)) for _ in range(2)]
+    rows, _ = match_predictions(preds, gts, model, group, mask, 5.0)
+    want = _per_pair_matching(preds, gts, model, group, mask)
+    assert [(r.pred_index, r.gt_index) for r in rows] == [w[:2] for w in want]
+    for r, (_, _, points, mean) in zip(rows, want):
+        assert np.array_equal(np.float64(r.mean_distance).view(np.uint64),
+                              np.float64(mean).view(np.uint64))
+        assert np.array_equal(r.point_distances.view(np.uint64), points.view(np.uint64))
+        # a row owns its distances rather than keeping every pair's alive
+        assert r.point_distances.flags.owndata
+
+
+def test_matching_is_the_per_pair_distance_bit_for_bit(symmetry):
+    group, mask = symmetry
+    rng = np.random.default_rng(22)
+    _assert_matching_is_the_per_pair_distance(_model(rng), group, mask, rng)
+
+
 def test_symmetric_distances_on_exact_ties_keeps_the_first_minimal_s():
     # with the z_axis_ties object, s and s Rz(180) often give the same mean
     # to the last bit while their distances differ in the last bits
@@ -399,7 +514,7 @@ def test_collapsed_loss_matches_the_references(collapsing):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_collapsed_recall_counts_equal_the_reference(collapsing, monkeypatch):
+def test_collapsed_recall_counts_equal_the_reference(collapsing):
     model, group, mask, _ = collapsing
     rng = np.random.default_rng(17)
     gts = [Pose(random_quat(rng), rng.uniform(-100.0, 100.0, size=3)) for _ in range(4)]
@@ -407,12 +522,16 @@ def test_collapsed_recall_counts_equal_the_reference(collapsing, monkeypatch):
     # splits each instance's points
     preds = [Pose(quat_multiply(g.quat, quat_from_axis_angle(rng.normal(size=3), 0.05)),
                   g.t + rng.normal(scale=2.0, size=3)) for g in gts]
-    cfg = EvalConfig(5.0, 0.4)
-    got = evaluate(preds, gts, [1] * 4, model, group, mask, cfg)
-    monkeypatch.setattr(metrics, "symmetric_pose_distance",
-                        lambda *args: ref_symmetric_pose_distance(*args)[:2])
-    want = evaluate(preds, gts, [1] * 4, model, group, mask, cfg)
-    assert got.matched_points == want.matched_points and got.tp == want.tp
+    got = evaluate(preds, gts, [1] * 4, model, group, mask, EvalConfig(5.0, 0.4))
+    assert sorted((m.pred_index, m.gt_index) for m in got.matches) == [(i, i) for i in range(4)]
+    want = [ref_symmetric_pose_distance(model, g, p, group, mask) for g, p in zip(gts, preds)]
+    assert got.matched_points == sum(int((points < 5.0).sum()) for points, _, _ in want)
+    assert got.tp == sum(mean < 5.0 for _, mean, _ in want)
+
+
+def test_collapsed_matching_is_the_per_pair_distance_bit_for_bit(collapsing):
+    model, group, mask, _ = collapsing
+    _assert_matching_is_the_per_pair_distance(model, group, mask, np.random.default_rng(23))
 
 
 def test_kernel_model_memo_is_read_only_and_keyed_on_content():

@@ -6,6 +6,12 @@ cylinder (continuous z symmetry, so the oracle's axis spin runs), seeds
 change that alters a bit of ``poses.json`` or ``labels.txt`` fails here
 and must update the digest and say why; the rerun test (A9) only
 compares two runs of the same code.
+
+The digests were recorded with numpy 2.4.6's bundled OpenBLAS on its
+SkylakeX kernel, one BLAS thread. Its Haswell and Sandybridge kernels
+(``OPENBLAS_CORETYPE``) round some products differently and fail all
+eight, so a machine whose CPU selects another kernel fails here without
+a code change; CI prints the kernel it got.
 """
 
 import hashlib

@@ -8,7 +8,7 @@ from binpose.metrics import (EvalConfig, count_visible_gt, evaluate, f1_inst,
 from binpose.so3 import (Pose, SymmetryDescriptor, build_axis_mask,
                          build_symmetry_group, matrix_to_quat,
                          quat_from_axis_angle, quat_multiply, quat_normalize,
-                         random_quat, symmetric_pose_distance)
+                         random_quat, symmetric_distances, symmetric_pose_distance)
 from binpose.synth import box_cloud
 
 TWOFOLD = SymmetryDescriptor(0, 0, 180, 15)
@@ -237,16 +237,16 @@ def test_spurious_prediction_lowers_f1_not_recall():
     assert rep.recall == base.recall
 
 
-def test_evaluate_computes_each_pair_distance_once(monkeypatch):
+def test_evaluate_scores_every_pair_in_one_stacked_call(monkeypatch):
     import binpose.metrics as metrics
 
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return symmetric_pose_distance(*args)
+    def counted(A, B, model, group, mask, d=None):
+        calls.append((A, B, d))
+        return symmetric_distances(A, B, model, group, mask, d)
 
-    monkeypatch.setattr(metrics, "symmetric_pose_distance", counted)
+    monkeypatch.setattr(metrics, "symmetric_distances", counted)
     model, group, mask = symmetry_setup()
     rng = np.random.default_rng(10)
     preds, gts, counts = make_eval_inputs(rng, model, group, mask, n=4)
@@ -255,7 +255,18 @@ def test_evaluate_computes_each_pair_distance_once(monkeypatch):
     rep = evaluate(preds, gts, counts, model, group, mask, EvalConfig(5.0, 0.4))
     assert (rep.n_pred, rep.n_gt, rep.tp) == (5, 3, 3)
     assert rep.recall == 1.0
-    assert len(calls) == rep.n_pred * rep.n_gt
+    assert len(calls) == 1
+    A, B, d = calls[0]
+    # one one-row stack per pred x visible-GT pair, holding that pair's poses
+    stacks = np.broadcast_shapes(A.shape[:-2], B.shape[:-3])
+    assert stacks == (rep.n_pred, rep.n_gt) and B.shape[-3] == 1
+    assert d.shape == stacks + (1, 3)
+    A, B = np.broadcast_to(A, stacks + (3, 3)), np.broadcast_to(B, stacks + (1, 3, 3))
+    visible = [gts[k] for k in count_visible_gt(counts, 0.4)[1]]
+    for i, j in np.ndindex(stacks):
+        g, p = visible[j], preds[i]
+        assert np.array_equal(A[i, j], g.rotation) and np.array_equal(B[i, j, 0], p.rotation)
+        assert np.array_equal(d[i, j, 0], g.t - p.t)
 
 
 def test_eval_config_validation():
@@ -271,4 +282,13 @@ def test_evaluate_rejects_visible_counts_not_one_per_gt_pose(change):
     preds, gts, counts = make_eval_inputs(np.random.default_rng(11), model, group, mask)
     counts = (list(counts) + [100])[:len(gts) + change]
     with pytest.raises(ValueError, match="visible counts for"):
+        evaluate(preds, gts, counts, model, group, mask, EvalConfig(5.0, 0.4))
+
+
+@pytest.mark.parametrize("bad", [-5, np.nan, np.inf, -np.inf])
+def test_evaluate_rejects_negative_or_non_finite_visible_counts(bad):
+    model, group, mask = symmetry_setup()
+    preds, gts, counts = make_eval_inputs(np.random.default_rng(12), model, group, mask)
+    counts[2] = bad
+    with pytest.raises(ValueError, match=r"visible_counts\[2\]"):
         evaluate(preds, gts, counts, model, group, mask, EvalConfig(5.0, 0.4))
