@@ -40,6 +40,8 @@ class ClusterParams:
     def __post_init__(self):
         if not 0.0 < self.bandwidth_2 < self.bandwidth_1:
             raise ValueError("need 0 < bandwidth_2 < bandwidth_1")
+        if self.min_points_1 < 1:
+            raise ValueError("min_points_1 must be >= 1")
         if self.min_points_2 < self.min_points_1:
             raise ValueError("min_points_2 must be >= min_points_1")
         # quat_scale 0 is allowed: it is the translation-only ablation
@@ -114,25 +116,33 @@ class ClusterResult:
                      for i, pose in enumerate(self.poses))
 
 
-WINDOW_BLOCK = 1 << 20   # (mean, candidate) pairs per distance block
+WINDOW_BLOCK = 1 << 15   # (mean, candidate) pairs per block: 256 KB of d2
 
 
 class _Grid:
     """The rows of ``X`` bucketed on a grid over their leading (at most
     three) coordinates, with cells a hair wider than the bandwidth: every
     point within the bandwidth of a mean lies in the 3**d cells around
-    the mean's cell, even after rounding in the ``d2`` expansion."""
+    the mean's cell, even after rounding in the ``d2`` product.
+
+    Each point is stored once as its augmented row ``[x, 1, |x|^2]``. A
+    mean's row ``[-2m, |m|^2, 1]`` (``augment``) dotted with it is
+    ``|m|^2 + |x|^2 - 2 m.x``, so a block's ``d2`` is one product, and
+    the leading ``k + 1`` columns of the gathered rows give a window's
+    sums and count in a second one."""
 
     def __init__(self, X: np.ndarray, bandwidth: float):
-        self.X = X
-        self.X_sq = (X * X).sum(axis=1)
+        X_sq = (X * X).sum(axis=1)
+        self.rows = np.concatenate([X, np.ones((X.shape[0], 1)), X_sq[:, None]], axis=1)
         self.bw2 = bandwidth * bandwidth
         lead = X[:, :3]
-        # d2 = |m|^2 + |x|^2 - 2 m.x is off by at most 4 (k+3) eps R^2, so a
-        # point the window counts lies at most that / 2h past h; cells take
-        # four times that margin plus 1e-6 h for the floor division, and at
-        # least 2**-20 of the span so the int64 cell keys cannot overflow
-        slack = 8.0 * (X.shape[1] + 3) * np.finfo(float).eps * self.X_sq.max()
+        # d2 sums k + 2 terms of total magnitude at most 4 R^2 (|m|, |x| <= R),
+        # so it is off by at most 4 (k+2) eps R^2 plus the rounding of |m|^2
+        # and |x|^2, k eps R^2 each: under 6 (k+2) eps R^2. A point the window
+        # counts lies at most that / 2h past h; cells take four times that
+        # margin plus 1e-6 h for the floor division, and at least 2**-20 of
+        # the span so the int64 cell keys cannot overflow
+        slack = 12.0 * (X.shape[1] + 2) * np.finfo(float).eps * X_sq.max()
         self.width = max(bandwidth * (1.0 + 1e-6) + slack / bandwidth,
                          float((lead.max(axis=0) - lead.min(axis=0)).max()) / 2**20)
         cells = np.floor(lead / self.width).astype(np.int64)
@@ -149,29 +159,40 @@ class _Grid:
         for stride in self.strides[1:]:
             self.offsets = (self.offsets[:, None] + stride * np.array([-1, 0, 1])).ravel()
 
+    @staticmethod
+    def augment(means: np.ndarray) -> np.ndarray:
+        """The rows ``[-2m, |m|^2, 1]`` of ``means``."""
+        ones = np.ones((means.shape[0], 1))
+        return np.concatenate([-2.0 * means, (means * means).sum(axis=1)[:, None], ones],
+                              axis=1)
+
     def windows(self, means: np.ndarray):
-        """Yield (sel, cand, inside) per block of ``means``: inside[i, j]
-        tells whether X[cand[j]] lies in the flat window around
-        means[sel[i]]; points outside ``cand`` lie outside it."""
+        """Yield (sel, cand, inside) per block of ``means``: cand holds the
+        augmented rows of the candidate points, and inside[i, j] is 1.0 if
+        cand[j] lies in the flat window around means[sel[i]], else 0.0;
+        points outside ``cand`` lie outside it. A block holds at most
+        ``WINDOW_BLOCK`` pairs unless it is a single mean."""
         cells = np.floor(means[:, :3] / self.width).astype(np.int64) - self.lo
         keys = np.clip(cells, 1, self.bounds) @ self.strides
-        cell_keys, inverse = np.unique(keys, return_inverse=True)
-        by_cell = np.argsort(inverse, kind="stable")
-        splits = np.cumsum(np.bincount(inverse))[:-1]
-        lows = cell_keys[:, None] + self.offsets[None, :]
-        starts = np.searchsorted(self.keys, lows - 1, side="left")
-        ends = np.searchsorted(self.keys, lows + 1, side="right")
-        for sel, s, e in zip(np.split(by_cell, splits), starts, ends):
-            lens = e - s                 # the key ranges, concatenated
-            cand = self.order[np.repeat(s - np.cumsum(lens) + lens, lens)
-                              + np.arange(lens.sum())]
-            Xc, Xc_sq = self.X[cand], self.X_sq[cand]
-            step = max(1, WINDOW_BLOCK // max(cand.shape[0], 1))
-            for lo in range(0, sel.shape[0], step):
-                rows = sel[lo:lo + step]
-                M = means[rows]
-                d2 = (M * M).sum(axis=1)[:, None] + Xc_sq[None, :] - 2.0 * (M @ Xc.T)
-                yield rows, cand, d2 <= self.bw2
+        by_cell = np.argsort(keys, kind="stable")
+        keys = keys[by_cell]
+        cuts = np.flatnonzero(np.diff(keys)) + 1
+        heads = np.concatenate([[0], cuts])
+        lows = keys[heads, None] + self.offsets[None, :]
+        starts = np.searchsorted(self.keys, lows - 1, side="left").ravel()
+        lens = np.searchsorted(self.keys, lows + 1, side="right").ravel() - starts
+        # every cell's key ranges, concatenated; cell c's run ends at edges[c + 1]
+        ends = np.cumsum(lens)
+        points = self.order[np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())]
+        edges = np.append(0, ends.reshape(heads.shape[0], -1)[:, -1])
+        aug = self.augment(means[by_cell])
+        for lo, hi, c0, c1 in zip(heads, np.append(cuts, keys.shape[0]), edges[:-1], edges[1:]):
+            cand = self.rows[points[c0:c1]]
+            step = max(1, WINDOW_BLOCK // max(c1 - c0, 1))
+            for i in range(lo, hi, step):
+                j = min(i + step, hi)
+                d2 = aug[i:j] @ cand.T
+                yield by_cell[i:j], cand, np.less_equal(d2, self.bw2, out=d2)
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,19 +242,30 @@ def mean_shift(features, bandwidth: float, min_points: int = 1,
       of ``d2``. A window of radius h in all k coordinates lies inside
       the one of radius h in the leading three, so no point of a window
       is left out.
+    - A block of windows tests at most ``WINDOW_BLOCK`` (mean, candidate)
+      pairs, and the nearest-mode scan runs in row blocks of as many
+      (point, mode) pairs, one coordinate at a time in the dense scan's
+      order, so its ``argmin``, ties included, is the dense one's.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    if not bandwidth > 0.0:
+        raise ValueError("bandwidth must be positive")
+    if min_points < 1:
+        raise ValueError("min_points must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     n = X.shape[0]
     if n == 0:
         return MeanShiftResult(np.empty((0, X.shape[1])), np.empty(0, dtype=int))
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
     if not np.isfinite(X).all():
         raise ValueError("mean-shift features must be finite")
 
     grid = _Grid(X, bandwidth)
+    k = X.shape[1]
     means = X.copy()
     active = np.ones(n, dtype=bool)
     for _ in range(max_iters):
@@ -244,10 +276,10 @@ def mean_shift(features, bandwidth: float, min_points: int = 1,
         lead = means[seeds[first]]
         new = np.empty_like(lead)
         for sel, cand, inside in grid.windows(lead):
-            inside = inside.astype(X.dtype)
-            counts = inside.sum(axis=1)
+            sums = inside @ cand[:, :k + 1]   # window sums, then counts
+            counts = sums[:, k]
             counts[counts == 0] = 1.0   # isolated seed: stays put
-            new[sel] = (inside @ X[cand]) / counts[:, None]
+            new[sel] = sums[:, :k] / counts[:, None]
         moving = np.linalg.norm(new - lead, axis=1) >= tol
         means[seeds] = new[inverse]
         active[seeds] = moving[inverse]
@@ -256,9 +288,9 @@ def mean_shift(features, bandwidth: float, min_points: int = 1,
     # (most points in its window) survives, ties to the lowest seed index
     first, _ = _distinct_rows(means)
     lead = means[first]
-    support = np.empty(first.shape[0])
+    support = np.empty(first.shape[0], dtype=np.intp)
     for sel, _, inside in grid.windows(lead):
-        support[sel] = inside.sum(axis=1)
+        support[sel] = np.count_nonzero(inside, axis=1)
     modes_arr = np.empty_like(lead)
     n_modes = 0
     for m in lead[np.lexsort((first, -support))]:
@@ -268,11 +300,18 @@ def mean_shift(features, bandwidth: float, min_points: int = 1,
         n_modes += 1
     modes_arr = modes_arr[:n_modes]
 
-    # one coordinate at a time, so no (N, C, k) array is built
-    d2 = (X[:, None, 0] - modes_arr[None, :, 0]) ** 2
-    for j in range(1, X.shape[1]):
-        d2 += (X[:, None, j] - modes_arr[None, :, j]) ** 2
-    kept, labels = _drop_small(np.argmin(d2, axis=1), n_modes, min_points)
+    # nearest mode per point, in row blocks, so no (N, C) array is built
+    nearest = np.empty(n, dtype=np.intp)
+    step = max(1, WINDOW_BLOCK // n_modes)
+    modes_t = modes_arr.T.copy()
+    for lo in range(0, n, step):
+        x = X[lo:lo + step]
+        d2 = np.square(x[:, 0, None] - modes_t[0])
+        sq = np.empty_like(d2)
+        for j in range(1, k):
+            d2 += np.square(np.subtract(x[:, j, None], modes_t[j], out=sq), out=sq)
+        nearest[lo:lo + step] = np.argmin(d2, axis=1)
+    kept, labels = _drop_small(nearest, n_modes, min_points)
     return MeanShiftResult(modes_arr[kept], labels, converged=not active.any())
 
 

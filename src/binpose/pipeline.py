@@ -108,6 +108,10 @@ def estimate_poses(config: Config, pred: PerPointPrediction, single_stage: bool 
                         warnings.warn(f"ICP failed on instance {label} (degenerate "
                                       "correspondences); kept its voted pose",
                                       StageWarning, stacklevel=2)
+                    elif not refined.converged:
+                        warnings.warn(f"ICP stopped at max_iters on instance {label} "
+                                      "before converging; kept its last pose",
+                                      StageWarning, stacklevel=2)
     return replace(clusters, poses=poses)
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from binpose import cluster
 from binpose.cluster import (ClusterParams, MeanShiftResult, PerPointPrediction,
                              cluster_predictions, mean_shift, pose_vote,
                              stage1_features, two_stage_pipeline)
@@ -94,6 +95,21 @@ def test_mean_shift_rejects_non_finite_features():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             mean_shift(np.array([[0.0, 1.0], [bad, 2.0]]), bandwidth=1.0)
+
+
+@pytest.mark.parametrize("n", [0, 50])
+@pytest.mark.parametrize("kwargs, key", [
+    ({"bandwidth": 0.0}, "bandwidth"), ({"bandwidth": -1.0}, "bandwidth"),
+    ({"bandwidth": np.nan}, "bandwidth"),
+    ({"min_points": 0}, "min_points"), ({"min_points": -3}, "min_points"),
+    ({"max_iters": 0}, "max_iters"), ({"max_iters": -1}, "max_iters"),
+    ({"tol": 0.0}, "tol"), ({"tol": -1e-3}, "tol"), ({"tol": np.nan}, "tol"),
+], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()))
+def test_mean_shift_rejects_bad_parameters(n, kwargs, key):
+    # checked before the empty-input return, so an empty input fails too
+    X = np.random.default_rng(0).normal(size=(n, 3))
+    with pytest.raises(ValueError, match=key):
+        mean_shift(X, **dict({"bandwidth": 1.0}, **kwargs))
 
 
 def dense_mean_shift(X, bandwidth, min_points=1, max_iters=300, tol=1e-3):
@@ -196,11 +212,11 @@ def test_mean_shift_pair_exactly_one_bandwidth_apart():
         assert len(mean_shift(X, 5.0).members) == 1
 
 
-@pytest.mark.parametrize("oracle", [OracleParams(1.0, 2.0, True),
-                                    OracleParams(4.0, 8.0, True, 0.1)],
-                         ids=["clean", "noisy"])
-@pytest.mark.parametrize("max_iters", [1, 300])
-def test_stage1_mean_shift_matches_dense_reference(oracle, max_iters):
+NOISY = OracleParams(4.0, 8.0, True, 0.1)
+
+
+def stage1_input(oracle):
+    """The stage-1 features of a box scene (seed 1), in normalized mm."""
     model = ObjectModel("box", box_cloud((40, 120, 160), 10), TWOFOLD)
     scene = apply_occlusion(generate_scene(model, SceneGenParams((3, 5), (700, 700, 500)),
                                            seed=1), 5.0, 10.0)
@@ -209,9 +225,94 @@ def test_stage1_mean_shift_matches_dense_reference(oracle, max_iters):
     positions, transform = normalize_scene(pred.positions, transform)
     pred_n = PerPointPrediction(positions, transform.forward_points(pred.centroids),
                                 pred.quats)
+    return stage1_features(pred_n, ClusterParams().quat_scale)
+
+
+@pytest.mark.parametrize("oracle", [OracleParams(1.0, 2.0, True), NOISY],
+                         ids=["clean", "noisy"])
+@pytest.mark.parametrize("max_iters", [1, 300])
+def test_stage1_mean_shift_matches_dense_reference(oracle, max_iters):
     params = ClusterParams()
-    assert_matches_dense(stage1_features(pred_n, params.quat_scale), params.bandwidth_1,
-                         params.min_points_1, max_iters)
+    assert_matches_dense(stage1_input(oracle), params.bandwidth_1, params.min_points_1,
+                         max_iters)
+
+
+@pytest.mark.parametrize("block", [cluster.WINDOW_BLOCK, 512])
+def test_window_blocks_stay_within_window_block(monkeypatch, block):
+    """Every block ``_Grid.windows`` yields holds at most WINDOW_BLOCK
+    (mean, candidate) pairs unless it is a single mean: that bounds the
+    memory of a pass. At 512 pairs some cells have more candidates than
+    that, so single-mean blocks occur."""
+    shapes = []
+    windows = cluster._Grid.windows
+
+    def spy(self, means):
+        for sel, cand, inside in windows(self, means):
+            assert inside.shape == (sel.shape[0], cand.shape[0])
+            shapes.append(inside.shape)
+            yield sel, cand, inside
+
+    X = stage1_input(NOISY)
+    params = ClusterParams()
+    want = mean_shift(X, params.bandwidth_1, params.min_points_1)
+    monkeypatch.setattr(cluster, "WINDOW_BLOCK", block)
+    monkeypatch.setattr(cluster._Grid, "windows", spy)
+    res = mean_shift(X, params.bandwidth_1, params.min_points_1)
+    assert np.array_equal(res.labels, want.labels)
+    sizes = np.array(shapes)
+    assert ((sizes.prod(axis=1) <= block) | (sizes[:, 0] == 1)).all()
+    assert (sizes[:, 0] > 1).any()
+    assert (sizes.prod(axis=1) > block // 2).any()
+    if block < cluster.WINDOW_BLOCK:
+        assert (sizes[:, 1] > block).any()
+
+
+@pytest.mark.parametrize("k", [3, 7])
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e4, 1e5])
+def test_grid_candidates_hold_every_point_the_window_counts(k, scale):
+    """Means sit at and inside the faces of one cell, |x| about scale * h.
+    Points lie exactly h, h (1 - 2**-40) and up to 1e-4 h past h from
+    them, in axis and diagonal directions that cross the faces. Every
+    point within h of a mean is its candidate, and so is every point its
+    window counts over all points. From |x| = 1e4 h the rounding slack,
+    not the 1e-6 h margin, sets the cell width, and at 1e5 h rounding
+    counts points past that margin. At 1e3 h rounding decides membership
+    within ~1e-9 h**2 of h**2, and more at larger scales, so this checks
+    candidate sets, not membership."""
+    h = 5.0
+    axes = np.eye(k)
+    diagonals = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
+                          for sz in (-1, 1)]) / np.sqrt(3.0)
+    dirs = np.concatenate([axes, -axes, np.pad(diagonals, ((0, 0), (0, k - 3)))])
+    within = (h, h * (1.0 - 2.0 ** -40))
+    radii = (*within, *(h * (1.0 + np.geomspace(1e-7, 1e-4, 7))))
+    base = np.full(k, scale * h)
+
+    def around(m):
+        return np.concatenate([m + r * dirs for r in radii])
+
+    far = base + 10.0 * h * axes[0]     # ten cells away: never a candidate
+    width = cluster._Grid(np.concatenate([around(base), far[None]]), h).width
+    fractions = np.array([0.0, 1e-9, 0.5, 1.0 - 1e-9])
+    means = np.repeat(base[None], fractions.shape[0] ** 3, axis=0)
+    means[:, :3] = (np.floor(base[:3] / width)
+                    + np.stack(np.meshgrid(fractions, fractions, fractions),
+                               axis=-1).reshape(-1, 3)) * width
+    X = np.concatenate([*map(around, means), far[None]])
+    grid = cluster._Grid(X, h)
+    if scale >= 1e4:
+        assert grid.width > h * (1.0 + 2e-6)
+    counted = grid.augment(means) @ grid.rows.T <= grid.bw2
+    n_within = len(within) * dirs.shape[0]
+    seen = 0
+    for sel, cand, _ in grid.windows(means):
+        rows = {r.tobytes() for r in cand[:, :k]}
+        assert far.tobytes() not in rows
+        for i in sel:
+            want = np.concatenate([around(means[i])[:n_within], X[counted[i]]])
+            assert all(r.tobytes() in rows for r in want)
+            seen += 1
+    assert seen == means.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +595,10 @@ def test_cluster_params_validation():
     with pytest.raises(ValueError):
         ClusterParams(quat_scale=-1.0)
     ClusterParams(quat_scale=0.0)  # translation-only ablation is allowed
+    for mp1, mp2 in ((0, 0), (-3, -1), (0, 50)):
+        with pytest.raises(ValueError, match="min_points_1"):
+            ClusterParams(min_points_1=mp1, min_points_2=mp2)
+    ClusterParams(min_points_1=1, min_points_2=1)
 
 
 def test_empty_prediction_gives_warning():

@@ -161,6 +161,18 @@ def test_config_rejects_bad_cluster_params(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("mp1, mp2", [(0, 0), (-3, -1), (0, 50)])
+def test_config_rejects_min_points_1_below_one(tmp_path, capsys, mp1, mp2):
+    from binpose.cli import main
+
+    path = make_config(tmp_path, cluster={"min_points_1": mp1, "min_points_2": mp2})
+    with pytest.raises(ValueError, match="min_points_1"):
+        load_config(path)
+    assert main(["cluster", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "min_points_1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 BOX = {"builtin": {"kind": "box", "extents": [40, 60, 80], "pitch": 10}, "symmetry": {}}
 
 

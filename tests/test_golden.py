@@ -14,9 +14,13 @@ eight, so a machine whose CPU selects another kernel fails here without
 a code change; CI prints the kernel it got.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
+import os
 
+import numpy as np
 import pytest
 
 from binpose.fileio import load_config
@@ -72,6 +76,19 @@ GOLDEN = {
 }
 
 
+def openblas_core() -> str:
+    """The OpenBLAS kernel numpy's bundled library runs, looked up as CI
+    prints it, or why it could not be."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))[0])
+        lib.scipy_openblas_get_corename64_.argtypes = []
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        return lib.scipy_openblas_get_corename64_().decode()
+    except (IndexError, OSError, AttributeError) as e:
+        return f"unknown ({e!r})"
+
+
 @pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
 def test_artifact_digests_are_pinned(tmp_path, key):
     name, seed = key
@@ -81,4 +98,5 @@ def test_artifact_digests_are_pinned(tmp_path, key):
     run_pipeline(load_config(path), seed, out_dir=str(out), use_icp=True)
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
                     for f in ("poses.json", "labels.txt"))
-    assert digests == GOLDEN[key]
+    assert digests == GOLDEN[key], (f"OpenBLAS core {openblas_core()}; the digests were "
+                                    "recorded on SkylakeX")

@@ -5,10 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+from binpose import pipeline
 from binpose.cli import main as cli_main
 from binpose.cluster import PerPointPrediction
 from binpose.fileio import (load_config, load_labels, load_ply, load_poses_json,
                             load_predictions_csv, save_predictions_csv)
+from binpose.icp import IcpResult
 from binpose.losses import GRADCHECK_STEP
 from binpose.pipeline import (StageWarning, estimate_poses, read_scene, run_pipeline,
                               run_scene, write_scene)
@@ -397,6 +399,33 @@ def test_failed_icp_warns_and_keeps_the_voted_pose(tmp_path, capsys):
     with pytest.warns(StageWarning, match="ICP failed on instance 0"):
         poses = estimate_poses(load_config(cfg_path), pred, use_icp=True).poses
     assert len(poses) == 1
+
+
+def test_icp_stop_at_max_iters_warns_once_per_instance(tmp_path, capsys, monkeypatch):
+    common, out = _cli_chain(tmp_path, PERFECT_CONFIG, "synth", "oracle")
+    refined = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 2.0, 3.0]))
+
+    def stub(converged):
+        def icp_refine(scene_points, model, init, **kwargs):
+            return IcpResult(pose=refined, errors=[1.0, 0.5], converged=converged)
+        return icp_refine
+
+    monkeypatch.setattr(pipeline, "icp_refine", stub(True))
+    capsys.readouterr()
+    assert run_cli("cluster", *common, "--icp") == 0
+    assert "ICP" not in capsys.readouterr().err
+    converged = {name: (out / name).read_bytes() for name in ("poses.json", "labels.txt")}
+    n_instances = len(json.loads(converged["poses.json"])["poses"])
+    assert n_instances >= 2
+
+    monkeypatch.setattr(pipeline, "icp_refine", stub(False))
+    assert run_cli("cluster", *common, "--icp") == 0
+    lines = [l for l in capsys.readouterr().err.splitlines() if "ICP" in l]
+    assert lines == [f"warning: ICP stopped at max_iters on instance {i} before converging; "
+                     "kept its last pose" for i in range(n_instances)]
+    # the warning reaches stderr only; the artifacts keep the ICP poses
+    for name, data in converged.items():
+        assert (out / name).read_bytes() == data, name
 
 
 def test_pipeline_warnings_name_their_scene(tmp_path, capsys):
