@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .so3 import (UNIT_TOL, Pose, SymmetryGroup, quat_normalize,
-                  quat_normalize_batch, rotation_distances_to_set)
+                  quat_normalize_batch, rotation_distance_bounds,
+                  rotation_distances_to_set)
 
 
 @dataclass(frozen=True)
@@ -277,9 +278,11 @@ def mean_shift(features, bandwidth: float, min_points: int = 1,
         new = np.empty_like(lead)
         for sel, cand, inside in grid.windows(lead):
             sums = inside @ cand[:, :k + 1]   # window sums, then counts
-            counts = sums[:, k]
-            counts[counts == 0] = 1.0   # isolated seed: stays put
-            new[sel] = sums[:, :k] / counts[:, None]
+            counts = sums[:, k:]
+            if np.count_nonzero(counts) == counts.shape[0]:
+                new[sel] = sums[:, :k] / counts
+            else:   # d2 rounded a seed's own point out of its window, now empty: it stays put
+                new[sel] = np.divide(sums[:, :k], counts, out=lead[sel], where=counts > 0.0)
         moving = np.linalg.norm(new - lead, axis=1) >= tol
         means[seeds] = new[inverse]
         active[seeds] = moving[inverse]
@@ -336,10 +339,33 @@ def pose_vote(counts: np.ndarray, centroids: np.ndarray, reps: np.ndarray,
     smallest summed symmetry-aware rotation distance to every member
     point's quaternion (a medoid, so blends of symmetric equivalents
     cannot be produced). Ties break toward the first representative.
+
+    Only the candidates that can win get an exact row of distances
+    (Elkan, ICML 2003). ``so3.rotation_distance_bounds`` gives every
+    candidate a lower and an upper bound on the computed sum of its row,
+    rounding included. The candidate with the smallest upper bound gets
+    its row first; then every other candidate whose lower bound is at
+    most that row's sum gets its row in one more call. Each row is the
+    one a call with every candidate gives, to the bit. A candidate left
+    out has a computed sum above that known sum, so it can neither be
+    the argmin nor tie with it: its cost is +inf, and the argmin, ties
+    included, is the one over every row. A lone candidate wins without a
+    row. Both calls look up this module's ``rotation_distances_to_set``,
+    the name ``perfbench/tracing.py`` wraps to time the exact rows.
     """
     translation = (centroids * counts[:, None]).sum(axis=0) / counts.sum()
-    costs = [row.sum() for row in rotation_distances_to_set(reps, member_quats, model,
-                                                             group, mask)]
+    if len(reps) == 1:
+        return Pose(reps[0], translation)
+    lower, upper = rotation_distance_bounds(reps, member_quats, model, group, mask)
+    first = int(np.argmin(upper))
+    costs = np.full(len(reps), np.inf)
+    costs[first] = rotation_distances_to_set(reps[[first]], member_quats, model, group,
+                                             mask)[0].sum()
+    rest = np.flatnonzero(lower <= costs[first])
+    rest = rest[rest != first]
+    if rest.size:
+        costs[rest] = [row.sum() for row in rotation_distances_to_set(reps[rest], member_quats,
+                                                                      model, group, mask)]
     return Pose(reps[int(np.argmin(costs))], translation)
 
 

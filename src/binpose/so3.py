@@ -22,9 +22,11 @@ import numpy as np
 UNIT_TOL = 1e-6          # input validation for quaternions / rotation matrices
 MATRIX_MATCH_TOL = 1e-6  # Frobenius tolerance for dedup / closure checks
 GROUP_SIZE_CAP = 360
-# pose-voting bound slacks, derived in rotation_distances_to_set
+# pose-voting bound slacks, derived in rotation_distances_to_set and
+# rotation_distance_bounds
 BOUND_ABS_SLACK = 4096 * np.finfo(float).eps
 BOUND_REL_SLACK = 1e-6
+BOUND_BLOCK = 1 << 15    # (member, candidate, symmetry) pairs per bound-table block
 
 
 class UnsupportedSymmetryError(ValueError):
@@ -379,6 +381,7 @@ class KernelModel:
     Otherwise both are None and ``points`` is the masked model in order.
     ``size`` is the full model count K, ``m2`` (9,) the mean of m m^T over
     all K points, ``tr_m2`` its trace and ``r_max`` the largest ||m_k||.
+    ``m4`` is built on first use.
     """
 
     points: np.ndarray
@@ -399,6 +402,15 @@ class KernelModel:
             return dists.mean(axis=axis)
         rows = dists @ self.counts / self.size
         return rows if axis == -1 else rows.mean(axis=-1)
+
+    @functools.cached_property
+    def m4(self) -> np.ndarray:
+        """The (9,9) mean over all K points of outer_k^T outer_k, that is of
+        (m m^T) (x) (m m^T), read-only: mean_k (g . outer_k)^2 = g^T m4 g."""
+        weighted = self.outer if self.counts is None else self.outer * self.counts[:, None]
+        m4 = weighted.T @ self.outer / self.size
+        m4.flags.writeable = False
+        return m4
 
 
 def kernel_model(model, mask) -> KernelModel:
@@ -509,6 +521,63 @@ def symmetric_pose_distance(model, gt: Pose, pred: Pose,
     return (dists[0] if inverse is None else dists[0][inverse]), float(means.min())
 
 
+def _candidate_rotations(rep_quats, group: SymmetryGroup) -> np.ndarray:
+    """The (C, n_s, 3, 3) rotations A_c s of (C,4) or (4,) candidate
+    quaternions, which must be finite."""
+    reps = quat_normalize_batch(rep_quats)
+    norms = np.linalg.norm(reps, axis=1)
+    for c in np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL)):    # a non-finite candidate
+        raise ValueError(f"candidate {c} has quaternion norm {norms[c]:.9f} after "
+                         f"normalizing, which deviates from 1 by more than {UNIT_TOL}")
+    return quats_to_matrices(reps)[:, None] @ group.matrices
+
+
+def _min_last(a) -> np.ndarray:
+    """The minimum over the last axis of ``a``. numpy reduces a short last
+    axis row by row; after one copy that moves it first, the minimum is
+    taken over whole columns at once, with the same values."""
+    return np.moveaxis(a, -1, 0).copy().min(axis=0)
+
+
+def _bound_blocks(AS, B, km: KernelModel):
+    """The bound tables of the pairs (member j, candidate c, symmetry s)
+    for (C, n_s, 3, 3) rotations AS = A_c s and (m,3,3) member rotations
+    B, in blocks of at most ``BOUND_BLOCK`` pairs (or one candidate).
+
+    Yields (lo, t, fro, up, keep) per block of candidates lo, lo + 1, ...:
+    ``t`` (m, n, n_s) the lower bounds max(t - slack, 0) of t = tr(X^T X
+    M2), ``fro`` the upper bounds of ||X||_F r_max, ``up`` (m, n, 1) each
+    row's smallest upper bound sqrt(min_s t + slack), and ``keep`` the
+    pairs that can be their row's minimum; :func:`rotation_distances_to_set`
+    derives them. A candidate's tables do not depend on the block it is
+    in: gemm sums each entry's 9 terms in one order whatever the width of
+    the product. A one-candidate block with one symmetry is a gemv, which
+    rounds otherwise, but then each row has one pair, which is kept.
+    """
+    m, n_s = B.shape[0], AS.shape[1]
+    # scaled by -2 before the products, which is exact
+    B9 = -2.0 * B.reshape(m, 9)
+    BM2 = -2.0 * (B @ km.m2.reshape(3, 3)).reshape(m, 9)
+    slack = BOUND_ABS_SLACK * km.tr_m2
+    step = max(1, BOUND_BLOCK // max(m * n_s, 1))
+    for lo in range(0, AS.shape[0], step):
+        ASf = AS[lo:lo + step].reshape(-1, 9).T
+        shape = (m, ASf.shape[1] // n_s, n_s)
+        t = (BM2 @ ASf).reshape(shape)
+        t += 2.0 * km.tr_m2
+        fro = (B9 @ ASf).reshape(shape)
+        fro += 6.0
+        fro += BOUND_ABS_SLACK
+        np.sqrt(np.maximum(fro, 0.0, out=fro), out=fro)
+        fro *= km.r_max
+        low = _min_last(t)[..., None] + slack
+        up = np.sqrt(np.maximum(low, 0.0, out=low), out=low)
+        cutoff = fro * ((1.0 + BOUND_REL_SLACK) * up)
+        t -= slack
+        keep = np.greater(np.maximum(t, 0.0, out=t), cutoff)
+        yield lo, t, fro, up, np.logical_not(keep, out=keep)
+
+
 def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
                               mask) -> np.ndarray:
     """Symmetry-aware rotation distances from candidate quaternions to a batch.
@@ -519,9 +588,10 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
     mu_js = mean_k ||X m_k||, X = A s - B_j, A = R(candidate), B_j =
     R(quats[j]); a (4,) candidate gives the (m,) row. Used for
     medoid-style rotation voting. The rotations of all candidates and of
-    the batch are built once, and each candidate's bound tables are
-    written into the same buffers; each candidate's pruning is that of a
-    one-candidate call, so its row is the same to the bit.
+    the batch are built once, and the bound tables of a block of
+    candidates at a time (:func:`_bound_blocks`); each candidate's
+    pruning is that of a one-candidate call, so its row is the same to
+    the bit.
 
     Only the (j, s) pairs that can be the minimum get the exact K-term
     mean (Elkan, ICML 2003, prunes k-means distances the same way). With
@@ -533,10 +603,10 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
       (||X||_F r_max) and mu_js >= t / (||X||_F r_max).
 
     For rotations t = 2 tr(M2) - 2 <A s, B_j M2>_F and ||X||_F^2 =
-    6 - 2 <A s, B_j>_F, so two (m,9) x (9,|G|) products give every
-    bound. A pair whose lower bound exceeds the row's smallest upper
-    bound (times 1 + BOUND_REL_SLACK), the cutoff, cannot be the minimum
-    and is skipped; the pair with the smallest upper bound always
+    6 - 2 <A s, B_j>_F, so two (m,9) x (9,|G|) products per candidate
+    give every bound. A pair whose lower bound exceeds the row's smallest
+    upper bound (times 1 + BOUND_REL_SLACK), the cutoff, cannot be the
+    minimum and is skipped; the pair with the smallest upper bound always
     survives. The test is made without the division, as t > cutoff
     ||X||_F r_max, and the cutoff is taken from the row's smallest t, as
     adding the slack, clamping at 0 and sqrt are monotone. Survivors go
@@ -566,54 +636,127 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
     and BLAS blocking can move the last bit of a mean (1e-15 relative at
     most). A row with a NaN bound keeps every pair and stays NaN.
     """
-    reps = quat_normalize_batch(rep_quats)
-    norms = np.linalg.norm(reps, axis=1)
-    for c in np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL)):    # a non-finite candidate
-        raise ValueError(f"candidate {c} has quaternion norm {norms[c]:.9f} after "
-                         f"normalizing, which deviates from 1 by more than {UNIT_TOL}")
-    AS = quats_to_matrices(reps)[:, None] @ group.matrices          # (C,G,3,3)
+    AS = _candidate_rotations(rep_quats, group)
     B = quats_to_matrices(quats)
     m = B.shape[0]
-    out = np.empty((reps.shape[0], m))
+    out = np.empty((AS.shape[0], m))
     if m == 0:
         return out if np.ndim(rep_quats) == 2 else out[0]
     km = kernel_model(model, mask)
-    BM2 = (B @ km.m2.reshape(3, 3)).reshape(m, 9)
-    slack = BOUND_ABS_SLACK * km.tr_m2
     sq = np.empty((m, km.points.shape[0]))
-    # each candidate's (m,G) tables, written in place: t = tr(X^T X M2),
-    # and ||X||_F^2 turned into the right side of the pruning test
-    t, rhs = np.empty((m, len(group))), np.empty((m, len(group)))
-    skip = np.empty((m, len(group)), dtype=bool)
     every = np.arange(m)
-    for c, ASc in enumerate(AS):
-        np.matmul(BM2, ASc.reshape(-1, 9).T, out=t)
-        t *= -2.0
-        t += 2.0 * km.tr_m2
-        np.matmul(B.reshape(m, 9), ASc.reshape(-1, 9).T, out=rhs)
-        rhs *= -2.0
-        rhs += 6.0
-        rhs += BOUND_ABS_SLACK
-        np.sqrt(np.maximum(rhs, 0.0, out=rhs), out=rhs)
-        rhs *= km.r_max
-        low = t.min(axis=1, keepdims=True) + slack
-        rhs *= (1.0 + BOUND_REL_SLACK) * np.sqrt(np.maximum(low, 0.0, out=low), out=low)
-        t -= slack
-        np.greater(np.maximum(t, 0.0, out=t), rhs, out=skip)
-        # the surviving pairs, member by member; each member keeps at least
-        # the pair with its smallest upper bound
-        rows, s_idx = np.nonzero(np.logical_not(skip, out=skip))
-
-        means = np.empty(rows.size)
-        for lo in range(0, rows.size, m):              # m rows at a time, like the full kernel
-            j, s = rows[lo:lo + m], s_idx[lo:lo + m]
-            n = j.size
-            if n == 1 < m:   # a one-row product is a BLAS gemv, which rounds unlike gemm
-                j, s = np.repeat(j, 2), np.repeat(s, 2)
-            means[lo:lo + n] = km.mean(_point_distances(ASc[s] - B[j], km, sq[:j.size]),
-                                       axis=-1)[:n]
-        if np.array_equal(rows, every):                # one pair per member
-            out[c] = means
-        else:
-            out[c] = np.minimum.reduceat(means, np.flatnonzero(np.diff(rows, prepend=-1)))
+    for lo, _, _, _, keep in _bound_blocks(AS, B, km):
+        for c in range(lo, lo + keep.shape[1]):
+            # the surviving pairs, member by member; each member keeps at
+            # least the pair with its smallest upper bound
+            rows, s_idx = np.nonzero(keep[:, c - lo])
+            means = np.empty(rows.size)
+            for i in range(0, rows.size, m):           # m rows at a time, like the full kernel
+                j, s = rows[i:i + m], s_idx[i:i + m]
+                n = j.size
+                if n == 1 < m:   # a one-row product is a BLAS gemv, which rounds unlike gemm
+                    j, s = np.repeat(j, 2), np.repeat(s, 2)
+                means[i:i + n] = km.mean(_point_distances(AS[c, s] - B[j], km, sq[:j.size]),
+                                         axis=-1)[:n]
+            if np.array_equal(rows, every):            # one pair per member
+                out[c] = means
+            else:
+                out[c] = np.minimum.reduceat(means, np.flatnonzero(np.diff(rows, prepend=-1)))
     return out if np.ndim(rep_quats) == 2 else out[0]
+
+
+# with X's entries as rows 3i + a, entry 3a + b of its Gram vector sums over i
+# the products of rows 3i + _GRAM_LEFT and 3i + _GRAM_RIGHT
+_GRAM_LEFT, _GRAM_RIGHT = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
+
+
+def rotation_distance_bounds(rep_quats, quats, model, group: SymmetryGroup,
+                             mask) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds, each (C,), on the row sums of
+    :func:`rotation_distances_to_set` for (C,4) candidates: for every
+    candidate c, lower[c] <= the computed sum of its row <= upper[c].
+    Pose voting computes exact rows only for the candidates whose lower
+    bound does not exceed a known row sum.
+
+    Per member j, with the tables of :func:`_bound_blocks` (X = A_c s -
+    B_j, t = mean_k q_k, q_k = ||X m_k||^2 = g . vec(m_k m_k^T) for the
+    Gram vector g = vec(X^T X)):
+
+    - upper: min_s sqrt(t + slack), as in rotation_distances_to_set;
+    - lower: the min over the s that survive its pruning (a skipped s
+      has a larger lower bound than the surviving pair with the smallest
+      upper bound) of max(sqrt(2) t / (||X||_F r_max), t^(3/2) /
+      sqrt(g^T m4 g)). The first is the chord bound with X's two equal
+      singular values; the second is Hölder's inequality, mean_k q_k <=
+      (mean_k sqrt(q_k))^(2/3) (mean_k q_k^2)^(1/3), with mean_k q_k^2 =
+      g^T m4 g (:attr:`KernelModel.m4`). It is at least the chord bound
+      in exact arithmetic and much tighter when the q_k are alike.
+
+    Why a pruned candidate cannot win. Let eps be the machine epsilon.
+
+    - t and ||X||_F^2 are widened by BOUND_ABS_SLACK, which covers the
+      error of their Frobenius forms (rotation_distances_to_set). That
+      widening is also at least 600 eps on ||X||_F, which covers the
+      non-orthogonality of the computed matrices in the sqrt(2) of the
+      chord bound (it needs a few eps).
+    - g is computed in the Gram form, from X = A s - B_j as the exact
+      kernel forms it: each entry of g is within 5.1 (eps / 2) (|X|^T
+      |X|) of the exact X^T X, so each q_k it gives is within 2.6 eps
+      ||X||_F^2 r_k^2 of the exact one. m4 rounds within (K' + 4)
+      (eps / 2) of mean_k |m_a m_b m_c m_d| per entry (a K'-term
+      product) and the two 9-term products of g^T m4 g add 18 (eps / 2);
+      both are bounded by (K' + 22) (eps / 2) ||g||^2 r_max^4. By the
+      triangle inequality in the mean over k, and as sqrt(mean_k q_k^2)
+      <= ||X||_F^2 r_max^2 / 2, the exact mean_k q_k^2 is at most the
+      computed g^T m4 g plus (K' + 32) eps ||X||_F^4 r_max^4 (measured
+      on the pipeline's voting inputs: under 0.3 eps), and ||X||_F^4
+      r_max^4 is at most fro^4 with fro the widened ||X||_F r_max. So
+      the lower bound holds for the exact mean mu_js.
+    - A computed mean is off from mu_js by at most sqrt(72 eps) r_k per
+      point where ||X m_k||^2 cancels (rotation_distances_to_set), and
+      by (K' + 1) eps / 2 relative in its sum over k. A row value is the
+      min of such means over some of the pairs, so it is at least the
+      exact min_s mu_js less that error. A computed row sum is then at
+      least (1 - (m + K') eps) times the sum of the exact minima, less
+      m sqrt(72 eps) r_max.
+    - The bounds themselves round by a few eps relative per member and
+      (m eps / 2) in their sum. The returned lower bound is the computed
+      sum times 1 - BOUND_REL_SLACK less m sqrt(72 eps) r_max, and the
+      upper one the sum times 1 + BOUND_REL_SLACK plus the same; 1e-6
+      covers every relative term for m + K' below 4e9.
+
+    So a candidate whose lower bound exceeds the computed row sum of
+    another has a strictly larger computed row sum: it is neither the
+    vote's argmin nor tied with it. A NaN member makes both bounds NaN.
+    The tables are built in blocks of ``BOUND_BLOCK`` pairs, and only
+    the surviving pairs get a Gram vector.
+    """
+    AS = _candidate_rotations(rep_quats, group)
+    B = quats_to_matrices(quats)
+    m = B.shape[0]
+    lower, upper = np.zeros(AS.shape[0]), np.zeros(AS.shape[0])
+    km = kernel_model(model, mask)
+    if m == 0 or km.r_max == 0.0:       # every distance is 0
+        return lower, upper
+    eps = np.finfo(float).eps
+    e_slack = (km.points.shape[0] + 32) * eps
+    # rows of 9 entries, so each entry of a pair's X and Gram vector is a contiguous row
+    ASt, Bt = AS.reshape(-1, 9).T.copy(), B.reshape(m, 9).T.copy()
+    for lo, t, fro, up, keep in _bound_blocks(AS, B, km):
+        n, n_s = keep.shape[1:]
+        upper[lo:lo + n] = up[..., 0].sum(axis=0)
+        pairs = np.flatnonzero(keep)     # (j, c, s) flattened
+        X = ASt[:, lo * n_s + pairs % (n * n_s)] - Bt[:, pairs // (n * n_s)]
+        g = X[_GRAM_LEFT] * X[_GRAM_RIGHT]     # g_ab = sum_i X_ia X_ib
+        for i in (3, 6):
+            g += X[_GRAM_LEFT + i] * X[_GRAM_RIGHT + i]
+        tl, f = t.reshape(-1)[pairs], fro.reshape(-1)[pairs]
+        # Hölder: t^(3/2) / sqrt(g^T m4 g + slack); chord: sqrt(2) t / fro
+        e = np.einsum("in,in->n", km.m4 @ g, g)
+        e += e_slack * np.square(np.square(f))
+        bound = np.maximum(tl * np.sqrt(tl / e), np.sqrt(2.0) * tl / f)
+        t.fill(np.inf)
+        t.reshape(-1)[pairs] = bound
+        lower[lo:lo + n] = _min_last(t).sum(axis=0)
+    margin = m * np.sqrt(72.0 * eps) * km.r_max
+    return (1.0 - BOUND_REL_SLACK) * lower - margin, (1.0 + BOUND_REL_SLACK) * upper + margin

@@ -91,6 +91,16 @@ def test_mean_shift_reports_max_iters():
     assert mean_shift(X, bandwidth=3.0).converged
 
 
+def test_mean_shift_keeps_a_seed_whose_window_rounds_empty():
+    # at 1e10 the d2 product rounds the third point's own d2 to about 2.6e5,
+    # past h^2 = 25, so its window is empty; the seed stays where it is
+    # rather than moving to the origin and taking a cluster 1e9 away
+    X = np.random.default_rng(0).normal(size=(3, 7)) * 1e9 + 1e10
+    res = mean_shift(X, 5.0)
+    assert np.all(np.linalg.norm(res.modes[:, None] - X[None], axis=2).min(axis=1) <= 5.0)
+    assert np.all(np.linalg.norm(X - res.modes[res.labels], axis=1) <= 5.0)
+
+
 def test_mean_shift_rejects_non_finite_features():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -134,9 +144,9 @@ def dense_mean_shift(X, bandwidth, min_points=1, max_iters=300, tol=1e-3):
             break
         for sel, inside in windows(means, np.nonzero(active)[0]):
             inside = inside.astype(X.dtype)
-            counts = inside.sum(axis=1)
-            counts[counts == 0] = 1.0
-            new = (inside @ X) / counts[:, None]
+            counts = inside.sum(axis=1)[:, None]
+            # an empty window leaves its seed where it is
+            new = np.divide(inside @ X, counts, out=means[sel], where=counts > 0.0)
             shift = np.linalg.norm(new - means[sel], axis=1)
             means[sel] = new
             active[sel[shift < tol]] = False
