@@ -39,16 +39,17 @@ class ClusterParams:
     convergence_tol: float = 1e-3
 
     def __post_init__(self):
-        if not 0.0 < self.bandwidth_2 < self.bandwidth_1:
+        # each check is written so that NaN fails it
+        if not 0.0 < self.bandwidth_2 < self.bandwidth_1 < np.inf:
             raise ValueError("need 0 < bandwidth_2 < bandwidth_1")
-        if self.min_points_1 < 1:
+        if not 1 <= self.min_points_1 < np.inf:
             raise ValueError("min_points_1 must be >= 1")
-        if self.min_points_2 < self.min_points_1:
+        if not self.min_points_1 <= self.min_points_2 < np.inf:
             raise ValueError("min_points_2 must be >= min_points_1")
         # quat_scale 0 is allowed: it is the translation-only ablation
-        if self.quat_scale < 0.0:
+        if not 0.0 <= self.quat_scale < np.inf:
             raise ValueError("quat_scale must be non-negative")
-        if self.max_iters < 1 or self.convergence_tol <= 0.0:
+        if not (1 <= self.max_iters < np.inf and 0.0 < self.convergence_tol < np.inf):
             raise ValueError("bad iteration parameters")
 
 

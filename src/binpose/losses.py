@@ -40,7 +40,7 @@ class LossWeights:
     w_t: float = 1.0
 
     def __post_init__(self):
-        if self.w_r < 0.0 or self.w_t < 0.0:
+        if not (0.0 <= self.w_r < np.inf and 0.0 <= self.w_t < np.inf):
             raise ValueError("loss weights must be non-negative")
         if self.w_r == 0.0 and self.w_t == 0.0:
             raise ValueError("loss weights must not both be zero")

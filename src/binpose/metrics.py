@@ -23,7 +23,7 @@ class EvalConfig:
     visibility_threshold: float = 0.4  # fraction of the best-visible instance
 
     def __post_init__(self):
-        if self.tolerance_mm <= 0.0:
+        if not 0.0 < self.tolerance_mm < np.inf:
             raise ValueError("tolerance must be positive")
         if not 0.0 < self.visibility_threshold < 1.0:
             raise ValueError("visibility threshold must be in (0, 1)")
@@ -35,7 +35,7 @@ class MatchRow:
     gt_index: int
     mean_distance: float
     is_tp: bool
-    point_distances: np.ndarray = field(repr=False, compare=False)  # (K,) mm, not reported
+    matched_points: int   # model points within tolerance under this pair, not reported
 
 
 @dataclass
@@ -91,7 +91,7 @@ def match_predictions(pred_poses: list[Pose], gt_poses: list[Pose], model,
     truth at most once. A matched pair is a true positive when its mean
     distance is below the tolerance. Ties in distance break toward lower
     (pred, gt) indices, keeping the result order independent. Each row
-    keeps the per-point distances of its pair for pointwise_recall.
+    counts the model points its pair places within the tolerance.
 
     One symmetric_distances call scores every pair, each as a one-row
     stack with its own translation difference, so each pair has the bits
@@ -108,7 +108,9 @@ def match_predictions(pred_poses: list[Pose], gt_poses: list[Pose], model,
         np.stack([p.rotation for p in pred_poses])[:, None, None], model, group, mask,
         (gt_t[None] - pred_t[:, None])[:, :, None])
     dist = means.min(axis=-1)                                    # (n_p, n_g)
-    inverse = kernel_model(model, mask).inverse
+    within = per_point[:, :, 0] < tolerance_mm                   # (n_p, n_g, K')
+    counts = kernel_model(model, mask).counts
+    recalled = within.sum(axis=-1) if counts is None else within @ counts
     order = sorted(((dist[i, j], i, j) for i in range(n_p) for j in range(n_g)))
     used_p = set()
     used_g = set()
@@ -119,9 +121,7 @@ def match_predictions(pred_poses: list[Pose], gt_poses: list[Pose], model,
         used_g.add(j)
         rows.append(MatchRow(pred_index=i, gt_index=j, mean_distance=float(d),
                              is_tp=bool(d < tolerance_mm),
-                             # a copy, so a report does not keep every pair's distances
-                             point_distances=(per_point[i, j, 0].copy() if inverse is None
-                                              else per_point[i, j, 0][inverse])))
+                             matched_points=int(recalled[i, j])))
         if len(used_p) == n_p or len(used_g) == n_g:
             break
     tp = sum(1 for r in rows if r.is_tp)
@@ -136,20 +136,19 @@ def f1_inst(tp: int, n_pred: int, n_gt: int) -> float:
     return 2.0 * tp / denom
 
 
-def pointwise_recall(matches: list[MatchRow], n_gt: int, n_model_points: int,
-                     tolerance_mm: float) -> tuple[float, int, int]:
+def pointwise_recall(matches: list[MatchRow], n_gt: int,
+                     n_model_points: int) -> tuple[float, int, int]:
     """Fraction of visible ground-truth model points placed within tolerance.
 
     Each of the ``n_gt`` visible ground truths contributes its full model
-    point count to the denominator; matched ones contribute the number of
-    model points whose per-point symmetry-corrected distance (under the
-    matched prediction, as match_predictions stored it) is below
-    tolerance, unmatched ones contribute zero.
+    point count to the denominator; matched ones contribute the points
+    match_predictions counted within tolerance under the matched
+    prediction, unmatched ones contribute zero.
     """
     total = n_model_points * n_gt
     if total == 0:
         return 0.0, 0, 0
-    matched = sum(int((m.point_distances < tolerance_mm).sum()) for m in matches)
+    matched = sum(m.matched_points for m in matches)
     return matched / total, matched, total
 
 
@@ -170,7 +169,7 @@ def evaluate(pred_poses: list[Pose], gt_poses: list[Pose], visible_counts,
     matches, tp = match_predictions(pred_poses, visible, model, group, mask,
                                     config.tolerance_mm)
     recall, matched_pts, total_pts = pointwise_recall(
-        matches, n_gt, np.asarray(model).reshape(-1, 3).shape[0], config.tolerance_mm)
+        matches, n_gt, np.asarray(model).reshape(-1, 3).shape[0])
     # report gt indices in the original scene numbering
     for m in matches:
         m.gt_index = keep[m.gt_index]

@@ -246,10 +246,10 @@ class SymmetryDescriptor:
     ts_deg: float = 15.0
 
     def __post_init__(self):
-        if self.ts_deg <= 0.0:
+        if not 0.0 < self.ts_deg < np.inf:
             raise ValueError("infinite-symmetry threshold must be positive")
         for name, d in self.steps():
-            if d < 0.0 or d >= 360.0:
+            if not 0.0 <= d < 360.0:
                 raise ValueError(f"symmetry step {name}={d} out of range [0, 360)")
             if d > 0.0:
                 ratio = 360.0 / d

@@ -138,13 +138,13 @@ class SceneGenParams:
 
     def __post_init__(self):
         lo, hi = self.instance_range
-        if lo < 1 or hi < lo:
+        if not 1 <= lo <= hi < np.inf:
             raise ValueError("bad instance count range")
-        if min(self.bin_extents) <= 0.0:
+        if not all(0.0 < e < np.inf for e in self.bin_extents):
             raise ValueError("bin extents must be positive")
-        if self.occlusion_cell <= 0.0 or self.occlusion_depth <= 0.0:
+        if not (0.0 < self.occlusion_cell < np.inf and 0.0 < self.occlusion_depth < np.inf):
             raise ValueError("occlusion cell and depth must be positive")
-        if self.max_attempts < 1:
+        if not 1 <= self.max_attempts < np.inf:
             raise ValueError("max_attempts must be at least 1")
 
 
@@ -290,7 +290,7 @@ class OracleParams:
     outlier_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_t_mm < 0.0 or self.sigma_r_deg < 0.0:
+        if not (0.0 <= self.sigma_t_mm < np.inf and 0.0 <= self.sigma_r_deg < np.inf):
             raise ValueError("noise levels must be non-negative")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier fraction must be in [0, 1)")

@@ -1,15 +1,19 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from binpose.cluster import PerPointPrediction
+from binpose.cluster import ClusterParams, PerPointPrediction
 from binpose.fileio import (PlyParseError, load_config, load_labels,
                             load_ply, load_poses_json, load_predictions_csv,
                             load_scene_json, save_labels, save_ply,
                             save_poses_json, save_predictions_csv,
                             save_scene_json)
-from binpose.so3 import Pose, random_quat
+from binpose.losses import LossWeights
+from binpose.metrics import EvalConfig
+from binpose.so3 import Pose, SymmetryDescriptor, random_quat
+from binpose.synth import OracleParams, SceneGenParams
 
 
 def test_ply_three_points_in_order(tmp_path):
@@ -359,6 +363,32 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, overrides, key):
     assert main(["pipeline", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _numeric_field_cases():
+    """One case per number of every parameter dataclass (per element of a
+    tuple field): the class and a builder of its keyword arguments."""
+    cases = []
+    for cls in (ClusterParams, EvalConfig, SceneGenParams, OracleParams, LossWeights,
+                SymmetryDescriptor):
+        for f in dataclasses.fields(cls):
+            if isinstance(f.default, tuple):
+                cases += [pytest.param(cls, lambda v, f=f, i=i: {
+                    f.name: f.default[:i] + (v,) + f.default[i + 1:]},
+                    id=f"{cls.__name__}.{f.name}[{i}]") for i in range(len(f.default))]
+            elif type(f.default) in (int, float):
+                cases.append(pytest.param(cls, lambda v, f=f: {f.name: v},
+                                          id=f"{cls.__name__}.{f.name}"))
+    return cases
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, kwargs", _numeric_field_cases())
+def test_parameter_dataclasses_reject_non_finite_numbers(cls, kwargs, bad):
+    # load_config rejects these before a dataclass sees them; the Python API does not
+    with pytest.raises(ValueError):
+        cls(**kwargs(bad))
 
 
 @pytest.mark.parametrize("overrides, section", [

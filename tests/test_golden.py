@@ -12,6 +12,10 @@ SkylakeX kernel, one BLAS thread. Its Haswell and Sandybridge kernels
 (``OPENBLAS_CORETYPE``) round some products differently and fail all
 eight, so a machine whose CPU selects another kernel fails here without
 a code change; CI prints the kernel it got.
+
+``test_artifacts_agree_on_every_kernel`` pins what those three kernels
+agree on: ``labels.txt`` exactly, the report's counts, and the poses
+rounded to 6 decimals (they differ by at most 6e-14 across kernels).
 """
 
 import ctypes
@@ -100,3 +104,48 @@ def test_artifact_digests_are_pinned(tmp_path, key):
                     for f in ("poses.json", "labels.txt"))
     assert digests == GOLDEN[key], (f"OpenBLAS core {openblas_core()}; the digests were "
                                     "recorded on SkylakeX")
+
+
+# (config, seed) -> n_gt, n_pred, tp, matched_points and the sha256 of
+# summarize_poses' text; labels.txt is GOLDEN's digest
+ANY_KERNEL = {
+    ("cube24", 0): (5, 5, 5, 3010,
+                    "78879c6651272f4d320e38779c49fd6a0c05b279e4bc6e54c6df997b01cf73d1"),
+    ("cube24", 1): (4, 4, 4, 2408,
+                    "51963bbf81a7ddaa8913d4811f31f53a990c49111150288df29f6651ff7eccc6"),
+    ("cylinder", 0): (5, 5, 5, 3895,
+                      "1c76b9d3c664797ccd671b0ca832768676abfafa20f357ab80e924e8e679ec54"),
+    ("cylinder", 1): (4, 4, 4, 3116,
+                      "79dbf2788a00be7c655108d30fe78bb643d9bff13880555a88e5704673bc8c92"),
+    ("dense_box", 0): (5, 5, 5, 6320,
+                       "b29a51c683000567f35c32bd3f7e6ed40c58ec8951a8295fc2ca8c496de6a39e"),
+    ("dense_box", 1): (3, 4, 3, 3792,
+                       "57b198d04c9af3306813b57192a9c88f76b021250cfe62dff946179b0a942892"),
+    ("noisy_box", 0): (5, 5, 5, 3590,
+                       "3cc1a7db43fb2d51a8c337d5ddb9d18cf0c0fac0860ff5434d546ad902bf7624"),
+    ("noisy_box", 1): (3, 4, 3, 2154,
+                       "cae9b73ca5e42a0ba075765d538acaf824b950065d656de1f65917656e6f8147"),
+}
+
+
+def summarize_poses(path) -> str:
+    """The poses of a poses.json file, quaternion, translation and member
+    count, with every float rounded to 6 decimals, one line per pose."""
+    poses = json.loads(path.read_text())["poses"]
+    keys = ("qw", "qx", "qy", "qz", "tx", "ty", "tz")
+    # + 0.0 turns the -0.0 of a small negative value into 0.0
+    return "".join(" ".join(f"{round(p[k], 6) + 0.0:.6f}" for k in keys)
+                   + f" {p['member_count']}\n" for p in poses)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_artifacts_agree_on_every_kernel(tmp_path, key):
+    name, seed = key
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CONFIGS[name]))
+    out = tmp_path / "out"
+    report = run_pipeline(load_config(path), seed, out_dir=str(out), use_icp=True)
+    assert hashlib.sha256((out / "labels.txt").read_bytes()).hexdigest() == GOLDEN[key][1]
+    got = tuple(report[k] for k in ("n_gt", "n_pred", "tp", "matched_points"))
+    got += (hashlib.sha256(summarize_poses(out / "poses.json").encode()).hexdigest(),)
+    assert got == ANY_KERNEL[key], f"OpenBLAS core {openblas_core()}"

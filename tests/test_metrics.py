@@ -149,9 +149,9 @@ def test_recall_perfect_and_empty():
     rng = np.random.default_rng(4)
     gts = [Pose(random_quat(rng), rng.uniform(-100, 100, 3)) for _ in range(3)]
     rows, _ = match_predictions(gts, gts, model, group, mask, 5.0)
-    recall, _, _ = pointwise_recall(rows, len(gts), model.shape[0], 5.0)
+    recall, _, _ = pointwise_recall(rows, len(gts), model.shape[0])
     assert recall == 1.0
-    recall, _, _ = pointwise_recall([], len(gts), model.shape[0], 5.0)
+    recall, _, _ = pointwise_recall([], len(gts), model.shape[0])
     assert recall == 0.0
 
 
@@ -161,7 +161,7 @@ def test_recall_half_when_one_of_two_matched():
     gts = [Pose(random_quat(rng), [0, 0, 0]), Pose(random_quat(rng), [500, 0, 0])]
     preds = [gts[0]]
     rows, _ = match_predictions(preds, gts, model, group, mask, 5.0)
-    recall, matched, total = pointwise_recall(rows, len(gts), model.shape[0], 5.0)
+    recall, matched, total = pointwise_recall(rows, len(gts), model.shape[0])
     assert recall == 0.5
     assert total == 2 * model.shape[0] and matched == model.shape[0]
 

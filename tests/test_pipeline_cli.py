@@ -108,6 +108,17 @@ def test_cluster_instances_hold_the_run_poses(tmp_path):
         assert np.array_equal(inst.pose.t, pose.t)
 
 
+def test_a_cube24_report_holds_no_arrays(tmp_path):
+    # a report is scalars and rows of scalars, so keeping many costs little
+    from test_golden import CONFIGS
+
+    report = run_scene(load_config(write_config(tmp_path, CONFIGS["cube24"])), seed=0).report
+    assert report.matches
+    values = [(f"report.{k}", v) for k, v in vars(report).items() if k != "matches"]
+    values += [(f"row.{k}", v) for row in report.matches for k, v in vars(row).items()]
+    assert [name for name, v in values if not isinstance(v, (bool, int, float))] == []
+
+
 def test_units_sentinel_round_trip(tmp_path):
     # everything at the file boundary stays in millimeters: a known gt
     # translation survives synth -> pipeline -> report unchanged
