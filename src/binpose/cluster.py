@@ -25,6 +25,13 @@ from .so3 import (UNIT_TOL, Pose, SymmetryGroup, quat_normalize,
                   rotation_distances_to_set)
 
 
+def require_int(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an int or a
+    numpy integer; a float, even an integral one, and a bool are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ClusterParams:
     """Bandwidths are in normalized mm; stage 2 must be tighter than
@@ -39,6 +46,8 @@ class ClusterParams:
     convergence_tol: float = 1e-3
 
     def __post_init__(self):
+        for name in ("min_points_1", "min_points_2", "max_iters"):
+            require_int(name, getattr(self, name))
         # each check is written so that NaN fails it
         if not 0.0 < self.bandwidth_2 < self.bandwidth_1 < np.inf:
             raise ValueError("need 0 < bandwidth_2 < bandwidth_1")

@@ -243,9 +243,9 @@ def load_poses_json(path) -> tuple[list[Pose], list[int | None]]:
 
 
 def save_labels(path, labels) -> None:
+    text = "".join(f"{v}\n" for v in np.asarray(labels, dtype=int).reshape(-1).tolist())
     with open(path, "w") as f:
-        for v in np.asarray(labels, dtype=int).reshape(-1):
-            f.write(f"{int(v)}\n")
+        f.write(text)
 
 
 def load_labels(path) -> np.ndarray:

@@ -4,6 +4,10 @@ Correspondences are nearest model points; each iteration solves the
 best-fit rigid transform in closed form (SVD orthogonal Procrustes).
 Both steps minimize the same sum of squared correspondence distances,
 so the RMS error is non-increasing iteration to iteration.
+
+scipy is imported by the first ``icp_refine`` call, not with the
+module: it is the slowest import of the package and nothing else needs
+it, so ``import binpose`` and every run without ICP skip it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .so3 import Pose, matrix_to_quat
 
@@ -59,6 +62,8 @@ def icp_refine(scene_points, model, init: Pose,
     mdl = np.asarray(model, dtype=float).reshape(-1, 3)
     if scene.shape[0] == 0 or mdl.shape[0] == 0:
         raise ValueError("ICP needs non-empty scene and model clouds")
+
+    from scipy.spatial import cKDTree
 
     tree = cKDTree(mdl)
     R = init.rotation

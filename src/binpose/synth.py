@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import PerPointPrediction
+from .cluster import PerPointPrediction, require_int
 from .so3 import (Pose, SymmetryDescriptor, SymmetryGroup, axis_rotation,
                   build_axis_mask, build_symmetry_group, classify_axes,
                   matrix_to_quat, quat_multiply_batch, quat_normalize_batch,
@@ -138,6 +138,9 @@ class SceneGenParams:
 
     def __post_init__(self):
         lo, hi = self.instance_range
+        require_int("instance_range", lo)
+        require_int("instance_range", hi)
+        require_int("max_attempts", self.max_attempts)
         if not 1 <= lo <= hi < np.inf:
             raise ValueError("bad instance count range")
         if not all(0.0 < e < np.inf for e in self.bin_extents):

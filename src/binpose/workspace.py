@@ -29,10 +29,13 @@ class NormalizationTransform:
     scene_offset: np.ndarray
 
     def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ValueError("normalization scale must be positive")
-        object.__setattr__(self, "scene_offset",
-                           np.asarray(self.scene_offset, dtype=float).reshape(3).copy())
+        # written so that NaN fails it
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError("normalization scale must be positive and finite")
+        offset = np.asarray(self.scene_offset, dtype=float).reshape(3).copy()
+        if not np.isfinite(offset).all():
+            raise ValueError("normalization scene_offset must be finite")
+        object.__setattr__(self, "scene_offset", offset)
 
     def forward_points(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)

@@ -611,6 +611,29 @@ def test_cluster_params_validation():
     ClusterParams(min_points_1=1, min_points_2=1)
 
 
+@pytest.mark.parametrize("field", ["min_points_1", "min_points_2", "max_iters"])
+@pytest.mark.parametrize("value", [60.5, 60.0, np.float64(60.0), True, "60"],
+                         ids=["60.5", "60.0", "float64", "True", "str"])
+def test_cluster_params_integer_fields_reject_other_values(field, value):
+    # at 60 each value passes the range checks; mean_shift's range() then failed
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ClusterParams(**{field: value})
+
+
+def test_cluster_params_take_numpy_integers():
+    model = ObjectModel("box", box_cloud((40, 120, 160), 10), TWOFOLD)
+    scene = generate_scene(model, SceneGenParams((3, 4), (700, 700, 500)), seed=0)
+    oracle = OracleParams(4.0, 8.0, True, 0.1)
+    as_int = ClusterParams(min_points_1=20, min_points_2=50, max_iters=300)
+    as_numpy = ClusterParams(min_points_1=np.int64(20), min_points_2=np.int32(50),
+                             max_iters=np.uint16(300))
+    res, _ = run_pipeline_on_scene(model, scene, oracle, as_int, seed=0)
+    res_np, _ = run_pipeline_on_scene(model, scene, oracle, as_numpy, seed=0)
+    assert res.instances
+    assert [p.quat.tobytes() + p.t.tobytes() for p in res.poses] == \
+        [p.quat.tobytes() + p.t.tobytes() for p in res_np.poses]
+
+
 def test_empty_prediction_gives_warning():
     empty = PerPointPrediction(np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 4)))
     res = two_stage_pipeline(empty, ClusterParams(), *_identity_symmetry())

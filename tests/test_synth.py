@@ -92,6 +92,27 @@ def test_generation_failure_when_bin_too_small():
         generate_scene(model, tiny, seed=0)
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"instance_range": (2.5, 4)}, "instance_range"),
+    ({"instance_range": (2, 4.0)}, "instance_range"),
+    ({"instance_range": (True, 4)}, "instance_range"),
+    ({"max_attempts": 60.5}, "max_attempts"),
+    ({"max_attempts": np.float64(60.0)}, "max_attempts"),
+    ({"max_attempts": "60"}, "max_attempts"),
+])
+def test_scene_params_integer_fields_reject_other_values(kwargs, field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SceneGenParams(**kwargs)
+
+
+def test_scene_params_take_numpy_integers():
+    model = ObjectModel("m", box_cloud((30, 40, 50), 10), TWOFOLD)
+    a = generate_scene(model, SceneGenParams((3, 6), (500, 500, 400), max_attempts=60), seed=11)
+    b = generate_scene(model, SceneGenParams((np.int64(3), np.int32(6)), (500, 500, 400),
+                                             max_attempts=np.int64(60)), seed=11)
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.labels, b.labels)
+
+
 # ---------------------------------------------------------------------------
 # occlusion
 

@@ -44,6 +44,20 @@ def test_fit_rejects_degenerate_input():
         fit_normalization(np.zeros((5, 3)))
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_transform_rejects_a_scale_that_is_not_positive_and_finite(scale):
+    with pytest.raises(ValueError, match="scale"):
+        NormalizationTransform(scale, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_transform_rejects_a_non_finite_offset(bad):
+    offset = np.array([1.0, 2.0, 3.0])
+    offset[1] = bad
+    with pytest.raises(ValueError, match="scene_offset"):
+        NormalizationTransform(0.5, offset)
+
+
 def test_normalize_single_point_to_origin():
     cloud = np.array([[10.0, 10.0, 10.0]])
     out, t = normalize_scene(cloud, NormalizationTransform(1.0, np.zeros(3)))
