@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .so3 import (UNIT_TOL, Pose, SymmetryGroup, quat_normalize,
-                  quat_normalize_batch, rotation_distance_bounds,
-                  rotation_distances_to_set)
+                  quat_normalize_batch, rotation_distances_to_set)
 
 
 def require_int(name: str, value) -> None:
@@ -350,33 +349,16 @@ def pose_vote(counts: np.ndarray, centroids: np.ndarray, reps: np.ndarray,
     point's quaternion (a medoid, so blends of symmetric equivalents
     cannot be produced). Ties break toward the first representative.
 
-    Only the candidates that can win get an exact row of distances
-    (Elkan, ICML 2003). ``so3.rotation_distance_bounds`` gives every
-    candidate a lower and an upper bound on the computed sum of its row,
-    rounding included. The candidate with the smallest upper bound gets
-    its row first; then every other candidate whose lower bound is at
-    most that row's sum gets its row in one more call. Each row is the
-    one a call with every candidate gives, to the bit. A candidate left
-    out has a computed sum above that known sum, so it can neither be
-    the argmin nor tie with it: its cost is +inf, and the argmin, ties
-    included, is the one over every row. A lone candidate wins without a
-    row. Both calls look up this module's ``rotation_distances_to_set``,
-    the name ``perfbench/tracing.py`` wraps to time the exact rows.
+    One ``rotation_distances_to_set`` call gives the rows; the rows that
+    are not computed are +inf and cannot win or tie (see there). The call
+    looks up this module's name, which ``perfbench/tracing.py`` wraps to
+    time it. A lone candidate wins without a row.
     """
     translation = (centroids * counts[:, None]).sum(axis=0) / counts.sum()
     if len(reps) == 1:
         return Pose(reps[0], translation)
-    lower, upper = rotation_distance_bounds(reps, member_quats, model, group, mask)
-    first = int(np.argmin(upper))
-    costs = np.full(len(reps), np.inf)
-    costs[first] = rotation_distances_to_set(reps[[first]], member_quats, model, group,
-                                             mask)[0].sum()
-    rest = np.flatnonzero(lower <= costs[first])
-    rest = rest[rest != first]
-    if rest.size:
-        costs[rest] = [row.sum() for row in rotation_distances_to_set(reps[rest], member_quats,
-                                                                      model, group, mask)]
-    return Pose(reps[int(np.argmin(costs))], translation)
+    rows = rotation_distances_to_set(reps, member_quats, model, group, mask)
+    return Pose(reps[int(np.argmin(rows.sum(axis=1)))], translation)
 
 
 def two_stage_pipeline(pred: PerPointPrediction, params: ClusterParams,

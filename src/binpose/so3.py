@@ -22,8 +22,7 @@ import numpy as np
 UNIT_TOL = 1e-6          # input validation for quaternions / rotation matrices
 MATRIX_MATCH_TOL = 1e-6  # Frobenius tolerance for dedup / closure checks
 GROUP_SIZE_CAP = 360
-# pose-voting bound slacks, derived in rotation_distances_to_set and
-# rotation_distance_bounds
+# pose-voting bound slacks, derived in rotation_distances_to_set
 BOUND_ABS_SLACK = 4096 * np.finfo(float).eps
 BOUND_REL_SLACK = 1e-6
 BOUND_BLOCK = 1 << 15    # (member, candidate, symmetry) pairs per bound-table block
@@ -539,213 +538,51 @@ def _min_last(a) -> np.ndarray:
     return np.moveaxis(a, -1, 0).copy().min(axis=0)
 
 
-def _bound_blocks(AS, B, km: KernelModel):
-    """The bound tables of the pairs (member j, candidate c, symmetry s)
-    for (C, n_s, 3, 3) rotations AS = A_c s and (m,3,3) member rotations
-    B, in blocks of at most ``BOUND_BLOCK`` pairs (or one candidate).
+# with X's entries as rows 3i + a, entry 3a + b of its Gram vector sums over i
+# the products of rows 3i + _GRAM_LEFT and 3i + _GRAM_RIGHT
+_GRAM_LEFT, _GRAM_RIGHT = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
 
-    Yields (lo, t, fro, up, keep) per block of candidates lo, lo + 1, ...:
-    ``t`` (m, n, n_s) the lower bounds max(t - slack, 0) of t = tr(X^T X
-    M2), ``fro`` the upper bounds of ||X||_F r_max, ``up`` (m, n, 1) each
-    row's smallest upper bound sqrt(min_s t + slack), and ``keep`` the
-    pairs that can be their row's minimum; :func:`rotation_distances_to_set`
-    derives them. A candidate's tables do not depend on the block it is
-    in: gemm sums each entry's 9 terms in one order whatever the width of
-    the product. A one-candidate block with one symmetry is a gemv, which
-    rounds otherwise, but then each row has one pair, which is kept.
+
+def _row_bounds(AS, B, km: KernelModel):
+    """The one bound pass of :func:`rotation_distances_to_set` for (C, n_s,
+    3, 3) rotations AS = A_c s and (m,3,3) member rotations B: (keep,
+    lower, upper), ``keep`` (m, C, n_s) the (member, candidate, symmetry)
+    pairs that can be their member's minimum, ``lower`` and ``upper`` (C,)
+    bounds on each candidate's computed row sum. The tables are built for
+    blocks of at most ``BOUND_BLOCK`` pairs (or one candidate).
     """
-    m, n_s = B.shape[0], AS.shape[1]
+    m, (n_c, n_s) = B.shape[0], AS.shape[:2]
+    keep = np.ones((m, n_c, n_s), dtype=bool)
+    lower, upper = np.zeros(n_c), np.zeros(n_c)
+    if km.r_max == 0.0:       # every distance is 0, and every pair is kept
+        return keep, lower, upper
     # scaled by -2 before the products, which is exact
     B9 = -2.0 * B.reshape(m, 9)
     BM2 = -2.0 * (B @ km.m2.reshape(3, 3)).reshape(m, 9)
     slack = BOUND_ABS_SLACK * km.tr_m2
+    eps = np.finfo(float).eps
+    e_slack = (km.points.shape[0] + 32) * eps
+    # rows of 9 entries, so each entry of a pair's X and Gram vector is a contiguous row
+    ASt, Bt = AS.reshape(-1, 9).T.copy(), B.reshape(m, 9).T.copy()
     step = max(1, BOUND_BLOCK // max(m * n_s, 1))
-    for lo in range(0, AS.shape[0], step):
+    for lo in range(0, n_c, step):
         ASf = AS[lo:lo + step].reshape(-1, 9).T
-        shape = (m, ASf.shape[1] // n_s, n_s)
-        t = (BM2 @ ASf).reshape(shape)
+        n = ASf.shape[1] // n_s
+        t = (BM2 @ ASf).reshape(m, n, n_s)
         t += 2.0 * km.tr_m2
-        fro = (B9 @ ASf).reshape(shape)
+        fro = (B9 @ ASf).reshape(m, n, n_s)
         fro += 6.0
         fro += BOUND_ABS_SLACK
         np.sqrt(np.maximum(fro, 0.0, out=fro), out=fro)
         fro *= km.r_max
         low = _min_last(t)[..., None] + slack
         up = np.sqrt(np.maximum(low, 0.0, out=low), out=low)
+        upper[lo:lo + n] = up[..., 0].sum(axis=0)
         cutoff = fro * ((1.0 + BOUND_REL_SLACK) * up)
         t -= slack
-        keep = np.greater(np.maximum(t, 0.0, out=t), cutoff)
-        yield lo, t, fro, up, np.logical_not(keep, out=keep)
-
-
-def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
-                              mask) -> np.ndarray:
-    """Symmetry-aware rotation distances from candidate quaternions to a batch.
-
-    Equivalent to symmetric_pose_distance with zero translations between
-    a candidate and each quaternion in ``quats``: for (C,4) candidates
-    ``rep_quats`` returns the (C,m) mean point distances min_s mu_js,
-    mu_js = mean_k ||X m_k||, X = A s - B_j, A = R(candidate), B_j =
-    R(quats[j]); a (4,) candidate gives the (m,) row. Used for
-    medoid-style rotation voting. The rotations of all candidates and of
-    the batch are built once, and the bound tables of a block of
-    candidates at a time (:func:`_bound_blocks`); each candidate's
-    pruning is that of a one-candidate call, so its row is the same to
-    the bit.
-
-    Only the (j, s) pairs that can be the minimum get the exact K-term
-    mean (Elkan, ICML 2003, prunes k-means distances the same way). With
-    M2 = mean_k m_k m_k^T, r_max = max_k ||m_k|| and t = tr(X^T X M2):
-
-    - upper: mu_js <= sqrt(mean_k ||X m_k||^2) = sqrt(t), as a mean is
-      at most the root mean square;
-    - lower: ||X m_k|| <= ||X||_F r_max, so ||X m_k|| >= ||X m_k||^2 /
-      (||X||_F r_max) and mu_js >= t / (||X||_F r_max).
-
-    For rotations t = 2 tr(M2) - 2 <A s, B_j M2>_F and ||X||_F^2 =
-    6 - 2 <A s, B_j>_F, so two (m,9) x (9,|G|) products per candidate
-    give every bound. A pair whose lower bound exceeds the row's smallest
-    upper bound (times 1 + BOUND_REL_SLACK), the cutoff, cannot be the
-    minimum and is skipped; the pair with the smallest upper bound always
-    survives. The test is made without the division, as t > cutoff
-    ||X||_F r_max, and the cutoff is taken from the row's smallest t, as
-    adding the slack, clamping at 0 and sqrt are monotone. Survivors go
-    member by member, m rows at a time, through the Gram-form step of the
-    unpruned kernel.
-
-    Why the result is the unpruned one. Those Frobenius forms cancel when
-    X ~ 0 and assume orthogonal matrices, which quats_to_matrices and the
-    group give to a few eps. The 9-term products, the means in M2 and the
-    non-orthogonality bound the computed t and ||X||_F^2 to within about
-    150 eps tr(M2) and 100 eps of the exact values (measured: 22 and 28).
-    Both bounds are widened by BOUND_ABS_SLACK = 4096 eps (times tr(M2)
-    for t), so they hold for the exact values, and every upper bound is at
-    least sqrt(4096 eps tr(M2)). Multiplying the cutoff by the widened
-    ||X||_F r_max instead of dividing t by it rounds once, by half an ulp
-    at most, as the quotient did; that is far inside BOUND_REL_SLACK.
-    Where that product's factor ||X||_F r_max is 0, r_max = 0, so M2 = 0
-    and t = 0 exactly: 0 > 0 keeps the pair. X = B_j (B_j^T A s - I) has
-    two equal singular values, so mu_js >= sqrt(2) times its lower bound:
-    a skipped mean exceeds the kept minimum by at least (sqrt(2) - 1)
-    times the cutoff. The Gram form computes each mean to 1e-15 relative
-    except where ||X m_k||^2 cancels, at most sqrt(72 eps) r_k per point,
-    which twice over is below 0.41 sqrt(4096 eps tr(M2)). So no skipped
-    mean can be the computed minimum. When every member keeps one pair,
-    the usual case, the survivor product has the full kernel's shape and
-    row order, so the result is bit-identical. Otherwise the rows shift,
-    and BLAS blocking can move the last bit of a mean (1e-15 relative at
-    most). A row with a NaN bound keeps every pair and stays NaN.
-    """
-    AS = _candidate_rotations(rep_quats, group)
-    B = quats_to_matrices(quats)
-    m = B.shape[0]
-    out = np.empty((AS.shape[0], m))
-    if m == 0:
-        return out if np.ndim(rep_quats) == 2 else out[0]
-    km = kernel_model(model, mask)
-    sq = np.empty((m, km.points.shape[0]))
-    every = np.arange(m)
-    for lo, _, _, _, keep in _bound_blocks(AS, B, km):
-        for c in range(lo, lo + keep.shape[1]):
-            # the surviving pairs, member by member; each member keeps at
-            # least the pair with its smallest upper bound
-            rows, s_idx = np.nonzero(keep[:, c - lo])
-            means = np.empty(rows.size)
-            for i in range(0, rows.size, m):           # m rows at a time, like the full kernel
-                j, s = rows[i:i + m], s_idx[i:i + m]
-                n = j.size
-                if n == 1 < m:   # a one-row product is a BLAS gemv, which rounds unlike gemm
-                    j, s = np.repeat(j, 2), np.repeat(s, 2)
-                means[i:i + n] = km.mean(_point_distances(AS[c, s] - B[j], km, sq[:j.size]),
-                                         axis=-1)[:n]
-            if np.array_equal(rows, every):            # one pair per member
-                out[c] = means
-            else:
-                out[c] = np.minimum.reduceat(means, np.flatnonzero(np.diff(rows, prepend=-1)))
-    return out if np.ndim(rep_quats) == 2 else out[0]
-
-
-# with X's entries as rows 3i + a, entry 3a + b of its Gram vector sums over i
-# the products of rows 3i + _GRAM_LEFT and 3i + _GRAM_RIGHT
-_GRAM_LEFT, _GRAM_RIGHT = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
-
-
-def rotation_distance_bounds(rep_quats, quats, model, group: SymmetryGroup,
-                             mask) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) bounds, each (C,), on the row sums of
-    :func:`rotation_distances_to_set` for (C,4) candidates: for every
-    candidate c, lower[c] <= the computed sum of its row <= upper[c].
-    Pose voting computes exact rows only for the candidates whose lower
-    bound does not exceed a known row sum.
-
-    Per member j, with the tables of :func:`_bound_blocks` (X = A_c s -
-    B_j, t = mean_k q_k, q_k = ||X m_k||^2 = g . vec(m_k m_k^T) for the
-    Gram vector g = vec(X^T X)):
-
-    - upper: min_s sqrt(t + slack), as in rotation_distances_to_set;
-    - lower: the min over the s that survive its pruning (a skipped s
-      has a larger lower bound than the surviving pair with the smallest
-      upper bound) of max(sqrt(2) t / (||X||_F r_max), t^(3/2) /
-      sqrt(g^T m4 g)). The first is the chord bound with X's two equal
-      singular values; the second is Hölder's inequality, mean_k q_k <=
-      (mean_k sqrt(q_k))^(2/3) (mean_k q_k^2)^(1/3), with mean_k q_k^2 =
-      g^T m4 g (:attr:`KernelModel.m4`). It is at least the chord bound
-      in exact arithmetic and much tighter when the q_k are alike.
-
-    Why a pruned candidate cannot win. Let eps be the machine epsilon.
-
-    - t and ||X||_F^2 are widened by BOUND_ABS_SLACK, which covers the
-      error of their Frobenius forms (rotation_distances_to_set). That
-      widening is also at least 600 eps on ||X||_F, which covers the
-      non-orthogonality of the computed matrices in the sqrt(2) of the
-      chord bound (it needs a few eps).
-    - g is computed in the Gram form, from X = A s - B_j as the exact
-      kernel forms it: each entry of g is within 5.1 (eps / 2) (|X|^T
-      |X|) of the exact X^T X, so each q_k it gives is within 2.6 eps
-      ||X||_F^2 r_k^2 of the exact one. m4 rounds within (K' + 4)
-      (eps / 2) of mean_k |m_a m_b m_c m_d| per entry (a K'-term
-      product) and the two 9-term products of g^T m4 g add 18 (eps / 2);
-      both are bounded by (K' + 22) (eps / 2) ||g||^2 r_max^4. By the
-      triangle inequality in the mean over k, and as sqrt(mean_k q_k^2)
-      <= ||X||_F^2 r_max^2 / 2, the exact mean_k q_k^2 is at most the
-      computed g^T m4 g plus (K' + 32) eps ||X||_F^4 r_max^4 (measured
-      on the pipeline's voting inputs: under 0.3 eps), and ||X||_F^4
-      r_max^4 is at most fro^4 with fro the widened ||X||_F r_max. So
-      the lower bound holds for the exact mean mu_js.
-    - A computed mean is off from mu_js by at most sqrt(72 eps) r_k per
-      point where ||X m_k||^2 cancels (rotation_distances_to_set), and
-      by (K' + 1) eps / 2 relative in its sum over k. A row value is the
-      min of such means over some of the pairs, so it is at least the
-      exact min_s mu_js less that error. A computed row sum is then at
-      least (1 - (m + K') eps) times the sum of the exact minima, less
-      m sqrt(72 eps) r_max.
-    - The bounds themselves round by a few eps relative per member and
-      (m eps / 2) in their sum. The returned lower bound is the computed
-      sum times 1 - BOUND_REL_SLACK less m sqrt(72 eps) r_max, and the
-      upper one the sum times 1 + BOUND_REL_SLACK plus the same; 1e-6
-      covers every relative term for m + K' below 4e9.
-
-    So a candidate whose lower bound exceeds the computed row sum of
-    another has a strictly larger computed row sum: it is neither the
-    vote's argmin nor tied with it. A NaN member makes both bounds NaN.
-    The tables are built in blocks of ``BOUND_BLOCK`` pairs, and only
-    the surviving pairs get a Gram vector.
-    """
-    AS = _candidate_rotations(rep_quats, group)
-    B = quats_to_matrices(quats)
-    m = B.shape[0]
-    lower, upper = np.zeros(AS.shape[0]), np.zeros(AS.shape[0])
-    km = kernel_model(model, mask)
-    if m == 0 or km.r_max == 0.0:       # every distance is 0
-        return lower, upper
-    eps = np.finfo(float).eps
-    e_slack = (km.points.shape[0] + 32) * eps
-    # rows of 9 entries, so each entry of a pair's X and Gram vector is a contiguous row
-    ASt, Bt = AS.reshape(-1, 9).T.copy(), B.reshape(m, 9).T.copy()
-    for lo, t, fro, up, keep in _bound_blocks(AS, B, km):
-        n, n_s = keep.shape[1:]
-        upper[lo:lo + n] = up[..., 0].sum(axis=0)
-        pairs = np.flatnonzero(keep)     # (j, c, s) flattened
+        kept = keep[:, lo:lo + n]
+        np.logical_not(np.greater(np.maximum(t, 0.0, out=t), cutoff, out=kept), out=kept)
+        pairs = np.flatnonzero(kept)     # (j, c, s) flattened
         X = ASt[:, lo * n_s + pairs % (n * n_s)] - Bt[:, pairs // (n * n_s)]
         g = X[_GRAM_LEFT] * X[_GRAM_RIGHT]     # g_ab = sum_i X_ia X_ib
         for i in (3, 6):
@@ -759,4 +596,125 @@ def rotation_distance_bounds(rep_quats, quats, model, group: SymmetryGroup,
         t.reshape(-1)[pairs] = bound
         lower[lo:lo + n] = _min_last(t).sum(axis=0)
     margin = m * np.sqrt(72.0 * eps) * km.r_max
-    return (1.0 - BOUND_REL_SLACK) * lower - margin, (1.0 + BOUND_REL_SLACK) * upper + margin
+    return keep, (1.0 - BOUND_REL_SLACK) * lower - margin, (1.0 + BOUND_REL_SLACK) * upper + margin
+
+
+def _exact_row(AS, B, keep, km: KernelModel, sq) -> np.ndarray:
+    """One candidate's (m,) row for its (n_s,3,3) rotations AS, over the
+    (m, n_s) ``keep`` pairs, member by member; ``sq`` is an (m, K') buffer.
+    Each member keeps at least the pair with its smallest upper bound."""
+    m = B.shape[0]
+    rows, s_idx = np.nonzero(keep)
+    means = np.empty(rows.size)
+    for i in range(0, rows.size, m):           # m rows at a time, like the full kernel
+        j, s = rows[i:i + m], s_idx[i:i + m]
+        n = j.size
+        if n == 1 < m:   # a one-row product is a BLAS gemv, which rounds unlike gemm
+            j, s = np.repeat(j, 2), np.repeat(s, 2)
+        means[i:i + n] = km.mean(_point_distances(AS[s] - B[j], km, sq[:j.size]),
+                                 axis=-1)[:n]
+    if np.array_equal(rows, np.arange(m)):     # one pair per member
+        return means
+    return np.minimum.reduceat(means, np.flatnonzero(np.diff(rows, prepend=-1)))
+
+
+def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
+                              mask) -> np.ndarray:
+    """Symmetry-aware rotation distances from candidate quaternions to a
+    batch, for a medoid vote: the rows of the candidates that can have the
+    smallest row sum.
+
+    Equivalent to symmetric_pose_distance with zero translations between
+    a candidate and each quaternion in ``quats``: for (C,4) candidates
+    ``rep_quats`` row c holds the (m,) mean point distances min_s mu_js,
+    mu_js = mean_k ||X m_k||, X = A s - B_j, A = R(candidate c), B_j =
+    R(quats[j]); a (4,) candidate gives the (m,) row. A row that is not
+    computed is +inf: its computed sum would be strictly above the
+    smallest one, so the argmin of the row sums, ties to the first, is
+    the one over every exact row. A (4,) or lone candidate always gets its
+    row, and each computed row is that of a one-candidate call, to the bit.
+
+    Candidates and members are converted once, and one pass over blocks of
+    candidates bounds every mean (Elkan, ICML 2003, prunes k-means the
+    same way). With M2 = mean_k m_k m_k^T, r_max = max_k ||m_k||, t =
+    tr(X^T X M2) and the Gram vector g = vec(X^T X), so that q_k = ||X
+    m_k||^2 = g . vec(m_k m_k^T):
+
+    - upper: mu_js <= sqrt(t), as a mean is at most the root mean square;
+    - chord: ||X m_k|| <= ||X||_F r_max, so ||X m_k|| >= q_k / (||X||_F
+      r_max), and X = B_j (B_j^T A s - I) has two equal singular values,
+      so mu_js >= sqrt(2) t / (||X||_F r_max);
+    - Hölder: mean_k q_k <= (mean_k sqrt(q_k))^(2/3) (mean_k q_k^2)^(1/3)
+      with mean_k q_k^2 = g^T m4 g (:attr:`KernelModel.m4`), so mu_js >=
+      t^(3/2) / sqrt(g^T m4 g), much tighter when the q_k are alike.
+
+    For rotations t = 2 tr(M2) - 2 <A s, B_j M2>_F and ||X||_F^2 = 6 - 2
+    <A s, B_j>_F, so two (m,9) x (9, C |G|) products give both. A pair
+    whose t / (||X||_F r_max) exceeds its member's smallest upper bound
+    times 1 + BOUND_REL_SLACK, the cutoff (tested as t > cutoff ||X||_F
+    r_max, without the division), cannot be that member's minimum; the
+    pair with the smallest upper bound always survives. Only survivors get
+    a Gram vector. A candidate's upper bound sums its members' smallest
+    upper bounds, its lower bound their smallest chord or Hölder bound,
+    whichever is larger, over the survivors. The candidate with the
+    smallest upper bound gets its row first, then every candidate whose
+    lower bound is not above that row's sum: a NaN bound prunes nothing.
+    A row's survivors go member by member, m rows at a time, through the
+    Gram-form step of the unpruned kernel.
+
+    Why the vote is the unpruned one. Let eps be the machine epsilon.
+
+    - The Frobenius forms cancel when X ~ 0 and assume orthogonal
+      matrices, which quats_to_matrices and the group give to a few eps.
+      The computed t and ||X||_F^2 are within about 150 eps tr(M2) and 100
+      eps of the exact values (measured: 22 and 28). Both are widened by
+      BOUND_ABS_SLACK = 4096 eps (times tr(M2) for t), so the bounds hold
+      for the exact values, every upper bound is at least sqrt(4096 eps
+      tr(M2)), and the sqrt(2) of the chord bound holds for the computed
+      matrices. Multiplying the cutoff by the widened ||X||_F r_max rounds
+      once, by half an ulp, far inside BOUND_REL_SLACK. Where that factor
+      is 0, r_max = 0 and every distance is 0: every pair is kept.
+    - g is formed from X = A s - B_j as the exact kernel forms it, so each
+      q_k is within 2.6 eps ||X||_F^2 r_k^2 of the exact one. m4 and the
+      two 9-term products of g^T m4 g round within (K' + 22) (eps / 2)
+      ||g||^2 r_max^4. As sqrt(mean_k q_k^2) <= ||X||_F^2 r_max^2 / 2, the
+      exact mean_k q_k^2 is at most the computed g^T m4 g plus (K' + 32)
+      eps fro^4, fro the widened ||X||_F r_max (measured on the
+      pipeline's voting inputs: under 0.3 eps), so the Hölder bound holds.
+    - A skipped mean exceeds its member's kept minimum by at least (sqrt(2)
+      - 1) times the cutoff. A computed mean is within 1e-15 relative of
+      mu_js, except where ||X m_k||^2 cancels, at most sqrt(72 eps) r_k
+      per point, which twice over is below 0.41 sqrt(4096 eps tr(M2)). So
+      no skipped mean is a member's computed minimum, and a computed row
+      sum is at least (1 - (m + K') eps) times the sum of the exact minima
+      less m sqrt(72 eps) r_max. The bound sums round by a few eps
+      relative per member and m eps / 2 in the sum; they are scaled by 1
+      -+ BOUND_REL_SLACK and moved by -+ m sqrt(72 eps) r_max, and 1e-6
+      covers every relative term for m + K' below 4e9. So a candidate
+      whose lower bound exceeds another's computed row sum has a strictly
+      larger computed row sum.
+    - A candidate's tables do not depend on its block: gemm sums each
+      entry's 9 terms in one order whatever the width of the product. A
+      one-candidate block with one symmetry is a gemv, which rounds
+      otherwise, but then each member has one pair, which is kept. When
+      every member keeps one pair, the usual case, the survivor product
+      has the full kernel's shape and row order, so the row is the
+      unpruned one to the bit; otherwise BLAS blocking can move the last
+      bit of a mean (1e-15 relative at most). A NaN member keeps every
+      pair, is NaN in every row and makes every bound NaN.
+    """
+    AS = _candidate_rotations(rep_quats, group)
+    B = quats_to_matrices(quats)
+    m = B.shape[0]
+    out = np.full((AS.shape[0], m), np.inf)
+    if out.size:
+        km = kernel_model(model, mask)
+        keep, lower, upper = _row_bounds(AS, B, km)
+        sq = np.empty((m, km.points.shape[0]))
+        first = int(np.argmin(upper))
+        out[first] = _exact_row(AS[first], B, keep[:, first], km, sq)
+        best = out.sum(axis=1)[first]    # the sums a vote takes the argmin of
+        for c in np.flatnonzero(~(lower > best)):  # NaN bounds prune nothing
+            if c != first:
+                out[c] = _exact_row(AS[c], B, keep[:, c], km, sq)
+    return out if np.ndim(rep_quats) == 2 else out[0]

@@ -68,12 +68,27 @@ class ObjectModel:
         return [i for i, c in enumerate(classify_axes(self.symmetry)) if c == "infinite"]
 
 
+MAX_CLOUD_POINTS = 1 << 22    # points a model cloud builder may allocate (100 MB of xyz)
+
+
+def _check_cloud_size(count, what: str) -> None:
+    """Raise ValueError naming ``what`` unless ``count`` (a float, which
+    may be inf) is at most MAX_CLOUD_POINTS; builders call it before they
+    allocate."""
+    if not count <= MAX_CLOUD_POINTS:
+        raise ValueError(f"{what} would build {count:.3g} points, more than "
+                         f"MAX_CLOUD_POINTS = {MAX_CLOUD_POINTS}")
+
+
 def box_cloud(extents, pitch: float) -> np.ndarray:
     """Surface lattice of an axis-aligned box centered at the origin."""
     ext = np.asarray(extents, dtype=float).reshape(3)
     if (ext <= 0).any() or pitch <= 0:
         raise ValueError("box extents and pitch must be positive")
-    axes = [np.linspace(-e / 2.0, e / 2.0, max(2, int(round(e / pitch)) + 1)) for e in ext]
+    # the volume grid the faces are cut from
+    sides = [max(2.0, float(np.round(e / pitch)) + 1.0) for e in ext.tolist()]
+    _check_cloud_size(math.prod(sides), f"box extents {ext.tolist()} at pitch {pitch}")
+    axes = [np.linspace(-e / 2.0, e / 2.0, int(n)) for e, n in zip(ext, sides)]
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     on_face = np.zeros(pts.shape[0], dtype=bool)
@@ -86,9 +101,14 @@ def cylinder_cloud(radius: float, height: float, pitch: float) -> np.ndarray:
     """Lateral surface + end-cap rings of a z-axis cylinder."""
     if radius <= 0 or height <= 0 or pitch <= 0:
         raise ValueError("cylinder dimensions and pitch must be positive")
-    n_ang = max(8, int(round(2.0 * math.pi * radius / pitch)))
+    n_ang = max(8.0, float(np.round(2.0 * math.pi * radius / pitch)))
+    n_z = max(2.0, float(np.round(height / pitch)) + 1.0)
+    # fewer than radius / pitch cap rings per end, none longer than n_ang
+    _check_cloud_size(n_ang * (n_z + 2.0 * radius / pitch) + 2.0,
+                      f"cylinder radius {radius}, height {height} at pitch {pitch}")
+    n_ang = int(n_ang)
     ang = np.arange(n_ang) * (2.0 * math.pi / n_ang)
-    zs = np.linspace(-height / 2.0, height / 2.0, max(2, int(round(height / pitch)) + 1))
+    zs = np.linspace(-height / 2.0, height / 2.0, int(n_z))
     side = np.stack([
         np.repeat(radius * np.cos(ang), zs.size),
         np.repeat(radius * np.sin(ang), zs.size),
@@ -109,6 +129,7 @@ def sphere_cloud(radius: float, n_points: int = 500) -> np.ndarray:
     """Fibonacci-lattice sphere surface."""
     if radius <= 0 or n_points < 4:
         raise ValueError("bad sphere parameters")
+    _check_cloud_size(n_points, f"sphere n_points {n_points}")
     i = np.arange(n_points, dtype=float)
     phi = math.pi * (3.0 - math.sqrt(5.0)) * i
     z = 1.0 - 2.0 * (i + 0.5) / n_points

@@ -304,6 +304,20 @@ def test_cli_error_is_stage_tagged(tmp_path, capsys):
     assert "[synth]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [{"kind": "box", "pitch": 0.001},
+                                   {"kind": "cylinder", "pitch": 0.001},
+                                   {"kind": "sphere", "n_points": 10 ** 12}],
+                         ids=lambda shape: shape["kind"])
+def test_cli_rejects_a_model_too_fine_to_build(tmp_path, capsys, shape):
+    # the box would be a (40001, 60001, 80001) grid: 1.36 PiB
+    cfg_path = write_config(tmp_path, {"object": {"builtin": shape}})
+    code = run_cli("synth", "--config", str(cfg_path), "--seed", "0",
+                   "--out-dir", str(tmp_path / "x"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [synth] ") and "MAX_CLOUD_POINTS" in err
+
+
 def _cli_chain(tmp_path, config, *stages, seed="0"):
     cfg_path = write_config(tmp_path, config)
     out = tmp_path / "run"

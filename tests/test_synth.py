@@ -39,6 +39,23 @@ def test_model_cloud_builders():
     assert np.allclose(rod.bbox, [10, 10, 400], atol=1e-9)
 
 
+@pytest.mark.parametrize("build, names", [
+    (lambda: box_cloud((40, 60, 80), 1e-3), "extents"),
+    (lambda: box_cloud((40, 60, 80), 1e-200), "extents"),     # the count overflows to inf
+    (lambda: box_cloud((40, 60, 80), 5e-324), "extents"),     # so do the grid sides
+    (lambda: cylinder_cloud(30, 80, 1e-3), "radius"),
+    (lambda: cylinder_cloud(2000, 1.0, 1.0), "radius"),    # the cap rings alone
+    (lambda: cylinder_cloud(30, 80, 1e-200), "radius"),
+    (lambda: cylinder_cloud(30, 80, 5e-324), "radius"),
+    (lambda: sphere_cloud(40, 10 ** 12), "n_points"),
+], ids=["box", "box_overflow", "box_inf", "cylinder", "cylinder_caps", "cylinder_overflow",
+        "cylinder_inf", "sphere"])
+def test_model_cloud_builders_reject_clouds_too_large_to_build(build, names):
+    # each raises before allocating a point
+    with pytest.raises(ValueError, match=f"{names}.*MAX_CLOUD_POINTS"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # scene generation
 

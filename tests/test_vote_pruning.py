@@ -1,10 +1,11 @@
 """Pose voting computes exact rows only for the candidates that can win.
 
-``so3.rotation_distance_bounds`` bounds every candidate's row sum, and
-``cluster.pose_vote`` asks ``rotation_distances_to_set`` for the rows of
-the candidates whose lower bound does not exceed a known row sum. These
-tests hold the vote to the exhaustive medoid (the argmin of every row
-sum, ties to the first candidate) and the bounds to the computed sums.
+``cluster.pose_vote`` makes one ``rotation_distances_to_set`` call, whose
+bound pass (``so3._row_bounds``) bounds every candidate's row sum; the
+rows of the candidates whose lower bound exceeds a known row sum come
+back +inf. These tests hold the vote to the exhaustive medoid (the argmin
+of every row sum, ties to the first candidate), the rows that are
+computed to the one-candidate rows, and the bounds to the computed sums.
 """
 
 import json
@@ -12,13 +13,13 @@ import json
 import numpy as np
 import pytest
 
-from binpose import cluster
+from binpose import cluster, so3
 from binpose.fileio import load_config
 from binpose.pipeline import run_scene
 from binpose.so3 import (Pose, SymmetryDescriptor, build_axis_mask, build_symmetry_group,
                          kernel_model, matrix_to_quat, quat_from_axis_angle, quat_multiply,
-                         quat_normalize_batch, quat_to_matrix, random_quat,
-                         rotation_distance_bounds, rotation_distances_to_set)
+                         quat_normalize_batch, quat_to_matrix, quats_to_matrices,
+                         random_quat, rotation_distances_to_set)
 from binpose.synth import cylinder_cloud
 
 # (symmetry, model): |G| = 1, 2 and 24, a continuous z axis whose masked
@@ -43,9 +44,20 @@ def voting_object(request):
     return build_symmetry_group(desc), build_axis_mask(desc), scale * model
 
 
+def _one_candidate_rows(reps, members, group, mask, model):
+    return np.stack([rotation_distances_to_set(rep, members, model, group, mask)
+                     for rep in reps])
+
+
 def _row_sums(reps, members, group, mask, model):
-    return np.array([row.sum() for row in
-                     rotation_distances_to_set(reps, members, model, group, mask)])
+    return _one_candidate_rows(reps, members, group, mask, model).sum(axis=1)
+
+
+def _bounds(reps, members, model, group, mask):
+    """(lower, upper) of the bound pass, on the inputs converted as
+    rotation_distances_to_set converts them."""
+    AS, B = so3._candidate_rotations(reps, group), quats_to_matrices(members)
+    return so3._row_bounds(AS, B, kernel_model(model, mask))[1:]
 
 
 def _exhaustive(reps, members, group, mask, model) -> int:
@@ -102,6 +114,16 @@ def test_the_vote_is_the_exhaustive_medoid(voting_object, monkeypatch):
         for name, (reps, members) in _cases(group, mask, model, rng).items():
             want = _exhaustive(reps, members, group, mask, model)
             assert _voted(reps, members, group, mask, model, monkeypatch) == want, name
+            # the rows one call computes are the one-candidate rows, and every
+            # row it leaves +inf has a sum above the smallest
+            one = _one_candidate_rows(reps, members, group, mask, model)
+            rows = rotation_distances_to_set(reps, members, model, group, mask)
+            pruned = np.isposinf(rows).all(axis=1)
+            assert not pruned.all(), name
+            assert np.array_equal(rows[~pruned].view(np.uint64),
+                                  one[~pruned].view(np.uint64)), name
+            sums = one.sum(axis=1)
+            assert np.all(sums[pruned] > sums.min()), name
 
 
 def test_the_bounds_hold_the_computed_row_sums(voting_object):
@@ -109,7 +131,7 @@ def test_the_bounds_hold_the_computed_row_sums(voting_object):
     rng = np.random.default_rng(32)
     for _ in range(2):
         for name, (reps, members) in _cases(group, mask, model, rng).items():
-            lower, upper = rotation_distance_bounds(reps, members, model, group, mask)
+            lower, upper = _bounds(reps, members, model, group, mask)
             sums = _row_sums(reps, members, group, mask, model)
             assert np.all(lower <= sums) and np.all(sums <= upper), name
 
@@ -134,7 +156,7 @@ def test_the_bounds_are_tight_where_every_point_is_equally_far(symmetry, scale):
                         for a in rng.uniform(-0.5, 0.5, size=60)])
     reps = np.vstack([rep, members[:5]])
     model = scale * _tube()
-    lower, upper = rotation_distance_bounds(reps, members, model, group, np.ones(3))
+    lower, upper = _bounds(reps, members, model, group, np.ones(3))
     sums = _row_sums(reps, members, group, np.ones(3), model)
     assert np.all(lower <= sums) and np.all(sums <= upper)
     assert np.all(lower >= (1.0 - 1e-5) * sums) and np.all(upper <= (1.0 + 1e-5) * sums)
@@ -155,7 +177,7 @@ def test_the_winner_need_not_have_the_smallest_upper_bound(monkeypatch):
     reps = np.stack([quat_multiply(rep, quat_from_axis_angle(axis, alpha)),
                      quat_multiply(rep, quat_from_axis_angle([0.0, 0.0, 1.0], beta))])
     members = np.stack([rep] * 5)
-    lower, upper = rotation_distance_bounds(reps, members, model, group, np.ones(3))
+    lower, upper = _bounds(reps, members, model, group, np.ones(3))
     sums = _row_sums(reps, members, group, np.ones(3), model)
     assert upper[1] < upper[0] and sums[0] < sums[1] and lower[0] > 0.985 * sums[1]
     assert _voted(reps, members, group, np.ones(3), model, monkeypatch) == 0
@@ -164,8 +186,7 @@ def test_the_winner_need_not_have_the_smallest_upper_bound(monkeypatch):
 def test_bounds_of_an_empty_batch_are_zero():
     group = build_symmetry_group(OBJECTS["cube24"][0])
     reps = np.stack([random_quat(np.random.default_rng(33)) for _ in range(3)])
-    lower, upper = rotation_distance_bounds(reps, np.empty((0, 4)), np.eye(3), group,
-                                            np.ones(3))
+    lower, upper = _bounds(reps, np.empty((0, 4)), np.eye(3), group, np.ones(3))
     assert lower.tolist() == upper.tolist() == [0.0, 0.0, 0.0]
 
 
@@ -222,13 +243,27 @@ def test_cube24_votes_compute_fewer_than_half_the_rows(tmp_path, monkeypatch):
         return real_vote(counts, centroids, reps, *args)
 
     def distances(reps, *args):
-        rows.append(len(reps))
-        return real_rows(reps, *args)
+        out = real_rows(reps, *args)
+        rows.append(np.count_nonzero(np.isfinite(out).all(axis=1)))
+        return out
 
     monkeypatch.setattr(cluster, "pose_vote", vote)
     monkeypatch.setattr(cluster, "rotation_distances_to_set", distances)
     run_scene(config, 0)
     assert min(candidates) > 10
     assert 0 < sum(rows) < sum(candidates) / 2
-    # the vote asks for the rows at most twice per instance
-    assert len(rows) <= 2 * len(candidates)
+    # the vote asks for the rows once per instance
+    assert len(rows) <= len(candidates)
+
+
+def test_a_nan_member_is_nan_in_every_row():
+    # a NaN member makes every bound NaN, and a NaN bound prunes nothing
+    group, model = build_symmetry_group(OBJECTS["cube24"][0]), _tube()
+    rng = np.random.default_rng(36)
+    rep = random_quat(rng)
+    members = quat_normalize_batch(rep + rng.normal(scale=0.03, size=(40, 4)))
+    members[17] = [np.nan, 0.0, 0.0, 0.0]
+    reps = np.vstack([rep, members[:5], quat_normalize_batch(rng.normal(size=(3, 4)))])
+    rows = rotation_distances_to_set(reps, members, model, group, np.ones(3))
+    assert np.isnan(rows[:, 17]).all()
+    assert np.isfinite(np.delete(rows, 17, axis=1)).all()
