@@ -380,12 +380,21 @@ def two_stage_pipeline(pred: PerPointPrediction, params: ClusterParams,
     if not len(ms1):
         return ClusterResult(ms1, [], ms1.labels, warning="no stage-1 clusters survived",
                              converged=ms1.converged)
-    members = ms1.members
-    counts = np.bincount(ms1.labels[ms1.labels >= 0], minlength=len(ms1))
-    centroids = np.stack([pred.centroids[idx].mean(axis=0) for idx in members])
-    reps = quat_normalize_batch([
-        pred.quats[idx[int(np.argmin(np.linalg.norm(feats[idx] - mode, axis=1)))]]
-        for idx, mode in zip(members, ms1.modes)])
+    # the points of each cluster in index order, cluster after cluster; the
+    # discarded ones (-1) sort first, and every cluster has a point
+    order = np.argsort(ms1.labels, kind="stable")
+    in_cluster = ms1.labels[order]
+    first = np.searchsorted(in_cluster, 0)
+    order, in_cluster = order[first:], in_cluster[first:]
+    counts = np.bincount(in_cluster, minlength=len(ms1))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    sorted_centroids = pred.centroids[order]
+    centroids = np.stack([sorted_centroids[a:b].mean(axis=0) for a, b in zip(starts, ends)])
+    # the representative is the member nearest the mode, ties to the first
+    dist = np.linalg.norm(feats[order] - ms1.modes[in_cluster], axis=1)
+    nearest = np.flatnonzero(dist == np.repeat(np.minimum.reduceat(dist, starts), counts))
+    reps = quat_normalize_batch(pred.quats[order[nearest[np.searchsorted(nearest, starts)]]])
 
     ms2 = mean_shift(centroids, params.bandwidth_2, min_points=1,
                      max_iters=params.max_iters, tol=params.convergence_tol)

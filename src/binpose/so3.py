@@ -25,7 +25,8 @@ GROUP_SIZE_CAP = 360
 # pose-voting bound slacks, derived in rotation_distances_to_set
 BOUND_ABS_SLACK = 4096 * np.finfo(float).eps
 BOUND_REL_SLACK = 1e-6
-BOUND_BLOCK = 1 << 15    # (member, candidate, symmetry) pairs per bound-table block
+BOUND_BLOCK = 1 << 15    # (member, candidate, symmetry) triples per bound-table block
+SCREEN_U = np.finfo(np.float32).eps / 2    # float32 unit roundoff of the screening rows
 
 
 class UnsupportedSymmetryError(ValueError):
@@ -367,6 +368,13 @@ def build_axis_mask(desc: SymmetryDescriptor) -> np.ndarray:
 # symmetry-aware pose distance
 
 
+# the (9, 6) matrix that spreads the distinct entries (a, b), a <= b, of a
+# symmetric 3x3 matrix, in the order 00 01 02 11 12 22, over its 9 row-major
+# entries 3a + b and 3b + a
+_SPREAD = np.zeros((9, 6))
+_SPREAD[[0, 1, 2, 4, 5, 8], range(6)] = _SPREAD[[0, 3, 6, 4, 7, 8], range(6)] = 1.0
+
+
 @dataclass(frozen=True)
 class KernelModel:
     """A (model, mask) pair as the distance kernel sees it.
@@ -379,8 +387,9 @@ class KernelModel:
     map to it and ``inverse`` (K,) which one each model point maps to.
     Otherwise both are None and ``points`` is the masked model in order.
     ``size`` is the full model count K, ``m2`` (9,) the mean of m m^T over
-    all K points, ``tr_m2`` its trace and ``r_max`` the largest ||m_k||.
-    ``m4`` is built on first use.
+    all K points, ``tr_m2`` its trace, ``r_max`` the largest ||m_k|| and
+    ``abs_mean`` (3,) the mean of |m_k| per coordinate over all K points.
+    ``m4`` and ``outer32`` are built on first use.
     """
 
     points: np.ndarray
@@ -391,6 +400,7 @@ class KernelModel:
     m2: np.ndarray
     tr_m2: float
     r_max: float
+    abs_mean: np.ndarray
 
     def mean(self, dists, axis=(-2, -1)):
         """Mean over the K model points of (..., n, K') distances to
@@ -410,6 +420,16 @@ class KernelModel:
         m4 = weighted.T @ self.outer / self.size
         m4.flags.writeable = False
         return m4
+
+    @functools.cached_property
+    def outer32(self) -> np.ndarray:
+        """The (6, K') distinct entries (a, b), a <= b, of each m_k m_k^T in
+        float32, those off the diagonal doubled (exactly), read-only: with a
+        symmetric G's distinct entries g, g . outer32[:, k] = <G, m_k m_k^T>.
+        The screening rows of :func:`rotation_distances_to_set` use it."""
+        outer32 = (self.outer @ _SPREAD).T.astype(np.float32, order="C")
+        outer32.flags.writeable = False
+        return outer32
 
 
 def kernel_model(model, mask) -> KernelModel:
@@ -438,11 +458,12 @@ def _kernel_model(model_bytes: bytes, mask_bytes: bytes) -> KernelModel:
         masked, counts, inverse = distinct, cnt.astype(float), idx
     outer = np.einsum("ki,kj->kij", masked, masked).reshape(-1, 9)
     m2 = outer.mean(axis=0) if counts is None else counts @ outer / size
-    for a in (masked, outer, counts, inverse, m2):
+    abs_mean = np.abs(masked).mean(axis=0) if counts is None else counts @ np.abs(masked) / size
+    for a in (masked, outer, counts, inverse, m2, abs_mean):
         if a is not None:
             a.flags.writeable = False
     return KernelModel(masked, outer, counts, inverse, size, m2, m2[0] + m2[4] + m2[8],
-                       np.linalg.norm(masked, axis=1).max())
+                       np.linalg.norm(masked, axis=1).max(), abs_mean)
 
 
 def _point_distances(diff, km: KernelModel, out, d=None) -> np.ndarray:
@@ -531,80 +552,126 @@ def _candidate_rotations(rep_quats, group: SymmetryGroup) -> np.ndarray:
     return quats_to_matrices(reps)[:, None] @ group.matrices
 
 
-def _min_last(a) -> np.ndarray:
-    """The minimum over the last axis of ``a``. numpy reduces a short last
-    axis row by row; after one copy that moves it first, the minimum is
-    taken over whole columns at once, with the same values."""
-    return np.moveaxis(a, -1, 0).copy().min(axis=0)
-
-
-# with X's entries as rows 3i + a, entry 3a + b of its Gram vector sums over i
-# the products of rows 3i + _GRAM_LEFT and 3i + _GRAM_RIGHT
-_GRAM_LEFT, _GRAM_RIGHT = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
+def _margin(m: int, km: KernelModel) -> float:
+    """The absolute widening of a row-sum bound over m members."""
+    return m * np.sqrt(72.0 * np.finfo(float).eps) * km.r_max
 
 
 def _row_bounds(AS, B, km: KernelModel):
     """The one bound pass of :func:`rotation_distances_to_set` for (C, n_s,
-    3, 3) rotations AS = A_c s and (m,3,3) member rotations B: (keep,
-    lower, upper), ``keep`` (m, C, n_s) the (member, candidate, symmetry)
-    pairs that can be their member's minimum, ``lower`` and ``upper`` (C,)
-    bounds on each candidate's computed row sum. The tables are built for
-    blocks of at most ``BOUND_BLOCK`` pairs (or one candidate).
+    3, 3) rotations AS = A_c s and (m,3,3) member rotations B: (kept,
+    lower, upper). ``kept`` holds for each candidate the (member, symmetry)
+    pairs that can be their member's minimum as (idx, gram): their
+    ascending flat indices s m + j and their (6, n) Gram vectors (None
+    when r_max = 0 or a member is NaN, where every pair is kept). ``lower``
+    and ``upper`` (C,) bound each candidate's computed row sum. The tables
+    are built for blocks of at most ``BOUND_BLOCK`` triples (or one
+    candidate).
     """
     m, (n_c, n_s) = B.shape[0], AS.shape[:2]
-    keep = np.ones((m, n_c, n_s), dtype=bool)
-    lower, upper = np.zeros(n_c), np.zeros(n_c)
-    if km.r_max == 0.0:       # every distance is 0, and every pair is kept
-        return keep, lower, upper
-    # scaled by -2 before the products, which is exact
-    B9 = -2.0 * B.reshape(m, 9)
-    BM2 = -2.0 * (B @ km.m2.reshape(3, 3)).reshape(m, 9)
+    nan = np.isnan(B).any()
+    if km.r_max == 0.0 or m == 0 or nan:
+        # every distance is 0, or a NaN member makes every bound NaN: every pair is kept
+        bounds = np.full(n_c, np.nan if nan else 0.0)
+        return [(np.arange(n_s * m), None)] * n_c, bounds, bounds.copy()
+    lower, upper = np.empty(n_c), np.empty(n_c)
+    tr2 = 2.0 * km.tr_m2
     slack = BOUND_ABS_SLACK * km.tr_m2
-    eps = np.finfo(float).eps
-    e_slack = (km.points.shape[0] + 32) * eps
-    # rows of 9 entries, so each entry of a pair's X and Gram vector is a contiguous row
-    ASt, Bt = AS.reshape(-1, 9).T.copy(), B.reshape(m, 9).T.copy()
-    step = max(1, BOUND_BLOCK // max(m * n_s, 1))
+    e_slack = (km.points.shape[0] + 32) * np.finfo(float).eps
+    m4 = _SPREAD.T @ km.m4 @ _SPREAD      # g^T m4 g over the distinct entries
+    # q = <A s, -2 B_j M2>_F, so that t = q + 2 tr(M2); the -2 is exact
+    BM2 = (-2.0 * (B @ km.m2.reshape(3, 3))).reshape(m, 9).T.copy()
+    # rows (c, s) of 9 entries, and their transpose, where each entry of a
+    # pair's X is a contiguous row
+    ASr = AS.reshape(-1, 9)
+    ASt, Bt = ASr.T.copy(), B.reshape(m, 9).T.copy()
+    # ||X||_F^2 <= 8 for rotations: 3 r_max exceeds every widened ||X||_F r_max
+    loose = 3.0 * km.r_max
+    step = max(1, BOUND_BLOCK // (m * n_s))
+    table = np.empty(min(step, n_c) * n_s * m)
+    kept = []
     for lo in range(0, n_c, step):
-        ASf = AS[lo:lo + step].reshape(-1, 9).T
-        n = ASf.shape[1] // n_s
-        t = (BM2 @ ASf).reshape(m, n, n_s)
-        t += 2.0 * km.tr_m2
-        fro = (B9 @ ASf).reshape(m, n, n_s)
-        fro += 6.0
-        fro += BOUND_ABS_SLACK
-        np.sqrt(np.maximum(fro, 0.0, out=fro), out=fro)
-        fro *= km.r_max
-        low = _min_last(t)[..., None] + slack
-        up = np.sqrt(np.maximum(low, 0.0, out=low), out=low)
-        upper[lo:lo + n] = up[..., 0].sum(axis=0)
-        cutoff = fro * ((1.0 + BOUND_REL_SLACK) * up)
+        n = min(step, n_c - lo)
+        q = np.matmul(ASr[lo * n_s:(lo + n) * n_s], BM2,
+                      out=table[:n * n_s * m].reshape(n * n_s, m)).reshape(n, n_s, m)
+        up = q.min(axis=1)
+        up += tr2
+        up += slack
+        np.sqrt(np.maximum(up, 0.0, out=up), out=up)
+        upper[lo:lo + n] = up.sum(axis=1)
+        cut = (1.0 + BOUND_REL_SLACK) * up
+        # the norm-free test, on q = t - 2 tr(M2): t - slack <= 3 r_max cut
+        thr = cut * loose
+        thr += slack - tr2
+        pairs = np.flatnonzero(q <= thr[:, None, :])     # (c, s, j) flattened
+        t = q.reshape(-1)[pairs]
+        t += tr2
         t -= slack
-        kept = keep[:, lo:lo + n]
-        np.logical_not(np.greater(np.maximum(t, 0.0, out=t), cutoff, out=kept), out=kept)
-        pairs = np.flatnonzero(kept)     # (j, c, s) flattened
-        X = ASt[:, lo * n_s + pairs % (n * n_s)] - Bt[:, pairs // (n * n_s)]
-        g = X[_GRAM_LEFT] * X[_GRAM_RIGHT]     # g_ab = sum_i X_ia X_ib
-        for i in (3, 6):
-            g += X[_GRAM_LEFT + i] * X[_GRAM_RIGHT + i]
-        tl, f = t.reshape(-1)[pairs], fro.reshape(-1)[pairs]
+        np.maximum(t, 0.0, out=t)
+        cs, j = np.divmod(pairs, m)
+        c = cs // n_s
+        X = (np.take(ASt, lo * n_s + cs, axis=1) - np.take(Bt, j, axis=1)).reshape(3, 3, -1)
+        # the Gram vector: the distinct entries g_ab = sum_i X_ia X_ib, a <= b
+        g = np.empty((6, X.shape[2]))
+        for a, row in ((0, 0), (1, 3), (2, 5)):
+            np.sum(X[:, a:a + 1] * X[:, a:], axis=0, out=g[row:row + 3 - a])
+        fro = g[0] + g[3]
+        fro += g[5]                            # ||X||_F^2
+        fro += BOUND_ABS_SLACK
+        np.sqrt(fro, out=fro)
+        fro *= km.r_max
+        cj = c * m + j
+        # the chord test: t - slack <= ||X||_F r_max cut
+        sure = t <= fro * cut.reshape(-1)[cj]
+        if not sure.all():
+            pairs, c, cj, t = pairs[sure], c[sure], cj[sure], t[sure]
+            g, fro = g[:, sure], fro[sure]
         # Hölder: t^(3/2) / sqrt(g^T m4 g + slack); chord: sqrt(2) t / fro
-        e = np.einsum("in,in->n", km.m4 @ g, g)
-        e += e_slack * np.square(np.square(f))
-        bound = np.maximum(tl * np.sqrt(tl / e), np.sqrt(2.0) * tl / f)
-        t.fill(np.inf)
-        t.reshape(-1)[pairs] = bound
-        lower[lo:lo + n] = _min_last(t).sum(axis=0)
-    margin = m * np.sqrt(72.0 * eps) * km.r_max
-    return keep, (1.0 - BOUND_REL_SLACK) * lower - margin, (1.0 + BOUND_REL_SLACK) * upper + margin
+        e = np.einsum("in,in->n", m4 @ g, g)
+        e += e_slack * np.square(np.square(fro))
+        bound = np.maximum(t * np.sqrt(t / e), np.sqrt(2.0) * t / fro)
+        low = np.full(n * m, np.inf)
+        np.minimum.at(low, cj, bound)
+        lower[lo:lo + n] = low.reshape(n, m).sum(axis=1)
+        ends = np.searchsorted(c, np.arange(n + 1))
+        pairs -= c * (n_s * m)
+        kept += [(pairs[a:b], g[:, a:b]) for a, b in zip(ends[:-1], ends[1:])]
+    margin = _margin(m, km)
+    return kept, (1.0 - BOUND_REL_SLACK) * lower - margin, (1.0 + BOUND_REL_SLACK) * upper + margin
 
 
-def _exact_row(AS, B, keep, km: KernelModel, sq) -> np.ndarray:
-    """One candidate's (m,) row for its (n_s,3,3) rotations AS, over the
-    (m, n_s) ``keep`` pairs, member by member; ``sq`` is an (m, K') buffer.
-    Each member keeps at least the pair with its smallest upper bound."""
+def _screen_bound(idx, gram, m, n_s, km: KernelModel, buf) -> float:
+    """A lower bound on one candidate's computed row sum from float32 rows
+    over its kept pairs (``idx`` and ``gram`` as :func:`_row_bounds` keeps
+    them), widened like the bound pass's; ``buf`` is a float32 (n, K')
+    buffer."""
+    weights = (np.ones(km.points.shape[0], dtype=np.float32) if km.counts is None
+               else km.counts.astype(np.float32))
+    sums = np.empty(idx.size)
+    for lo in range(0, idx.size, buf.shape[0]):
+        g = np.ascontiguousarray(gram[:, lo:lo + buf.shape[0]].T, dtype=np.float32)
+        q = np.matmul(g, km.outer32, out=buf[:g.shape[0]])
+        sums[lo:lo + g.shape[0]] = np.sqrt(np.abs(q, out=q), out=q) @ weights
+    n_u = (km.points.shape[0] + 4) * SCREEN_U
+    means = sums * ((1.0 - n_u / (1.0 - n_u)) / km.size)
+    # the mean over k of sum_a ||X e_a|| |m_ka|
+    means -= np.sqrt(9.0 * SCREEN_U) * (km.abs_mean @ np.sqrt(gram[[0, 3, 5]]))
+    means -= np.sqrt(7.0 * SCREEN_U * BOUND_ABS_SLACK) * km.r_max
+    table = np.full(n_s * m, np.inf)
+    table[idx] = means
+    low = table.reshape(n_s, m).min(axis=0).sum()
+    return (1.0 - BOUND_REL_SLACK) * low - _margin(m, km)
+
+
+def _exact_row(AS, B, idx, km: KernelModel, sq) -> np.ndarray:
+    """One candidate's (m,) row for its (n_s,3,3) rotations AS, over its
+    kept pairs, flat indices s m + j, member by member; ``sq`` is an (m,
+    K') buffer. Each member keeps at least the pair with its smallest
+    upper bound."""
     m = B.shape[0]
-    rows, s_idx = np.nonzero(keep)
+    keep = np.zeros((AS.shape[0], m), dtype=bool)
+    keep.reshape(-1)[idx] = True
+    rows, s_idx = np.nonzero(keep.T)
     means = np.empty(rows.size)
     for i in range(0, rows.size, m):           # m rows at a time, like the full kernel
         j, s = rows[i:i + m], s_idx[i:i + m]
@@ -637,50 +704,69 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
     Candidates and members are converted once, and one pass over blocks of
     candidates bounds every mean (Elkan, ICML 2003, prunes k-means the
     same way). With M2 = mean_k m_k m_k^T, r_max = max_k ||m_k||, t =
-    tr(X^T X M2) and the Gram vector g = vec(X^T X), so that q_k = ||X
-    m_k||^2 = g . vec(m_k m_k^T):
+    tr(X^T X M2) and the Gram vector g, the distinct entries of X^T X, so
+    that q_k = ||X m_k||^2 = <X^T X, m_k m_k^T>_F:
 
     - upper: mu_js <= sqrt(t), as a mean is at most the root mean square;
     - chord: ||X m_k|| <= ||X||_F r_max, so ||X m_k|| >= q_k / (||X||_F
       r_max), and X = B_j (B_j^T A s - I) has two equal singular values,
       so mu_js >= sqrt(2) t / (||X||_F r_max);
     - Hölder: mean_k q_k <= (mean_k sqrt(q_k))^(2/3) (mean_k q_k^2)^(1/3)
-      with mean_k q_k^2 = g^T m4 g (:attr:`KernelModel.m4`), so mu_js >=
-      t^(3/2) / sqrt(g^T m4 g), much tighter when the q_k are alike.
+      with mean_k q_k^2 = g^T m4 g (:attr:`KernelModel.m4` over the
+      distinct entries), so mu_js >= t^(3/2) / sqrt(g^T m4 g), much tighter
+      when the q_k are alike.
 
-    For rotations t = 2 tr(M2) - 2 <A s, B_j M2>_F and ||X||_F^2 = 6 - 2
-    <A s, B_j>_F, so two (m,9) x (9, C |G|) products give both. A pair
-    whose t / (||X||_F r_max) exceeds its member's smallest upper bound
-    times 1 + BOUND_REL_SLACK, the cutoff (tested as t > cutoff ||X||_F
-    r_max, without the division), cannot be that member's minimum; the
-    pair with the smallest upper bound always survives. Only survivors get
-    a Gram vector. A candidate's upper bound sums its members' smallest
-    upper bounds, its lower bound their smallest chord or Hölder bound,
-    whichever is larger, over the survivors. The candidate with the
-    smallest upper bound gets its row first, then every candidate whose
-    lower bound is not above that row's sum: a NaN bound prunes nothing.
-    A row's survivors go member by member, m rows at a time, through the
-    Gram-form step of the unpruned kernel.
+    For rotations t = 2 tr(M2) - 2 <A s, B_j M2>_F, so one (C |G|, 9) x (9,
+    m) product gives every t, and ||X||_F^2 = 6 - 2 tr(B_j^T A s) <= 8, as
+    a rotation's trace is at least -1. A pair whose t exceeds ||X||_F r_max
+    times its member's smallest upper bound times 1 + BOUND_REL_SLACK (the
+    cutoff) cannot be that member's minimum. Each (member, candidate,
+    symmetry) triple costs one product entry, its share of the minimum
+    over s and one comparison with 3 r_max times the cutoff, which needs
+    no norm and drops only pairs the cutoff drops. The survivors, about one
+    per member and candidate, get X = A s - B_j as the exact kernel forms
+    it, g, ||X||_F^2 = tr(X^T X) and the cutoff itself; the pair with the
+    smallest upper bound always survives. A candidate's upper bound sums
+    its members' smallest upper bounds, its lower bound their smallest
+    chord or Hölder bound, whichever is larger, over the kept pairs, whose
+    Gram vectors are kept too.
 
-    Why the vote is the unpruned one. Let eps be the machine epsilon.
+    The candidate with the smallest upper bound gets its row first. Every
+    other candidate whose lower bound is not above that row's sum (a NaN
+    bound prunes nothing) is screened before its row: its kept pairs'
+    means in float32, one (n, 6) x (6, K') product of its Gram vectors and
+    :attr:`KernelModel.outer32`, the roots of the absolute values and
+    their sums over the model points. It gets its row unless the screen's
+    lower bound on its computed sum, widened like the bound pass's, is
+    above the first row's sum. A row's kept pairs go member by member, m
+    rows at a time, through the Gram-form step of the unpruned kernel.
 
-    - The Frobenius forms cancel when X ~ 0 and assume orthogonal
-      matrices, which quats_to_matrices and the group give to a few eps.
-      The computed t and ||X||_F^2 are within about 150 eps tr(M2) and 100
-      eps of the exact values (measured: 22 and 28). Both are widened by
-      BOUND_ABS_SLACK = 4096 eps (times tr(M2) for t), so the bounds hold
-      for the exact values, every upper bound is at least sqrt(4096 eps
-      tr(M2)), and the sqrt(2) of the chord bound holds for the computed
-      matrices. Multiplying the cutoff by the widened ||X||_F r_max rounds
-      once, by half an ulp, far inside BOUND_REL_SLACK. Where that factor
-      is 0, r_max = 0 and every distance is 0: every pair is kept.
+    Why the vote is the unpruned one. Let eps be the machine epsilon and u
+    = 2^-24 float32's unit roundoff.
+
+    - t cancels when X ~ 0 and its Frobenius form assumes orthogonal
+      matrices, which quats_to_matrices and the group give to a few eps: the
+      computed t is within about 150 eps tr(M2) of the exact value
+      (measured: 22). ||X||_F^2 from the Gram vector of X as formed is
+      within 5 eps relative of it. Both are widened by BOUND_ABS_SLACK =
+      4096 eps (times tr(M2) for t), so the bounds hold for the exact
+      values, every upper bound is at least sqrt(4096 eps tr(M2)), and the
+      sqrt(2) of the chord bound holds for the computed matrices.
+      Multiplying the cutoff by the widened ||X||_F r_max rounds once, by
+      half an ulp, far inside BOUND_REL_SLACK. The norm-free test is made on
+      the product entry, t - 2 tr(M2), against 3 r_max times the cutoff,
+      which is at least 6% above every widened ||X||_F r_max times it. 6%
+      of r_max times a cutoff, itself at least sqrt(4096 eps tr(M2)), is far
+      more than moving 2 tr(M2) across rounds (a few eps tr(M2), and tr(M2)
+      <= r_max^2), so a pair the cutoff keeps is never dropped. Where
+      r_max = 0 every distance is 0: every pair is kept.
     - g is formed from X = A s - B_j as the exact kernel forms it, so each
       q_k is within 2.6 eps ||X||_F^2 r_k^2 of the exact one. m4 and the
-      two 9-term products of g^T m4 g round within (K' + 22) (eps / 2)
-      ||g||^2 r_max^4. As sqrt(mean_k q_k^2) <= ||X||_F^2 r_max^2 / 2, the
-      exact mean_k q_k^2 is at most the computed g^T m4 g plus (K' + 32)
-      eps fro^4, fro the widened ||X||_F r_max (measured on the
-      pipeline's voting inputs: under 0.3 eps), so the Hölder bound holds.
+      two products of g^T m4 g round within (K' + 22) (eps / 2) ||g||^2
+      r_max^4. As sqrt(mean_k q_k^2) <= ||X||_F^2 r_max^2 / 2, the exact
+      mean_k q_k^2 is at most the computed g^T m4 g plus (K' + 32) eps
+      fro^4, fro the widened ||X||_F r_max (measured on the pipeline's
+      voting inputs: under 0.3 eps), so the Hölder bound holds.
     - A skipped mean exceeds its member's kept minimum by at least (sqrt(2)
       - 1) times the cutoff. A computed mean is within 1e-15 relative of
       mu_js, except where ||X m_k||^2 cancels, at most sqrt(72 eps) r_k
@@ -693,28 +779,67 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
       covers every relative term for m + K' below 4e9. So a candidate
       whose lower bound exceeds another's computed row sum has a strictly
       larger computed row sum.
-    - A candidate's tables do not depend on its block: gemm sums each
-      entry's 9 terms in one order whatever the width of the product. A
-      one-candidate block with one symmetry is a gemv, which rounds
-      otherwise, but then each member has one pair, which is kept. When
+    - The screen. g and the doubled m_k m_k^T entries are rounded to float32
+      (u relative each) and a 6-term product sums within 6u / (1 - 6u) of
+      its absolute terms in any order, so with g's own float64 rounding the
+      float32 q_k is within 9u sum_ab |(X^T X)_ab (m_k m_k^T)_ab| of the
+      exact one (Higham, Accuracy and Stability of Numerical Algorithms,
+      2002, ch. 3). As X^T X is positive semidefinite, |(X^T X)_ab| <= ||X
+      e_a|| ||X e_b||, so that sum is at most (sum_a ||X e_a|| |m_ka|)^2,
+      itself at most ||X||_F^2 ||m_k||^2 (Cauchy-Schwarz). Where q_k cancels
+      that is all there is, and |sqrt(a) - sqrt(b)| <= sqrt(|a - b|) for a,
+      b >= 0 (a negative q_k is taken by its absolute value, which is no
+      farther) bounds the error of a point's distance by sqrt(9u) sum_a ||X
+      e_a|| |m_ka|, and of the mean by sqrt(9u) sum_a ||X e_a|| mean_k
+      |m_ka| (:attr:`KernelModel.abs_mean`; the column norms come from g). A
+      float32 product that underflows errs by at most 2^-150 absolute: at
+      most 2^-144 max(1, r_max^2) in q_k and 2^-72 max(1, r_max) after the
+      root, which sqrt(7u BOUND_ABS_SLACK) r_max >= 2^-30.5 r_max covers,
+      with the float64 roundings of the first term, for r_max >= 2^-40. The
+      root rounds by u relative and the K'-term sum of nonnegative terms,
+      weighted by the counts (exact in float32), by K' u / (1 - K' u), so
+      the mean is at least the float32 sum over K times 1 - (K' + 4) u / (1
+      - (K' + 4) u), less those two terms. The members' minima over their
+      kept pairs and their sum run in float64 and are widened like the lower
+      bounds above, which covers the computed row's own rounding. So a
+      screened candidate whose bound exceeds the first row's sum has a
+      strictly larger computed sum. The screen runs only where 2^-40 <=
+      r_max <= 2^40 and K <= 2^22: float32 cannot overflow there (q_k <= 9
+      r_max^2), the counts are exact and (K' + 4) u <= 1/4; elsewhere, and
+      with a NaN member, every candidate the bounds keep gets its row.
+    - A candidate's keep mask and Gram vectors come out of every block of
+      the bound pass the same: gemm sums each table entry's 9 terms in
+      one order whatever the number of rows, as long as the product stays
+      on one code path. OpenBLAS's SkylakeX kernel rounds otherwise above
+      about 10^6 multiply-adds, and 9 BOUND_BLOCK keeps every block of
+      more than one candidate below that, as 9 |G| m then is. A table of
+      fewer rows can still round a few entries otherwise (a gemv with one
+      symmetry, Nehalem's SSE kernel with a few rows): that moves the
+      bounds in their last bits where t cancels (2e-11 relative at most
+      in the tests), far inside their widening, and would change a keep
+      mask only where an entry meets its cutoff to the last bit. When
       every member keeps one pair, the usual case, the survivor product
       has the full kernel's shape and row order, so the row is the
       unpruned one to the bit; otherwise BLAS blocking can move the last
-      bit of a mean (1e-15 relative at most). A NaN member keeps every
-      pair, is NaN in every row and makes every bound NaN.
+      bit of a mean (1e-15 relative at most), on Nehalem's kernel too. A
+      NaN member keeps every pair, is NaN in every row and makes every
+      bound NaN, so nothing is pruned.
     """
     AS = _candidate_rotations(rep_quats, group)
     B = quats_to_matrices(quats)
-    m = B.shape[0]
+    m, n_s = B.shape[0], len(group)
     out = np.full((AS.shape[0], m), np.inf)
     if out.size:
         km = kernel_model(model, mask)
-        keep, lower, upper = _row_bounds(AS, B, km)
+        kept, lower, upper = _row_bounds(AS, B, km)
         sq = np.empty((m, km.points.shape[0]))
         first = int(np.argmin(upper))
-        out[first] = _exact_row(AS[first], B, keep[:, first], km, sq)
+        out[first] = _exact_row(AS[first], B, kept[first][0], km, sq)
         best = out.sum(axis=1)[first]    # the sums a vote takes the argmin of
+        # where the screen's float32 proof holds; a NaN row (a NaN member) screens nothing
+        screen = 2.0 ** -40 <= km.r_max <= 2.0 ** 40 and km.size <= 1 << 22 and best < np.inf
+        buf = sq.reshape(-1).view(np.float32).reshape(2 * m, -1)
         for c in np.flatnonzero(~(lower > best)):  # NaN bounds prune nothing
-            if c != first:
-                out[c] = _exact_row(AS[c], B, keep[:, c], km, sq)
+            if c != first and not (screen and _screen_bound(*kept[c], m, n_s, km, buf) > best):
+                out[c] = _exact_row(AS[c], B, kept[c][0], km, sq)
     return out if np.ndim(rep_quats) == 2 else out[0]

@@ -85,16 +85,23 @@ def box_cloud(extents, pitch: float) -> np.ndarray:
     ext = np.asarray(extents, dtype=float).reshape(3)
     if (ext <= 0).any() or pitch <= 0:
         raise ValueError("box extents and pitch must be positive")
-    # the volume grid the faces are cut from
-    sides = [max(2.0, float(np.round(e / pitch)) + 1.0) for e in ext.tolist()]
-    _check_cloud_size(math.prod(sides), f"box extents {ext.tolist()} at pitch {pitch}")
+    # the points of the (nx, ny, nz) volume grid, in its row-major order, that
+    # lie on a face: a grid line is on one when its coordinate is close to
+    # the half extent, as at least the two end lines of each axis are, so the
+    # points on those bound the count from below before anything is built
+    what = f"box extents {ext.tolist()} at pitch {pitch}"
+    nx, ny, nz = sides = [max(2.0, float(np.round(e / pitch)) + 1.0) for e in ext.tolist()]
+    _check_cloud_size(nx * ny * nz - (nx - 2.0) * (ny - 2.0) * (nz - 2.0), what)
     axes = [np.linspace(-e / 2.0, e / 2.0, int(n)) for e, n in zip(ext, sides)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    on_face = np.zeros(pts.shape[0], dtype=bool)
-    for a in range(3):
-        on_face |= np.isclose(np.abs(pts[:, a]), ext[a] / 2.0)
-    return pts[on_face]
+    on_x, on_y, on_z = [np.isclose(np.abs(a), e / 2.0) for a, e in zip(axes, ext)]
+    # a slab of constant x holds every (y, z) on an x face, else the ring on a y or z face
+    full = np.arange(on_y.size * on_z.size)
+    ring = np.flatnonzero(on_y[:, None] | on_z[None, :])
+    sizes = np.where(on_x, full.size, ring.size)
+    _check_cloud_size(float(sizes.sum()), what)
+    y, z = np.divmod(np.concatenate([full if face else ring for face in on_x]), on_z.size)
+    return np.stack([axes[0][np.repeat(np.arange(on_x.size), sizes)], axes[1][y], axes[2][z]],
+                    axis=1)
 
 
 def cylinder_cloud(radius: float, height: float, pitch: float) -> np.ndarray:

@@ -102,6 +102,9 @@ class _NumpySpy:
                 spy.paths["reduceat"] += 1
                 return np.minimum.reduceat(*args)
 
+            def __getattr__(self, name):
+                return getattr(np.minimum, name)
+
         self.minimum = _Minimum()
 
     def array_equal(self, a, b):

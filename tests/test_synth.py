@@ -56,6 +56,47 @@ def test_model_cloud_builders_reject_clouds_too_large_to_build(build, names):
         build()
 
 
+def _volume_box_cloud(extents, pitch):
+    """The box lattice cut from the full volume grid, as box_cloud built it
+    before it built the faces directly."""
+    ext = np.asarray(extents, dtype=float).reshape(3)
+    sides = [max(2.0, float(np.round(e / pitch)) + 1.0) for e in ext.tolist()]
+    axes = [np.linspace(-e / 2.0, e / 2.0, int(n)) for e, n in zip(ext, sides)]
+    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    on_face = np.zeros(pts.shape[0], dtype=bool)
+    for a in range(3):
+        on_face |= np.isclose(np.abs(pts[:, a]), ext[a] / 2.0)
+    return pts[on_face]
+
+
+@pytest.mark.parametrize("pitch", [0.7, 1.0, 3.0, 8.0, 9.9, 50.0])
+def test_box_cloud_is_the_volume_grid_faces_bit_for_bit(pitch):
+    # sides of 2 (extents below the pitch), pitches that do not divide the
+    # extents, and long thin boxes, whose lines next to the ends are close
+    # enough to the half extent to count as faces
+    for ext in [(0.3, 1.0, 4.0), (4.0, 7.5, 40.0), (40.0, 120.0, 160.0), (80.0, 80.0, 80.0),
+                (123.4, 0.5, 33.3), (2e5 * pitch, pitch, 2.0 * pitch)]:
+        want, got = _volume_box_cloud(ext, pitch), box_cloud(ext, pitch)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), ext
+
+
+def test_box_cloud_counts_the_points_it_builds(monkeypatch):
+    from binpose import synth
+
+    # 161^3 = 4.17M grid points, under the limit before, give 154k on the faces
+    assert box_cloud((160.0, 160.0, 160.0), 1.0).shape == (161 ** 3 - 159 ** 3, 3)
+    monkeypatch.setattr(synth, "MAX_CLOUD_POINTS", 161 ** 3 - 159 ** 3)
+    assert box_cloud((160.0, 160.0, 160.0), 1.0).shape[0] == synth.MAX_CLOUD_POINTS
+    # at 200001 x lines the two next to each end are close enough to the half
+    # extent to be faces too: they hold all 5 x 5 (y, z) points, not the ring
+    # of 16, so the cloud has 18 points more than its end lines give
+    ends_only = 2 * 25 + 199999 * 16
+    monkeypatch.setattr(synth, "MAX_CLOUD_POINTS", ends_only + 17)
+    with pytest.raises(ValueError, match="would build 3.2e\\+06 points"):
+        box_cloud((2e5, 4.0, 4.0), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # scene generation
 

@@ -2,10 +2,12 @@
 
 ``cluster.pose_vote`` makes one ``rotation_distances_to_set`` call, whose
 bound pass (``so3._row_bounds``) bounds every candidate's row sum; the
-rows of the candidates whose lower bound exceeds a known row sum come
-back +inf. These tests hold the vote to the exhaustive medoid (the argmin
-of every row sum, ties to the first candidate), the rows that are
-computed to the one-candidate rows, and the bounds to the computed sums.
+rows of the candidates whose lower bound, or whose float32 screening
+bound (``so3._screen_bound``), exceeds a known row sum come back +inf.
+These tests hold the vote to the exhaustive medoid (the argmin of every
+row sum, ties to the first candidate), the rows that are computed to the
+one-candidate rows, the bounds to the computed sums, and the keep masks
+to those of the bound pass the current one replaced (``ref_row_bounds``).
 """
 
 import json
@@ -44,6 +46,69 @@ def voting_object(request):
     return build_symmetry_group(desc), build_axis_mask(desc), scale * model
 
 
+def _min_last(a) -> np.ndarray:
+    return np.moveaxis(a, -1, 0).copy().min(axis=0)
+
+
+def ref_row_bounds(AS, B, km):
+    """The bound pass so3._row_bounds replaced, its arithmetic unchanged:
+    (keep, lower, upper), ``keep`` the (m, C, n_s) pairs that can be their
+    member's minimum. It builds both Frobenius-form tables in full."""
+    m, (n_c, n_s) = B.shape[0], AS.shape[:2]
+    keep = np.ones((m, n_c, n_s), dtype=bool)
+    lower, upper = np.zeros(n_c), np.zeros(n_c)
+    if km.r_max == 0.0:
+        return keep, lower, upper
+    gram_left, gram_right = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
+    B9 = -2.0 * B.reshape(m, 9)
+    BM2 = -2.0 * (B @ km.m2.reshape(3, 3)).reshape(m, 9)
+    slack = so3.BOUND_ABS_SLACK * km.tr_m2
+    eps = np.finfo(float).eps
+    e_slack = (km.points.shape[0] + 32) * eps
+    ASt, Bt = AS.reshape(-1, 9).T.copy(), B.reshape(m, 9).T.copy()
+    step = max(1, so3.BOUND_BLOCK // max(m * n_s, 1))
+    for lo in range(0, n_c, step):
+        ASf = AS[lo:lo + step].reshape(-1, 9).T
+        n = ASf.shape[1] // n_s
+        t = (BM2 @ ASf).reshape(m, n, n_s)
+        t += 2.0 * km.tr_m2
+        fro = (B9 @ ASf).reshape(m, n, n_s)
+        fro += 6.0
+        fro += so3.BOUND_ABS_SLACK
+        np.sqrt(np.maximum(fro, 0.0, out=fro), out=fro)
+        fro *= km.r_max
+        low = _min_last(t)[..., None] + slack
+        up = np.sqrt(np.maximum(low, 0.0, out=low), out=low)
+        upper[lo:lo + n] = up[..., 0].sum(axis=0)
+        cutoff = fro * ((1.0 + so3.BOUND_REL_SLACK) * up)
+        t -= slack
+        kept = keep[:, lo:lo + n]
+        np.logical_not(np.greater(np.maximum(t, 0.0, out=t), cutoff, out=kept), out=kept)
+        pairs = np.flatnonzero(kept)
+        X = ASt[:, lo * n_s + pairs % (n * n_s)] - Bt[:, pairs // (n * n_s)]
+        g = X[gram_left] * X[gram_right]
+        for i in (3, 6):
+            g += X[gram_left + i] * X[gram_right + i]
+        tl, f = t.reshape(-1)[pairs], fro.reshape(-1)[pairs]
+        e = np.einsum("in,in->n", km.m4 @ g, g)
+        e += e_slack * np.square(np.square(f))
+        bound = np.maximum(tl * np.sqrt(tl / e), np.sqrt(2.0) * tl / f)
+        t.fill(np.inf)
+        t.reshape(-1)[pairs] = bound
+        lower[lo:lo + n] = _min_last(t).sum(axis=0)
+    margin = m * np.sqrt(72.0 * eps) * km.r_max
+    return (keep, (1.0 - so3.BOUND_REL_SLACK) * lower - margin,
+            (1.0 + so3.BOUND_REL_SLACK) * upper + margin)
+
+
+def _keep_mask(kept, m, n_s) -> np.ndarray:
+    """The (m, C, n_s) mask of the pairs ``so3._row_bounds`` keeps."""
+    keep = np.zeros((len(kept), n_s * m), dtype=bool)
+    for c, (idx, _) in enumerate(kept):
+        keep[c, idx] = True
+    return keep.reshape(-1, n_s, m).transpose(2, 0, 1)
+
+
 def _one_candidate_rows(reps, members, group, mask, model):
     return np.stack([rotation_distances_to_set(rep, members, model, group, mask)
                      for rep in reps])
@@ -58,6 +123,17 @@ def _bounds(reps, members, model, group, mask):
     rotation_distances_to_set converts them."""
     AS, B = so3._candidate_rotations(reps, group), quats_to_matrices(members)
     return so3._row_bounds(AS, B, kernel_model(model, mask))[1:]
+
+
+def _screen_bounds(reps, members, model, group, mask):
+    """Every candidate's float32 screening bound, on the inputs converted
+    as rotation_distances_to_set converts them."""
+    AS, B, km = so3._candidate_rotations(reps, group), quats_to_matrices(members), \
+        kernel_model(model, mask)
+    kept = so3._row_bounds(AS, B, km)[0]
+    buf = np.empty((2 * B.shape[0], km.points.shape[0]), dtype=np.float32)
+    return np.array([so3._screen_bound(*pairs, B.shape[0], len(group), km, buf)
+                     for pairs in kept])
 
 
 def _exhaustive(reps, members, group, mask, model) -> int:
@@ -134,6 +210,85 @@ def test_the_bounds_hold_the_computed_row_sums(voting_object):
             lower, upper = _bounds(reps, members, model, group, mask)
             sums = _row_sums(reps, members, group, mask, model)
             assert np.all(lower <= sums) and np.all(sums <= upper), name
+
+
+def _screened_cases(group, mask, model, rng):
+    """``_cases``, plus a member at X = 0 from every candidate and members
+    near 180 degrees from the first, where the float32 products cancel."""
+    cases = _cases(group, mask, model, rng)
+    reps, members = cases["spread"]
+    turned = [quat_multiply(reps[0], quat_from_axis_angle(rng.normal(size=3), np.pi - a))
+              for a in (0.0, 1e-6, 1e-3, 0.05)]
+    cases["equal_and_half_turns"] = (reps, np.vstack([members, reps, turned]))
+    return cases
+
+
+def test_the_screen_bounds_hold_the_computed_row_sums(voting_object):
+    group, mask, model = voting_object
+    rng = np.random.default_rng(38)
+    for _ in range(2):
+        for name, (reps, members) in _screened_cases(group, mask, model, rng).items():
+            if kernel_model(model, mask).r_max == 0.0:
+                # every distance is 0 and every pair is kept: nothing to screen
+                kept = so3._row_bounds(so3._candidate_rotations(reps, group),
+                                       quats_to_matrices(members), kernel_model(model, mask))[0]
+                assert all(gram is None for _, gram in kept), name
+                continue
+            sums = _row_sums(reps, members, group, mask, model)
+            assert np.all(_screen_bounds(reps, members, model, group, mask) <= sums), name
+
+
+def test_a_runner_up_inside_the_screens_error_keeps_its_row():
+    # a candidate turned a little from the winner sits 0.09% above it, inside
+    # the float32 row's error, and gets its exact row; turned twice as far,
+    # 0.66% above, its screen rules it out where its lower bound cannot
+    group = build_symmetry_group(OBJECTS["cube24"][0])
+    rng = np.random.default_rng(37)
+    model = rng.uniform(-60.0, 60.0, size=(203, 3))
+    best = random_quat(rng)
+    members = quat_normalize_batch(best + rng.normal(scale=0.02, size=(120, 4)))
+    best = members[_exhaustive(members[:20], members, group, np.ones(3), model)]
+    for angle, computed in ((5e-3, True), (1e-2, False)):
+        reps = np.stack([best, quat_multiply(best, quat_from_axis_angle([0.3, -0.5, 0.8], angle))])
+        sums = _row_sums(reps, members, group, np.ones(3), model)
+        lower, upper = _bounds(reps, members, model, group, np.ones(3))
+        screen = _screen_bounds(reps, members, model, group, np.ones(3))
+        assert upper[0] < upper[1] and sums[0] < sums[1] and lower[1] <= sums[0]
+        assert (screen[1] <= sums[0]) == computed
+        rows = rotation_distances_to_set(reps, members, model, group, np.ones(3))
+        assert np.isfinite(rows[1]).all() == computed
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e20])
+def test_the_vote_is_the_exhaustive_medoid_at_extreme_scales(scale, monkeypatch):
+    # float32 would go subnormal or overflow here, so the screen steps aside
+    group, model = build_symmetry_group(OBJECTS["cube24"][0]), \
+        scale * np.random.default_rng(30).uniform(-60.0, 60.0, size=(203, 3))
+    rng = np.random.default_rng(39)
+    for name, (reps, members) in _screened_cases(group, np.ones(3), model, rng).items():
+        want = _exhaustive(reps, members, group, np.ones(3), model)
+        assert _voted(reps, members, group, np.ones(3), model, monkeypatch) == want, name
+
+
+def test_the_keep_masks_do_not_depend_on_the_block(voting_object, monkeypatch):
+    # a candidate keeps the pairs and Gram vectors it has alone, which is
+    # what makes its row that of a one-candidate call; its bounds can move
+    # in their last bits where t cancels: a table of fewer rows can round
+    # otherwise (a gemv with one symmetry, Nehalem's kernel with a few),
+    # by 2e-11 relative at most over these cases on four OpenBLAS kernels
+    group, mask, model = voting_object
+    rng = np.random.default_rng(40)
+    reps, members = _cases(group, mask, model, rng)["spread"]
+    AS, B, km = so3._candidate_rotations(reps, group), quats_to_matrices(members), \
+        kernel_model(model, mask)
+    together = so3._row_bounds(AS, B, km)
+    monkeypatch.setattr(so3, "BOUND_BLOCK", 1)
+    alone = so3._row_bounds(AS, B, km)
+    for c in range(len(reps)):
+        for a, b in zip(together[0][c], alone[0][c]):
+            assert (a is None and b is None) or np.array_equal(a, b)
+    for a, b in zip(together[1:], alone[1:]):
+        np.testing.assert_allclose(a, b, rtol=1e-9)
 
 
 def _tube(radius=30.0, height=120.0, k=40):
@@ -232,6 +387,32 @@ def test_every_golden_vote_is_the_exhaustive_medoid(tmp_path, monkeypatch, name)
     assert [voted for voted, _ in votes] == [want for _, want in votes]
 
 
+@pytest.mark.parametrize("name", ["cube24", "cylinder", "dense_box", "noisy_box"])
+def test_every_golden_vote_keeps_the_pairs_of_the_replaced_pass(tmp_path, monkeypatch, name):
+    # the norm-free test and the Gram-vector norms keep the pairs the two
+    # full Frobenius-form tables kept; the bounds move in their last bits,
+    # by 2e-11 relative at most where t cancels (Haswell kernel)
+    config = _golden_config(tmp_path, name)
+    real = cluster.pose_vote
+    votes = []
+
+    def spy(counts, centroids, reps, members, group, mask, model):
+        AS, B, km = so3._candidate_rotations(reps, group), quats_to_matrices(members), \
+            kernel_model(model, mask)
+        kept, lower, upper = so3._row_bounds(AS, B, km)
+        keep, ref_lower, ref_upper = ref_row_bounds(AS, B, km)
+        assert np.array_equal(_keep_mask(kept, B.shape[0], len(group)), keep)
+        np.testing.assert_allclose(lower, ref_lower, rtol=1e-9)
+        np.testing.assert_allclose(upper, ref_upper, rtol=1e-9)
+        votes.append(len(reps))
+        return real(counts, centroids, reps, members, group, mask, model)
+
+    monkeypatch.setattr(cluster, "pose_vote", spy)
+    for seed in range(6):
+        run_scene(config, seed)
+    assert len(votes) >= 18
+
+
 def test_cube24_votes_compute_fewer_than_half_the_rows(tmp_path, monkeypatch):
     # the golden cube24 config splits each instance into about 20 candidates
     config = _golden_config(tmp_path, "cube24")
@@ -254,6 +435,25 @@ def test_cube24_votes_compute_fewer_than_half_the_rows(tmp_path, monkeypatch):
     assert 0 < sum(rows) < sum(candidates) / 2
     # the vote asks for the rows once per instance
     assert len(rows) <= len(candidates)
+
+
+def test_cube24_votes_compute_about_one_row_per_instance(tmp_path, monkeypatch):
+    # the float32 screen rules out most candidates the bounds keep: 34 of the
+    # 629 rows over the golden cube24 config's scene seeds 0-5 (173 without it)
+    config = _golden_config(tmp_path, "cube24")
+    real = cluster.rotation_distances_to_set
+    candidates, rows = [], []
+
+    def distances(reps, *args):
+        out = real(reps, *args)
+        candidates.append(len(reps))
+        rows.append(np.count_nonzero(np.isfinite(out).all(axis=1)))
+        return out
+
+    monkeypatch.setattr(cluster, "rotation_distances_to_set", distances)
+    for seed in range(6):
+        run_scene(config, seed)
+    assert sum(candidates) > 600 and len(rows) <= sum(rows) <= 60
 
 
 def test_a_nan_member_is_nan_in_every_row():
