@@ -472,14 +472,18 @@ def _point_distances(diff, km: KernelModel, out, d=None) -> np.ndarray:
     ``out``; ``d`` is (..., n, 3) or None for zero.
 
     The squared norm is m_k^T (X^T X) m_k + 2 (X^T d_i).m_k + d_i.d_i, one
-    (n,9) x (9,K') product per leading index. Each row's value does not
-    depend on which other rows are computed with it, except through the
-    BLAS blocking of that product (the last bit of a few elements); a
+    (n,9) x (9,K') product per leading index. X^T X is summed over j in
+    order, (x_0i x_0k + x_1i x_1k) + x_2i x_2k, from X alone, so each
+    row's value does not depend on which other rows are computed with
+    it, except through the BLAS blocking of that product (the last bit
+    of a few elements); a
     stacked product runs each leading index's 2-D product on its own, so
     every stack keeps the bits it has alone.
     """
     X = diff.reshape(-1, 3, 3)
-    gram = np.einsum("mji,mjk->mik", X, X).reshape(diff.shape[:-2] + (9,))
+    Xt = np.ascontiguousarray(X.transpose(1, 2, 0))        # (j, i, m)
+    gram = (Xt[:, :, None] * Xt[:, None]).sum(axis=0).reshape(9, -1).T
+    gram = np.ascontiguousarray(gram).reshape(diff.shape[:-2] + (9,))
     np.matmul(gram, km.outer.T, out=out)
     if d is not None:
         D = d.reshape(-1, 3)

@@ -1,7 +1,8 @@
-"""scipy is loaded only by ICP refinement.
+"""binpose runs on numpy alone: no command loads scipy, ICP included.
 
 Each test starts a fresh interpreter, as this process may already hold
-scipy; conftest.py puts src/ on its PYTHONPATH. The child runs
+scipy (the tests that compare with ``cKDTree`` load it); conftest.py
+puts src/ on its PYTHONPATH. The child runs
 ``binpose.cli`` the way ``python -m binpose.cli`` does and then prints
 the scipy modules in its ``sys.modules``.
 """
@@ -69,17 +70,16 @@ def test_commands_without_icp_load_no_scipy(tmp_path, config):
                 "--out-dir", str(tmp_path / "pipe")) == []
 
 
-def test_icp_loads_scipy_and_writes_the_in_process_bytes(tmp_path, config):
+def test_icp_loads_no_scipy_and_writes_the_in_process_bytes(tmp_path, config):
     ref = tmp_path / "ref"
     run_pipeline(load_config(config), seed=1, out_dir=str(ref), use_icp=True)
     chain, pipe = tmp_path / "chain", tmp_path / "pipe"
     chain.mkdir()
     for name in ("scene.ply", "scene.json", "predictions.csv"):
         shutil.copy(ref / name, chain / name)
-    assert "scipy.spatial" in _cli("cluster", "--config", config, "--out-dir", str(chain),
-                                   "--icp")
-    assert "scipy.spatial" in _cli("pipeline", "--config", config, "--seed", "1",
-                                   "--out-dir", str(pipe), "--icp")
+    assert _cli("cluster", "--config", config, "--out-dir", str(chain), "--icp") == []
+    assert _cli("pipeline", "--config", config, "--seed", "1",
+                "--out-dir", str(pipe), "--icp") == []
     for name in ("poses.json", "labels.txt"):
         assert (chain / name).read_bytes() == (ref / name).read_bytes(), name
         assert (pipe / name).read_bytes() == (ref / name).read_bytes(), name

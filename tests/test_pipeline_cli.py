@@ -453,6 +453,32 @@ def test_icp_stop_at_max_iters_warns_once_per_instance(tmp_path, capsys, monkeyp
         assert (out / name).read_bytes() == data, name
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_icp_input_fails_tagged_icp(tmp_path, capsys, monkeypatch, bad):
+    common, out = _cli_chain(tmp_path, PERFECT_CONFIG, "synth", "oracle")
+    normalize, denormalize = pipeline.normalize_scene, pipeline.denormalize_pose
+
+    def poison_points(positions, transform):
+        # clustering reads the normalized copy; ICP reads these points
+        result = normalize(positions, transform)
+        positions[:] = bad
+        return result
+
+    def poison_pose(pose, transform):
+        pose = denormalize(pose, transform)
+        object.__setattr__(pose, "t", np.array([bad, 0.0, 0.0]))
+        return pose
+
+    capsys.readouterr()
+    for name, attr, poison in (("scene_points", "normalize_scene", poison_points),
+                               ("init", "denormalize_pose", poison_pose)):
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, attr, poison)
+            assert run_cli("cluster", *common, "--icp") == 2
+        err = capsys.readouterr().err
+        assert f"error: [icp] ICP {name} holds a non-finite value" in err.splitlines()
+
+
 def test_pipeline_warnings_name_their_scene(tmp_path, capsys):
     noisy = dict(NOISY_CONFIG, cluster={"max_iters": 1},
                  oracle={"sigma_t_mm": 4.0, "sigma_r_deg": 8.0, "outlier_fraction": 0.1})
