@@ -72,6 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_summary(report: dict) -> None:
+    print(json.dumps({k: report[k] for k in ("n_gt", "n_pred", "tp", "f1_inst", "recall")}))
+
+
 def _cmd_synth(args, cfg) -> int:
     scene = synthesize(cfg, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -106,8 +110,7 @@ def _cmd_eval(args, cfg) -> int:
                      extra={"seed": gt["seed"]})
     if args.csv:
         save_report_csv(os.path.join(args.out_dir, "report.csv"), [report])
-    print(json.dumps({"n_gt": report.n_gt, "n_pred": report.n_pred, "tp": report.tp,
-                      "f1_inst": report.f1_inst, "recall": report.recall}))
+    _print_summary(report.to_dict())
     return 0
 
 
@@ -125,9 +128,7 @@ def _cmd_pipeline(args, cfg) -> int:
     payload = run_pipeline(cfg, args.seed, out_dir=args.out_dir,
                            scenes=args.scenes, single_stage=args.single_stage,
                            use_icp=args.icp)
-    print(json.dumps({"n_gt": payload["n_gt"], "n_pred": payload["n_pred"],
-                      "tp": payload["tp"], "f1_inst": payload["f1_inst"],
-                      "recall": payload["recall"]}))
+    _print_summary(payload)
     return 0
 
 

@@ -7,7 +7,7 @@ so the RMS error is non-increasing iteration to iteration.
 
 Nearest model points come from a :class:`CellTable`, a grid of cubic
 model cells written in numpy. The first ``icp_refine`` call for a model
-builds it, memoized on the model's bytes as ``so3.kernel_model`` is, so
+builds it, memoized on the model's bytes by ``so3.content_cache``, so
 later instances of the same model reuse it. Its answers are exact: each
 query gets the index and distance bits a scan of every model point
 gives, with ties to the lowest index.
@@ -15,14 +15,13 @@ gives, with ties to the lowest index.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Pose, matrix_to_quat
+from .so3 import Pose, content_cache, matrix_to_quat
 
 SCAN_BLOCK = 1 << 16   # (query, model point) distances per block: 512 KB of float64
 CELL_MARGIN = 1e-6     # a ring decides distances up to (1 - CELL_MARGIN) of its reach
@@ -90,14 +89,13 @@ class CellTable:
     """
 
     def __init__(self, points: np.ndarray):
-        size = points.shape[0]
+        self.size = size = points.shape[0]
         self.lo = points.min(axis=0)
         ext = points.max(axis=0) - self.lo
         span = float(ext.max())
         area = 2.0 * float(ext[0] * ext[1] + ext[1] * ext[2] + ext[2] * ext[0])
         # coincident points share one cell of any width
         self.width = max(math.sqrt(area / size), span / size, span / 2**20) or 1.0
-        self.size = size
         self.planes = np.full((3, size + 1), np.inf)   # x, y, z; index K is the sentinel
         self.planes[:, :size] = points.T
         cells = np.floor((points - self.lo) / self.width).astype(np.int64) + 2
@@ -117,8 +115,6 @@ class CellTable:
         self.rows[np.repeat(np.arange(heads.size), counts),
                   np.arange(owners.size) - np.repeat(heads, counts)] = order // len(_NEIGHBOURS)
         self.rings = tuple((offsets @ self.strides, reach) for offsets, reach in _RINGS)
-        for a in (self.lo, self.planes, self.top, self.strides, self.keys, self.rows):
-            a.flags.writeable = False
 
     def _squared(self, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Squared distances from each (n, 3) query to the model points
@@ -166,15 +162,10 @@ class CellTable:
         return np.sqrt(d2), nn
 
 
+@content_cache
 def cell_table(model) -> CellTable:
     """The :class:`CellTable` of a (K, 3) model, memoized on its bytes."""
-    model = np.ascontiguousarray(model, dtype=float).reshape(-1, 3)
-    return _cell_table(model.tobytes())
-
-
-@functools.lru_cache(maxsize=16)
-def _cell_table(model_bytes: bytes) -> CellTable:
-    return CellTable(np.frombuffer(model_bytes).reshape(-1, 3))
+    return CellTable(model.reshape(-1, 3))
 
 
 def best_fit_transform(A, B) -> tuple[np.ndarray, np.ndarray]:

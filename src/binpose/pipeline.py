@@ -18,7 +18,7 @@ from .fileio import (SCHEMA_VERSION, Config, load_ply, load_scene_json, save_lab
 from .icp import icp_refine
 from .metrics import EvalReport, evaluate, f1_inst
 from .so3 import Pose
-from .synth import Scene, apply_occlusion, generate_scene, oracle_predict
+from .synth import Scene, StageWarning, apply_occlusion, generate_scene, oracle_predict
 from .workspace import denormalize_pose, fit_normalization, normalize_scene
 
 ORACLE_SEED_OFFSET = 500009  # decorrelates oracle noise from scene layout
@@ -28,10 +28,6 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
-
-
-class StageWarning(UserWarning):
-    """A stage finished with a result worth a second look; the CLI prints it."""
 
 
 @contextmanager
@@ -189,7 +185,7 @@ def run_pipeline(config: Config, seed: int, out_dir: str | None = None,
     """
     if scenes < 1:
         raise ValueError("need at least one scene")
-    runs = []
+    reports = []
     for i in range(scenes):
         with warnings.catch_warnings(record=True) as caught:
             run = run_scene(config, seed + i, single_stage=single_stage, use_icp=use_icp)
@@ -199,18 +195,14 @@ def run_pipeline(config: Config, seed: int, out_dir: str | None = None,
         if out_dir is not None:
             scene_dir = out_dir if scenes == 1 else os.path.join(out_dir, f"scene_{i:03d}")
             write_scene_artifacts(scene_dir, run)
-        runs.append(run)
+        reports.append(run.report)
+        del run   # only the report outlives its scene's points, predictions and clusters
 
     if scenes == 1:
-        payload = runs[0].report.to_dict()
-        payload["seed"] = seed
-    else:
-        payload = aggregate_reports([r.report for r in runs])
-        payload["seed"] = seed
-        payload["per_scene"] = [
-            dict(r.report.to_dict(), seed=seed + i) for i, r in enumerate(runs)
-        ]
-        if out_dir is not None:
-            write_json(os.path.join(out_dir, "report.json"),
-                       dict(payload, schema_version=SCHEMA_VERSION))
+        return dict(reports[0].to_dict(), seed=seed)
+    payload = dict(aggregate_reports(reports), seed=seed,
+                   per_scene=[dict(r.to_dict(), seed=seed + i) for i, r in enumerate(reports)])
+    if out_dir is not None:
+        write_json(os.path.join(out_dir, "report.json"),
+                   dict(payload, schema_version=SCHEMA_VERSION))
     return payload

@@ -432,6 +432,22 @@ class KernelModel:
         return outer32
 
 
+def content_cache(build):
+    """Memoize ``build(*arrays)``, 16 deep, on each array's float64 bytes,
+    which ``build`` gets flat; results are shared, so their arrays are
+    made read-only."""
+    @functools.lru_cache(maxsize=16)
+    def cached(*keys):
+        built = build(*map(np.frombuffer, keys))
+        for a in vars(built).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        return built
+    return functools.wraps(build)(lambda *arrays: cached(
+        *(np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays)))
+
+
+@content_cache
 def kernel_model(model, mask) -> KernelModel:
     """The :class:`KernelModel` of a (K,3) model and a 3-vector axis mask.
 
@@ -439,14 +455,7 @@ def kernel_model(model, mask) -> KernelModel:
     same content cost a hash and share read-only arrays, and a model
     changed in place gets a fresh result.
     """
-    model = np.ascontiguousarray(model, dtype=float).reshape(-1, 3)
-    mask = np.ascontiguousarray(mask, dtype=float).reshape(3)
-    return _kernel_model(model.tobytes(), mask.tobytes())
-
-
-@functools.lru_cache(maxsize=16)
-def _kernel_model(model_bytes: bytes, mask_bytes: bytes) -> KernelModel:
-    masked = np.frombuffer(model_bytes).reshape(-1, 3) * np.frombuffer(mask_bytes)
+    masked = model.reshape(-1, 3) * mask.reshape(3)
     size = masked.shape[0]
     if size == 0:
         raise ValueError("model point cloud is empty")
@@ -459,9 +468,6 @@ def _kernel_model(model_bytes: bytes, mask_bytes: bytes) -> KernelModel:
     outer = np.einsum("ki,kj->kij", masked, masked).reshape(-1, 9)
     m2 = outer.mean(axis=0) if counts is None else counts @ outer / size
     abs_mean = np.abs(masked).mean(axis=0) if counts is None else counts @ np.abs(masked) / size
-    for a in (masked, outer, counts, inverse, m2, abs_mean):
-        if a is not None:
-            a.flags.writeable = False
     return KernelModel(masked, outer, counts, inverse, size, m2, m2[0] + m2[4] + m2[8],
                        np.linalg.norm(masked, axis=1).max(), abs_mean)
 

@@ -13,6 +13,7 @@ real network shows on symmetric objects.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,10 @@ from .so3 import (Pose, SymmetryDescriptor, SymmetryGroup, axis_rotation,
 
 class SceneGenerationError(RuntimeError):
     """No instance could be placed within the attempt budget."""
+
+
+class StageWarning(UserWarning):
+    """A stage finished with a result worth a second look; the CLI prints it."""
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +228,8 @@ def generate_scene(model: ObjectModel, params: SceneGenParams,
     random xy position; its height is the lowest z at which its bounding
     sphere clears the floor and every previously placed sphere. Attempts
     that would poke above the bin are rejected and resampled up to the
-    attempt cap. Deterministic for a given seed.
+    attempt cap; a :class:`StageWarning` says when the bin fills before
+    every drawn instance is placed. Deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
     lo, hi = params.instance_range
@@ -249,6 +255,9 @@ def generate_scene(model: ObjectModel, params: SceneGenParams,
                 break
     if not centers:
         raise SceneGenerationError("no instance could be placed in the bin")
+    if len(centers) < requested:
+        warnings.warn(f"the bin is full: placed {len(centers)} of {requested} instances",
+                      StageWarning, stacklevel=2)
 
     clouds = [model.points @ R.T + c for c, R in zip(centers, rotations)]
     return Scene(points=np.concatenate(clouds),

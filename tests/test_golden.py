@@ -8,12 +8,12 @@ and must update the digest and say why; the rerun test (A9) only
 compares two runs of the same code.
 
 The digests were recorded with numpy 2.4.6's bundled OpenBLAS on its
-SkylakeX kernel, one BLAS thread. Its Haswell and Sandybridge kernels
-(``OPENBLAS_CORETYPE``) round some products differently and fail all
-eight, so a machine whose CPU selects another kernel fails here without
-a code change; CI prints the kernel it got.
+SkylakeX kernel, one BLAS thread. Its Haswell, Sandybridge and Nehalem
+kernels (``OPENBLAS_CORETYPE``) round some products differently and fail
+all eight, so a machine whose CPU selects another kernel fails here
+without a code change; CI prints the kernel it got.
 
-``test_artifacts_agree_on_every_kernel`` pins what those three kernels
+``test_artifacts_agree_on_every_kernel`` pins what those four kernels
 agree on: ``labels.txt`` exactly, the report's counts, and the poses
 rounded to 6 decimals (they differ by at most 6e-14 across kernels).
 """

@@ -196,6 +196,22 @@ def test_nearest_matches_ckdtree():
         assert d.tobytes() == ref_d.tobytes(), name
 
 
+def test_cell_table_memo_is_read_only_and_keyed_on_content():
+    rng = np.random.default_rng(8)
+    model = MODELS["box9"]()
+    table = cell_table(model)
+    assert cell_table(model.copy()) is table
+    assert cell_table(model.tolist()) is table
+    for a in (table.lo, table.planes, table.top, table.strides, table.keys, table.rows):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1
+    model[:50] += 100.0    # moves some points out of the old grid
+    fresh = cell_table(model)
+    assert fresh is not table
+    queries = model[rng.integers(0, model.shape[0], 500)] + rng.normal(size=(500, 3))
+    assert_same_bits(model, queries)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_icp_rejects_non_finite_input(bad):
     model = box_cloud((40, 60, 90), 8)

@@ -1,11 +1,13 @@
+import gc
 import json
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from binpose import pipeline
+from binpose import pipeline, synth
 from binpose.cli import main as cli_main
 from binpose.cluster import PerPointPrediction
 from binpose.fileio import (load_config, load_labels, load_ply, load_poses_json,
@@ -89,6 +91,25 @@ def test_pipeline_multi_scene_aggregation(tmp_path):
     for i in range(3):
         assert (tmp_path / "multi" / f"scene_{i:03d}" / "report.json").exists()
     assert (tmp_path / "multi" / "report.json").exists()
+
+
+def test_run_pipeline_keeps_only_each_scene_report(tmp_path, monkeypatch):
+    # scene i - 1's points, predictions and clusters are freed before
+    # scene i runs; only its report outlives it
+    cfg = load_config(write_config(tmp_path, PERFECT_CONFIG))
+    run_scene, runs = pipeline.run_scene, []
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        assert [ref() for ref in runs] == [None] * len(runs)
+        run = run_scene(*args, **kwargs)
+        runs.extend(weakref.ref(x) for x in (run, run.scene.points, run.prediction.quats,
+                                             run.clusters.labels))
+        return run
+
+    monkeypatch.setattr(pipeline, "run_scene", tracked)
+    payload = run_pipeline(cfg, seed=2, scenes=3)
+    assert len(runs) == 12 and payload["f1_inst"] == 1.0
 
 
 def test_pipeline_icp_flag_keeps_scores(tmp_path):
@@ -185,6 +206,18 @@ def test_cli_chain_matches_pipeline_bytes(tmp_path, icp):
     for name in ("scene.ply", "scene.json", "predictions.csv", "poses.json",
                  "labels.txt", "report.json"):
         assert (pipe / name).read_bytes() == (chain / name).read_bytes(), name
+
+
+def test_cli_synth_says_when_the_bin_is_full(tmp_path, capsys):
+    from test_synth import ROD_PILE
+
+    cfg_path = write_config(tmp_path, ROD_PILE)
+    assert run_cli("synth", "--config", str(cfg_path), "--out-dir", str(tmp_path / "rod")) == 0
+    out, err = capsys.readouterr()
+    placed = len(json.loads((tmp_path / "rod" / "scene.json").read_text())["poses"])
+    assert out.startswith(f"wrote scene with {placed} instances")
+    assert err == f"warning: the bin is full: placed {placed} of 12 instances\n"
+    assert pipeline.StageWarning is synth.StageWarning
 
 
 def test_cli_oracle_reads_the_scene_synth_wrote(tmp_path):

@@ -1,16 +1,30 @@
+import copy
+import json
+import re
+import warnings
+
 import numpy as np
 import pytest
+from test_golden import CONFIGS
 
 from binpose.cluster import ClusterParams, PerPointPrediction, two_stage_pipeline
+from binpose.fileio import load_config
 from binpose.so3 import Pose, SymmetryDescriptor, quat_to_matrix
 from binpose.synth import (ObjectModel, OracleParams, Scene, SceneGenParams,
-                           SceneGenerationError, apply_occlusion, box_cloud,
+                           SceneGenerationError, StageWarning, apply_occlusion, box_cloud,
                            cylinder_cloud, generate_scene,
                            make_crossing_rods_scene, oracle_predict, rod_model,
                            sphere_cloud)
 from binpose.workspace import fit_normalization, normalize_scene
 
 TWOFOLD = SymmetryDescriptor(0, 0, 180, 15)
+
+# the rod (|G| = 8) in the golden 700 x 700 x 500 bin: its 400 mm bounding
+# sphere leaves room for 3-4 instances, whatever the range asks for
+ROD_PILE = copy.deepcopy(CONFIGS["dense_box"])
+ROD_PILE["object"] = {"builtin": {"kind": "rod", "pitch": 4.0},
+                      "symmetry": {"dx_deg": 180, "dz_deg": 90}}
+ROD_PILE["synth"]["instance_range"] = [10, 12]
 
 
 def test_object_model_recenters_and_derives_symmetry():
@@ -148,6 +162,33 @@ def test_generation_failure_when_bin_too_small():
     tiny = SceneGenParams((1, 1), (300, 300, 10), max_attempts=5)
     with pytest.raises(SceneGenerationError):
         generate_scene(model, tiny, seed=0)
+
+
+def load_config_at(tmp_path, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return load_config(path)
+
+
+def test_a_full_bin_warns_how_many_instances_it_placed(tmp_path):
+    cfg = load_config_at(tmp_path, ROD_PILE)
+    for seed in range(3):
+        with pytest.warns(StageWarning) as caught:
+            scene = generate_scene(cfg.model, cfg.synth, seed)
+        placed, requested = map(int, re.fullmatch(
+            r"the bin is full: placed (\d+) of (\d+) instances", str(caught[0].message)).groups())
+        assert len(caught) == 1 and placed == len(scene.poses) in (3, 4)
+        assert 10 <= requested <= 12
+
+
+def test_the_golden_configs_fill_no_bin(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StageWarning)
+        for name in sorted(CONFIGS):
+            cfg = load_config_at(tmp_path, CONFIGS[name])
+            for seed in range(30):
+                scene = generate_scene(cfg.model, cfg.synth, seed)
+                assert 3 <= len(scene.poses) <= 5
 
 
 @pytest.mark.parametrize("kwargs, field", [
