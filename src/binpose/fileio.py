@@ -24,6 +24,7 @@ from .synth import (ObjectModel, OracleParams, SceneGenParams, box_cloud,
                     cylinder_cloud, rod_model, sphere_cloud)
 
 SCHEMA_VERSION = 1
+WRITE_BLOCK = 1 << 8     # rows of a PLY cloud or prediction CSV formatted per write
 
 
 class PlyParseError(ValueError):
@@ -37,6 +38,14 @@ class PlyParseError(ValueError):
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write_rows(f, line, *columns) -> None:
+    """Write ``line(*row)`` for the rows of equally long ``columns``,
+    formatting ``WRITE_BLOCK`` rows at a time, so no string or list holds
+    a whole cloud."""
+    for lo in range(0, len(columns[0]), WRITE_BLOCK):
+        f.write("".join(map(line, *(c[lo:lo + WRITE_BLOCK].tolist() for c in columns))))
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +65,12 @@ def save_ply(path, points, instance_ids=None) -> None:
             f.write("property int instance_id\n")
         f.write("end_header\n")
         if instance_ids is None:
-            f.write("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in pts.tolist()))
+            _write_rows(f, lambda p: f"{p[0]!r} {p[1]!r} {p[2]!r}\n", pts)
         else:
             ids = np.asarray(instance_ids, dtype=int).reshape(-1)
             if ids.shape[0] != pts.shape[0]:
                 raise ValueError("instance_ids length must match point count")
-            f.write("".join(f"{x!r} {y!r} {z!r} {i}\n"
-                            for (x, y, z), i in zip(pts.tolist(), ids.tolist())))
+            _write_rows(f, lambda p, i: f"{p[0]!r} {p[1]!r} {p[2]!r} {i}\n", pts, ids)
 
 
 def load_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -158,8 +166,8 @@ PRED_HEADER = "x,y,z,cx,cy,cz,qw,qx,qy,qz"
 def save_predictions_csv(path, pred: PerPointPrediction) -> None:
     with open(path, "w") as f:
         f.write(PRED_HEADER + "\n")
-        rows = np.concatenate([pred.positions, pred.centroids, pred.quats], axis=1)
-        f.write("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        _write_rows(f, lambda p, c, q: ",".join(map(repr, p + c + q)) + "\n",
+                    pred.positions, pred.centroids, pred.quats)
 
 
 def load_predictions_csv(path) -> PerPointPrediction:

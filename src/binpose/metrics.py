@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import Pose, SymmetryGroup, kernel_model, symmetric_distances
+from .so3 import DIST_BLOCK, Pose, SymmetryGroup, kernel_model, symmetric_distances
 # Unused here; bound because perfbench/tracing.py wraps this name on binpose.metrics.
 from .so3 import symmetric_pose_distance  # noqa: F401
 
@@ -93,24 +93,32 @@ def match_predictions(pred_poses: list[Pose], gt_poses: list[Pose], model,
     (pred, gt) indices, keeping the result order independent. Each row
     counts the model points its pair places within the tolerance.
 
-    One symmetric_distances call scores every pair, each as a one-row
-    stack with its own translation difference, so each pair has the bits
-    of its own symmetric_pose_distance.
+    symmetric_distances scores the pairs in pred-major order, a block of
+    at most max(1, DIST_BLOCK // K') at a time, each pair a one-row stack
+    with its own translation difference, so each pair has the bits of its
+    own symmetric_pose_distance. Only each pair's mean and recalled-point
+    count outlive its block.
     """
     rows: list[MatchRow] = []
     if not pred_poses or not gt_poses:
         return rows, 0
     n_p, n_g = len(pred_poses), len(gt_poses)
+    gt_r = np.stack([g.rotation for g in gt_poses])
+    pred_r = np.stack([p.rotation for p in pred_poses])
     gt_t = np.stack([g.t for g in gt_poses])
     pred_t = np.stack([p.t for p in pred_poses])
-    means, per_point = symmetric_distances(
-        np.stack([g.rotation for g in gt_poses]),
-        np.stack([p.rotation for p in pred_poses])[:, None, None], model, group, mask,
-        (gt_t[None] - pred_t[:, None])[:, :, None])
-    dist = means.min(axis=-1)                                    # (n_p, n_g)
-    within = per_point[:, :, 0] < tolerance_mm                   # (n_p, n_g, K')
-    counts = kernel_model(model, mask).counts
-    recalled = within.sum(axis=-1) if counts is None else within @ counts
+    km = kernel_model(model, mask)
+    step = max(1, DIST_BLOCK // km.points.shape[0])
+    pred_of, gt_of = np.divmod(np.arange(n_p * n_g), n_g)
+    dist, recalled = np.empty(n_p * n_g), np.empty(n_p * n_g)
+    for lo in range(0, n_p * n_g, step):
+        i, j = pred_of[lo:lo + step], gt_of[lo:lo + step]
+        means, per_point = symmetric_distances(gt_r[j], pred_r[i, None], model, group, mask,
+                                               (gt_t[j] - pred_t[i])[:, None])
+        dist[lo:lo + step] = means.min(axis=-1)
+        within = per_point[:, 0] < tolerance_mm                  # (n, K')
+        recalled[lo:lo + step] = within.sum(axis=-1) if km.counts is None else within @ km.counts
+    dist, recalled = dist.reshape(n_p, n_g), recalled.reshape(n_p, n_g)
     order = sorted(((dist[i, j], i, j) for i in range(n_p) for j in range(n_g)))
     used_p = set()
     used_g = set()

@@ -26,6 +26,7 @@ GROUP_SIZE_CAP = 360
 BOUND_ABS_SLACK = 4096 * np.finfo(float).eps
 BOUND_REL_SLACK = 1e-6
 BOUND_BLOCK = 1 << 15    # (member, candidate, symmetry) triples per bound-table block
+DIST_BLOCK = 1 << 17     # exact or screening distances per block of rows (1 MB of float64)
 SCREEN_U = np.finfo(np.float32).eps / 2    # float32 unit roundoff of the screening rows
 
 
@@ -432,16 +433,24 @@ class KernelModel:
         return outer32
 
 
+def _freeze(value) -> None:
+    """Make an array, or every array inside a tuple, read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for v in value:
+            _freeze(v)
+
+
 def content_cache(build):
     """Memoize ``build(*arrays)``, 16 deep, on each array's float64 bytes,
-    which ``build`` gets flat; results are shared, so their arrays are
-    made read-only."""
+    which ``build`` gets flat; results are shared, so their arrays, also
+    those inside tuple attributes, are made read-only."""
     @functools.lru_cache(maxsize=16)
     def cached(*keys):
         built = build(*map(np.frombuffer, keys))
         for a in vars(built).values():
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
+            _freeze(a)
         return built
     return functools.wraps(build)(lambda *arrays: cached(
         *(np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays)))
@@ -675,16 +684,17 @@ def _screen_bound(idx, gram, m, n_s, km: KernelModel, buf) -> float:
 
 def _exact_row(AS, B, idx, km: KernelModel, sq) -> np.ndarray:
     """One candidate's (m,) row for its (n_s,3,3) rotations AS, over its
-    kept pairs, flat indices s m + j, member by member; ``sq`` is an (m,
-    K') buffer. Each member keeps at least the pair with its smallest
+    kept pairs, flat indices s m + j, member by member, a block of ``sq``'s
+    rows at a time; ``sq`` is a (step, K') buffer, step <= m and at least
+    2 when m is. Each member keeps at least the pair with its smallest
     upper bound."""
-    m = B.shape[0]
+    m, step = B.shape[0], sq.shape[0]
     keep = np.zeros((AS.shape[0], m), dtype=bool)
     keep.reshape(-1)[idx] = True
     rows, s_idx = np.nonzero(keep.T)
     means = np.empty(rows.size)
-    for i in range(0, rows.size, m):           # m rows at a time, like the full kernel
-        j, s = rows[i:i + m], s_idx[i:i + m]
+    for i in range(0, rows.size, step):
+        j, s = rows[i:i + step], s_idx[i:i + step]
         n = j.size
         if n == 1 < m:   # a one-row product is a BLAS gemv, which rounds unlike gemm
             j, s = np.repeat(j, 2), np.repeat(s, 2)
@@ -744,12 +754,18 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
     The candidate with the smallest upper bound gets its row first. Every
     other candidate whose lower bound is not above that row's sum (a NaN
     bound prunes nothing) is screened before its row: its kept pairs'
-    means in float32, one (n, 6) x (6, K') product of its Gram vectors and
+    means in float32, (n, 6) x (6, K') products of its Gram vectors and
     :attr:`KernelModel.outer32`, the roots of the absolute values and
     their sums over the model points. It gets its row unless the screen's
     lower bound on its computed sum, widened like the bound pass's, is
-    above the first row's sum. A row's kept pairs go member by member, m
-    rows at a time, through the Gram-form step of the unpruned kernel.
+    above the first row's sum. A row's kept pairs go member by member
+    through the Gram-form step of the unpruned kernel. Rows and screens
+    share one buffer of step rows, step = min(m, max(2, DIST_BLOCK //
+    K')) in float64 and twice that in float32, so a vote holds at most
+    DIST_BLOCK distances (two rows where one holds more) whatever m. A
+    one-row block of a call with m > 1 is computed as two equal rows, as
+    numpy sends a one-row product to gemv, which rounds unlike gemm; a
+    one-member call stays a gemv, as the unpruned kernel's is.
 
     Why the vote is the unpruned one. Let eps be the machine epsilon and u
     = 2^-24 float32's unit roundoff.
@@ -828,12 +844,16 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
       bounds in their last bits where t cancels (2e-11 relative at most
       in the tests), far inside their widening, and would change a keep
       mask only where an entry meets its cutoff to the last bit. When
-      every member keeps one pair, the usual case, the survivor product
-      has the full kernel's shape and row order, so the row is the
-      unpruned one to the bit; otherwise BLAS blocking can move the last
-      bit of a mean (1e-15 relative at most), on Nehalem's kernel too. A
-      NaN member keeps every pair, is NaN in every row and makes every
-      bound NaN, so nothing is pruned.
+      every member keeps one pair, the usual case, and the m rows fit one
+      block (m K' <= DIST_BLOCK), the survivor product has the full
+      kernel's shape and row order, so the row is the unpruned one to the
+      bit. Otherwise each block rounds as a product of its own shape: BLAS
+      blocking can round a few squared distances otherwise than the full
+      product (a few in 10^6 at 2^17 on SkylakeX, up to 2% on Nehalem),
+      which moves the last bit of a mean (1e-15 relative at most). The
+      blocks depend on m and K' alone, so a computed row is still that of
+      a one-candidate call to the bit. A NaN member keeps every pair, is
+      NaN in every row and makes every bound NaN, so nothing is pruned.
     """
     AS = _candidate_rotations(rep_quats, group)
     B = quats_to_matrices(quats)
@@ -842,13 +862,15 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
     if out.size:
         km = kernel_model(model, mask)
         kept, lower, upper = _row_bounds(AS, B, km)
-        sq = np.empty((m, km.points.shape[0]))
+        # two rows at least, so that _exact_row can compute a one-row block as a gemm
+        k = km.points.shape[0]
+        sq = np.empty((min(m, max(2, DIST_BLOCK // k)), k))
         first = int(np.argmin(upper))
         out[first] = _exact_row(AS[first], B, kept[first][0], km, sq)
         best = out.sum(axis=1)[first]    # the sums a vote takes the argmin of
         # where the screen's float32 proof holds; a NaN row (a NaN member) screens nothing
         screen = 2.0 ** -40 <= km.r_max <= 2.0 ** 40 and km.size <= 1 << 22 and best < np.inf
-        buf = sq.reshape(-1).view(np.float32).reshape(2 * m, -1)
+        buf = sq.reshape(-1).view(np.float32).reshape(2 * sq.shape[0], -1)
         for c in np.flatnonzero(~(lower > best)):  # NaN bounds prune nothing
             if c != first and not (screen and _screen_bound(*kept[c], m, n_s, km, buf) > best):
                 out[c] = _exact_row(AS[c], B, kept[c][0], km, sq)

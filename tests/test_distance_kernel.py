@@ -5,6 +5,7 @@ and the rotation loss used before they shared one kernel, kept verbatim.
 """
 
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,19 +445,67 @@ def test_symmetric_distances_on_exact_ties_keeps_the_first_minimal_s():
     assert ties > 0
 
 
-def test_candidate_batch_rows_are_the_one_candidate_results(symmetry):
+def _exact_blocks(monkeypatch):
+    """The row count of each exact-row block rotation_distances_to_set
+    computes, a one-row block (computed as two equal rows) counted as 1."""
+    blocks, point_distances = [], so3._point_distances
+
+    def counted(diff, km, out, d=None):
+        blocks.append(1 if len(diff) == 2 and np.array_equal(diff[0], diff[1]) else len(diff))
+        return point_distances(diff, km, out, d)
+
+    monkeypatch.setattr(so3, "_point_distances", counted)
+    return blocks
+
+
+def test_candidate_batch_rows_are_the_one_candidate_results(symmetry, monkeypatch):
     group, mask = symmetry
     rng = np.random.default_rng(12)
-    model = _model(rng)
-    reps, quats = rng.normal(size=(6, 4)), rng.normal(size=(30, 4))
-    got = rotation_distances_to_set(reps, quats, model, group, mask)
-    assert got.shape == (6, 30)
-    one = np.stack([rotation_distances_to_set(rep, quats, model, group, mask) for rep in reps])
-    # a row left +inf cannot win the vote: its one-candidate sum is above the smallest
-    pruned = np.isposinf(got).all(axis=1)
-    assert np.array_equal(got[~pruned].view(np.uint64), one[~pruned].view(np.uint64))
-    assert np.all(one[pruned].sum(axis=1) > one.sum(axis=1).min())
-    assert np.argmin(got.sum(axis=1)) == np.argmin(one.sum(axis=1))
+    blocks = _exact_blocks(monkeypatch)
+    # 200 model points fit 30 members' rows in a block; DIST_BLOCK // 7
+    # points give blocks of 7 rows, which 29 to 33 members span, some
+    # ending in a one-row block
+    spans = []
+    for k, m in [(200, 30)] + [(so3.DIST_BLOCK // 7, m) for m in range(29, 34)]:
+        blocks.clear()
+        model = _model(rng, k)
+        reps, quats = rng.normal(size=(6, 4)), rng.normal(size=(m, 4))
+        got = rotation_distances_to_set(reps, quats, model, group, mask)
+        assert got.shape == (6, m)
+        one = np.stack([rotation_distances_to_set(rep, quats, model, group, mask)
+                        for rep in reps])
+        # a row left +inf cannot win the vote: its one-candidate sum is above the smallest
+        pruned = np.isposinf(got).all(axis=1)
+        assert np.array_equal(got[~pruned].view(np.uint64), one[~pruned].view(np.uint64))
+        assert np.all(one[pruned].sum(axis=1) > one.sum(axis=1).min())
+        assert np.argmin(got.sum(axis=1)) == np.argmin(one.sum(axis=1))
+        want = np.stack([ref_rotation_distances_to_set(rep, quats, model, group, mask)
+                         for rep in reps[~pruned]])
+        assert np.all(np.abs(got[~pruned] - want) <= 1e-15 * np.abs(want))
+        spans.append(sorted(set(blocks)))
+    assert spans[0][-1] == 30 and all(s[-1] == 7 for s in spans[1:])
+    assert any(s[0] == 1 for s in spans[1:])
+
+
+def test_a_vote_holds_a_fixed_block_of_distances():
+    # 1000 members about the 24 equivalents of a rotation, as a vote on the
+    # cube sees them, on 5000 model points: an (m, K') row table is 40 MB
+    group = build_symmetry_group(SYMMETRIES["cube24"])
+    rng = np.random.default_rng(24)
+    model = _model(rng, k=5000)
+    equivalents = quats_to_matrices(random_quat(rng)) @ group.matrices
+    picks = np.stack([matrix_to_quat(R) for R in equivalents[rng.integers(24, size=1000)]])
+    quats = picks + rng.normal(scale=0.02, size=picks.shape)
+    reps = quats[:4]
+    rotation_distances_to_set(reps, quats, model, group, np.ones(3))   # builds the model tables
+    tracemalloc.start()
+    try:
+        rotation_distances_to_set(reps, quats, model, group, np.ones(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the row buffer, DIST_BLOCK float64 distances, and the bound pass's tables
+    assert peak < 3 * 8 * so3.DIST_BLOCK
 
 
 # (model, group, mask) whose masked points coincide, and the distinct count K':

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from binpose.cluster import ClusterParams, PerPointPrediction
-from binpose.fileio import (PlyParseError, load_config, load_labels,
+from binpose.fileio import (WRITE_BLOCK, PlyParseError, load_config, load_labels,
                             load_ply, load_poses_json, load_predictions_csv,
                             load_scene_json, save_labels, save_ply,
                             save_poses_json, save_predictions_csv,
@@ -326,15 +326,16 @@ def test_ply_and_csv_rows_keep_the_float_grammar(tmp_path):
 
 
 def test_writers_format_every_value_with_repr(tmp_path):
+    n = 2 * WRITE_BLOCK + 1     # two full blocks of rows and a one-row block
     rng = np.random.default_rng(3)
-    pts = rng.uniform(-1000, 1000, size=(50, 3))
+    pts = rng.uniform(-1000, 1000, size=(n, 3))
     pts[0] = [-0.0, 1e-300, np.pi]
-    ids = rng.integers(-1, 8, size=50)
+    ids = rng.integers(-1, 8, size=n)
     save_ply(tmp_path / "a.ply", pts, ids)
     body = (tmp_path / "a.ply").read_text().split("end_header\n")[1]
     assert body == "".join(f"{repr(float(x))} {repr(float(y))} {repr(float(z))} {int(i)}\n"
                            for (x, y, z), i in zip(pts, ids))
-    pred = PerPointPrediction(pts, pts[::-1], np.stack([random_quat(rng) for _ in range(50)]))
+    pred = PerPointPrediction(pts, pts[::-1], np.stack([random_quat(rng) for _ in range(n)]))
     save_predictions_csv(tmp_path / "a.csv", pred)
     rows = (tmp_path / "a.csv").read_text().splitlines()[1:]
     assert rows == [",".join(repr(float(v)) for v in list(p) + list(c) + list(q))

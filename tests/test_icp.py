@@ -212,6 +212,14 @@ def test_cell_table_memo_is_read_only_and_keyed_on_content():
     assert_same_bits(model, queries)
 
 
+def test_cell_table_ring_offsets_are_read_only():
+    # the offset arrays sit inside the rings tuple of the shared table
+    table = cell_table(np.ones((5, 3)))
+    for offsets, _ in table.rings:
+        with pytest.raises(ValueError, match="read-only"):
+            offsets[0] = 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_icp_rejects_non_finite_input(bad):
     model = box_cloud((40, 60, 90), 8)

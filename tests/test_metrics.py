@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from binpose.metrics import (EvalConfig, count_visible_gt, evaluate, f1_inst,
                              match_predictions, pointwise_recall)
-from binpose.so3 import (Pose, SymmetryDescriptor, build_axis_mask,
+from binpose.so3 import (DIST_BLOCK, Pose, SymmetryDescriptor, build_axis_mask,
                          build_symmetry_group, matrix_to_quat,
                          quat_from_axis_angle, quat_multiply, quat_normalize,
                          random_quat, symmetric_distances, symmetric_pose_distance)
@@ -237,7 +238,9 @@ def test_spurious_prediction_lowers_f1_not_recall():
     assert rep.recall == base.recall
 
 
-def test_evaluate_scores_every_pair_in_one_stacked_call(monkeypatch):
+@pytest.mark.parametrize("points, blocks", [(None, [15]), (DIST_BLOCK // 7, [7, 7, 1])],
+                         ids=["one_block", "three_blocks"])
+def test_evaluate_scores_every_pair_once_in_stacked_blocks(monkeypatch, points, blocks):
     import binpose.metrics as metrics
 
     calls = []
@@ -248,6 +251,8 @@ def test_evaluate_scores_every_pair_in_one_stacked_call(monkeypatch):
 
     monkeypatch.setattr(metrics, "symmetric_distances", counted)
     model, group, mask = symmetry_setup()
+    if points is not None:     # DIST_BLOCK // 7 distinct points: 7 pairs a block
+        model = np.random.default_rng(13).uniform(-60.0, 60.0, size=(points, 3))
     rng = np.random.default_rng(10)
     preds, gts, counts = make_eval_inputs(rng, model, group, mask, n=4)
     preds.append(Pose(random_quat(rng), [2000.0, 2000.0, 2000.0]))
@@ -255,18 +260,38 @@ def test_evaluate_scores_every_pair_in_one_stacked_call(monkeypatch):
     rep = evaluate(preds, gts, counts, model, group, mask, EvalConfig(5.0, 0.4))
     assert (rep.n_pred, rep.n_gt, rep.tp) == (5, 3, 3)
     assert rep.recall == 1.0
-    assert len(calls) == 1
-    A, B, d = calls[0]
-    # one one-row stack per pred x visible-GT pair, holding that pair's poses
-    stacks = np.broadcast_shapes(A.shape[:-2], B.shape[:-3])
-    assert stacks == (rep.n_pred, rep.n_gt) and B.shape[-3] == 1
-    assert d.shape == stacks + (1, 3)
-    A, B = np.broadcast_to(A, stacks + (3, 3)), np.broadcast_to(B, stacks + (1, 3, 3))
+    # blocks of one-row stacks, the 5 x 3 pairs in pred-major order, each once
+    assert [B.shape[0] for _, B, _ in calls] == blocks
+    for A, B, d in calls:
+        assert A.shape == (B.shape[0], 3, 3) and B.shape[1:] == (1, 3, 3)
+        assert d.shape == (B.shape[0], 1, 3)
+    A, B, d = (np.concatenate(arrays) for arrays in zip(*calls))
     visible = [gts[k] for k in count_visible_gt(counts, 0.4)[1]]
-    for i, j in np.ndindex(stacks):
+    for n, (i, j) in enumerate(np.ndindex(rep.n_pred, rep.n_gt)):
         g, p = visible[j], preds[i]
-        assert np.array_equal(A[i, j], g.rotation) and np.array_equal(B[i, j, 0], p.rotation)
-        assert np.array_equal(d[i, j, 0], g.t - p.t)
+        assert np.array_equal(A[n], g.rotation) and np.array_equal(B[n, 0], p.rotation)
+        assert np.array_equal(d[n, 0], g.t - p.t)
+    for r in rep.matches:      # each pair has the bits of its own distance
+        g, p = gts[r.gt_index], preds[r.pred_index]
+        assert r.mean_distance == symmetric_pose_distance(model, g, p, group, mask)[1]
+
+
+def test_matching_holds_a_fixed_block_of_distances():
+    # 30 x 30 poses on 5000 model points: an (n_pred, n_gt, K') table is 36 MB
+    _, group, mask = symmetry_setup()
+    rng = np.random.default_rng(14)
+    model = rng.uniform(-60.0, 60.0, size=(5000, 3))
+    gts = [Pose(random_quat(rng), rng.uniform(-100.0, 100.0, 3)) for _ in range(30)]
+    preds = [Pose(random_quat(rng), rng.uniform(-100.0, 100.0, 3)) for _ in range(30)]
+    match_predictions(preds, gts, model, group, mask, 5.0)    # builds the kernel model
+    tracemalloc.start()
+    try:
+        match_predictions(preds, gts, model, group, mask, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # symmetric_distances' two block buffers and its temporaries
+    assert peak < 6 * 8 * DIST_BLOCK
 
 
 def test_eval_config_validation():
