@@ -26,7 +26,9 @@ GROUP_SIZE_CAP = 360
 BOUND_ABS_SLACK = 4096 * np.finfo(float).eps
 BOUND_REL_SLACK = 1e-6
 BOUND_BLOCK = 1 << 15    # (member, candidate, symmetry) triples per bound-table block
-DIST_BLOCK = 1 << 17     # exact or screening distances per block of rows (1 MB of float64)
+# 2 MB, not 1: a 1 MB buffer is no larger than a cube vote's other temporaries,
+# and glibc then trims and refaults the heap around every vote (README, Performance)
+DIST_BLOCK = 1 << 18     # exact or screening distances per block of rows (2 MB of float64)
 SCREEN_U = np.finfo(np.float32).eps / 2    # float32 unit roundoff of the screening rows
 
 
@@ -849,7 +851,7 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
       kernel's shape and row order, so the row is the unpruned one to the
       bit. Otherwise each block rounds as a product of its own shape: BLAS
       blocking can round a few squared distances otherwise than the full
-      product (a few in 10^6 at 2^17 on SkylakeX, up to 2% on Nehalem),
+      product (a few in 10^6 at 2^18 on SkylakeX, up to 2.3% on Nehalem),
       which moves the last bit of a mean (1e-15 relative at most). The
       blocks depend on m and K' alone, so a computed row is still that of
       a one-candidate call to the bit. A NaN member keeps every pair, is
