@@ -8,6 +8,7 @@ nonzero with a stage-tagged message.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,7 +34,10 @@ def _add_common(p: argparse.ArgumentParser, out_dir: bool = True) -> None:
         p.add_argument("--out-dir", default="out", help="artifact directory")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it:
+    parsing leaves it as it was, so one serves every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="binpose",
         description="symmetry-aware 6D pose estimation pipeline (desk scale)")

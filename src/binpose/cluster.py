@@ -20,8 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import (UNIT_TOL, Pose, SymmetryGroup, quat_normalize,
-                  quat_normalize_batch, rotation_distances_to_set)
+from .so3 import (UNIT_TOL, Pose, SymmetryGroup, medoid_index, quat_normalize,
+                  quat_normalize_batch)
+
+# pose_vote looks the vote up by this name, which perfbench/tracing.py wraps
+rotation_distances_to_set = medoid_index
 
 
 def require_int(name: str, value) -> None:
@@ -349,16 +352,13 @@ def pose_vote(counts: np.ndarray, centroids: np.ndarray, reps: np.ndarray,
     point's quaternion (a medoid, so blends of symmetric equivalents
     cannot be produced). Ties break toward the first representative.
 
-    One ``rotation_distances_to_set`` call gives the rows; the rows that
-    are not computed are +inf and cannot win or tie (see there). The call
-    looks up this module's name, which ``perfbench/tracing.py`` wraps to
-    time it. A lone candidate wins without a row.
+    One :func:`so3.medoid_index` call per vote picks it, looked up as
+    this module's ``rotation_distances_to_set``, which
+    ``perfbench/tracing.py`` wraps to time it.
     """
     translation = (centroids * counts[:, None]).sum(axis=0) / counts.sum()
-    if len(reps) == 1:
-        return Pose(reps[0], translation)
-    rows = rotation_distances_to_set(reps, member_quats, model, group, mask)
-    return Pose(reps[int(np.argmin(rows.sum(axis=1)))], translation)
+    return Pose(reps[rotation_distances_to_set(reps, member_quats, model, group, mask)],
+                translation)
 
 
 def two_stage_pipeline(pred: PerPointPrediction, params: ClusterParams,

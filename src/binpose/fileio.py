@@ -40,19 +40,38 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_rows(f, line, *columns) -> None:
-    """Write ``line(*row)`` for the rows of equally long ``columns``,
-    formatting ``WRITE_BLOCK`` rows at a time, so no string or list holds
-    a whole cloud."""
-    for lo in range(0, len(columns[0]), WRITE_BLOCK):
-        f.write("".join(map(line, *(c[lo:lo + WRITE_BLOCK].tolist() for c in columns))))
+def format_points(points) -> list[str]:
+    """Each row of an (n,3) cloud as the text "x y z", every float in
+    shortest round-trip repr: what ``save_ply`` writes for it, and, with
+    commas, ``save_predictions_csv`` for the positions. A caller writing
+    one cloud to both formats it once and passes it to each. The floats
+    are read out ``WRITE_BLOCK`` rows at a time."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    return [f"{x!r} {y!r} {z!r}" for lo in range(0, len(pts), WRITE_BLOCK)
+            for x, y, z in pts[lo:lo + WRITE_BLOCK].tolist()]
+
+
+def _write_rows(f, line, points, xyz, *columns) -> None:
+    """Write ``line(text, *row)`` for each row of the (n,3) ``points`` and
+    the equally long ``columns``, ``text`` the row's "x y z" from ``xyz``
+    (:func:`format_points` of ``points``) or, when it is None, formatted
+    here ``WRITE_BLOCK`` rows at a time, so no string or list holds a
+    whole cloud."""
+    if xyz is not None and len(xyz) != len(points):
+        raise ValueError(f"{len(xyz)} formatted rows for {len(points)} points")
+    for lo in range(0, len(points), WRITE_BLOCK):
+        text = format_points(points[lo:lo + WRITE_BLOCK]) if xyz is None else \
+            xyz[lo:lo + WRITE_BLOCK]
+        f.write("".join(map(line, text, *(c[lo:lo + WRITE_BLOCK].tolist() for c in columns))))
 
 
 # ---------------------------------------------------------------------------
 # PLY
 
 
-def save_ply(path, points, instance_ids=None) -> None:
+def save_ply(path, points, instance_ids=None, xyz=None) -> None:
+    """Write an ASCII PLY of ``points`` and optional int ``instance_ids``;
+    ``xyz`` is :func:`format_points` of ``points``, if the caller has it."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     with open(path, "w") as f:
         f.write("ply\n")
@@ -65,12 +84,12 @@ def save_ply(path, points, instance_ids=None) -> None:
             f.write("property int instance_id\n")
         f.write("end_header\n")
         if instance_ids is None:
-            _write_rows(f, lambda p: f"{p[0]!r} {p[1]!r} {p[2]!r}\n", pts)
+            _write_rows(f, lambda p: p + "\n", pts, xyz)
         else:
             ids = np.asarray(instance_ids, dtype=int).reshape(-1)
             if ids.shape[0] != pts.shape[0]:
                 raise ValueError("instance_ids length must match point count")
-            _write_rows(f, lambda p, i: f"{p[0]!r} {p[1]!r} {p[2]!r} {i}\n", pts, ids)
+            _write_rows(f, lambda p, i: f"{p} {i}\n", pts, xyz, ids)
 
 
 def load_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -163,11 +182,14 @@ def _load_rows(rows: list[str], **kwargs) -> np.ndarray | None:
 PRED_HEADER = "x,y,z,cx,cy,cz,qw,qx,qy,qz"
 
 
-def save_predictions_csv(path, pred: PerPointPrediction) -> None:
+def save_predictions_csv(path, pred: PerPointPrediction, xyz=None) -> None:
+    """Write ``pred`` as CSV rows x,y,z,cx,cy,cz,qw,qx,qy,qz; ``xyz`` is
+    :func:`format_points` of its positions, if the caller has it (a repr
+    holds no space, so the row's text with commas is its x,y,z)."""
     with open(path, "w") as f:
         f.write(PRED_HEADER + "\n")
-        _write_rows(f, lambda p, c, q: ",".join(map(repr, p + c + q)) + "\n",
-                    pred.positions, pred.centroids, pred.quats)
+        _write_rows(f, lambda p, c, q: p.replace(" ", ",") + "," + ",".join(map(repr, c + q))
+                    + "\n", pred.positions, xyz, pred.centroids, pred.quats)
 
 
 def load_predictions_csv(path) -> PerPointPrediction:

@@ -117,6 +117,7 @@ def match_predictions(pred_poses: list[Pose], gt_poses: list[Pose], model,
                                                (gt_t[j] - pred_t[i])[:, None])
         dist[lo:lo + step] = means.min(axis=-1)
         within = per_point[:, 0] < tolerance_mm                  # (n, K')
+        del per_point    # so that the next block's buffers can take its memory
         recalled[lo:lo + step] = within.sum(axis=-1) if km.counts is None else within @ km.counts
     dist, recalled = dist.reshape(n_p, n_g), recalled.reshape(n_p, n_g)
     order = sorted(((dist[i, j], i, j) for i in range(n_p) for j in range(n_g)))

@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cluster import ClusterResult, PerPointPrediction, cluster_predictions
-from .fileio import (SCHEMA_VERSION, Config, load_ply, load_scene_json, save_labels,
-                     save_ply, save_poses_json, save_predictions_csv,
+from .fileio import (SCHEMA_VERSION, Config, format_points, load_ply, load_scene_json,
+                     save_labels, save_ply, save_poses_json, save_predictions_csv,
                      save_report_json, save_scene_json, write_json)
 from .icp import icp_refine
 from .metrics import EvalReport, evaluate, f1_inst
@@ -124,8 +124,10 @@ def run_scene(config: Config, seed: int, single_stage: bool = False,
     return SceneRun(scene=scene, prediction=pred, clusters=clusters, report=report)
 
 
-def write_scene(out_dir: str, scene: Scene) -> None:
-    save_ply(os.path.join(out_dir, "scene.ply"), scene.points, scene.labels)
+def write_scene(out_dir: str, scene: Scene, xyz=None) -> None:
+    """Write scene.ply and scene.json; ``xyz`` is ``format_points`` of
+    the scene's points, if the caller has it."""
+    save_ply(os.path.join(out_dir, "scene.ply"), scene.points, scene.labels, xyz)
     save_scene_json(os.path.join(out_dir, "scene.json"), scene.gt_poses(),
                     scene.visible_counts(), scene.seed)
 
@@ -147,9 +149,18 @@ def write_poses(out_dir: str, result: ClusterResult) -> None:
 
 
 def write_scene_artifacts(out_dir: str, run: SceneRun) -> None:
+    """Write every artifact of a scene. The cloud's floats are formatted
+    once, for scene.ply and for the positions of predictions.csv, which
+    ``predict`` copies from it bit for bit (checked here)."""
     os.makedirs(out_dir, exist_ok=True)
-    write_scene(out_dir, run.scene)
-    save_predictions_csv(os.path.join(out_dir, "predictions.csv"), run.prediction)
+    points = np.asarray(run.scene.points, dtype=float).reshape(-1, 3)
+    positions = run.prediction.positions
+    xyz = format_points(points)
+    write_scene(out_dir, run.scene, xyz)
+    same = points.shape == positions.shape and np.array_equal(points.view(np.uint64),
+                                                              positions.view(np.uint64))
+    save_predictions_csv(os.path.join(out_dir, "predictions.csv"), run.prediction,
+                         xyz if same else None)
     write_poses(out_dir, run.clusters)
     save_report_json(os.path.join(out_dir, "report.json"), run.report,
                      extra={"seed": run.scene.seed})

@@ -22,14 +22,14 @@ import numpy as np
 UNIT_TOL = 1e-6          # input validation for quaternions / rotation matrices
 MATRIX_MATCH_TOL = 1e-6  # Frobenius tolerance for dedup / closure checks
 GROUP_SIZE_CAP = 360
-# pose-voting bound slacks, derived in rotation_distances_to_set
+# pose-voting bound slacks, derived in medoid_index
 BOUND_ABS_SLACK = 4096 * np.finfo(float).eps
 BOUND_REL_SLACK = 1e-6
 BOUND_BLOCK = 1 << 15    # (member, candidate, symmetry) triples per bound-table block
 # 2 MB, not 1: a 1 MB buffer is no larger than a cube vote's other temporaries,
 # and glibc then trims and refaults the heap around every vote (README, Performance)
-DIST_BLOCK = 1 << 18     # exact or screening distances per block of rows (2 MB of float64)
-SCREEN_U = np.finfo(np.float32).eps / 2    # float32 unit roundoff of the screening rows
+DIST_BLOCK = 1 << 18     # exact or interval distances per block of rows (2 MB of float64)
+SCREEN_U = np.finfo(np.float32).eps / 2    # float32 unit roundoff of the interval rows
 
 
 class UnsupportedSymmetryError(ValueError):
@@ -306,7 +306,9 @@ def build_symmetry_group(desc: SymmetryDescriptor) -> SymmetryGroup:
 
     Each finite axis contributes the cyclic rotations k * step about it;
     the result is closed under composition (multi-axis symmetries
-    compose). Objects with no finite axis get the identity alone.
+    compose). Objects with no finite axis get the identity alone. Each
+    candidate is compared with every element found so far in one array
+    comparison.
     """
     classes = classify_axes(desc)
     generators = []
@@ -317,33 +319,31 @@ def build_symmetry_group(desc: SymmetryDescriptor) -> SymmetryGroup:
         for k in range(1, count):
             generators.append(axis_rotation(axis, k * d))
 
-    elements = [np.eye(3)]
-    frontier = []
-    for g in generators:
-        if not _contains(elements, g):
-            elements.append(g)
-            frontier.append(g)
+    elements = np.empty((GROUP_SIZE_CAP, 3, 3))
+    elements[0] = np.eye(3)
+    n = 1
+
+    def add(M) -> bool:
+        """Append M unless it matches an element; True if it was new."""
+        nonlocal n
+        if (np.abs(elements[:n] - M).max(axis=(1, 2)) <= MATRIX_MATCH_TOL).any():
+            return False
+        if n >= GROUP_SIZE_CAP:
+            raise UnsupportedSymmetryError(
+                f"symmetry set does not close within {GROUP_SIZE_CAP} elements")
+        elements[n] = M
+        n += 1
+        return True
+
+    frontier = [g for g in generators if add(g)]
     # breadth-first closure under composition
     while frontier:
         nxt = []
         for a in frontier:
-            for b in list(elements):
-                for prod in (a @ b, b @ a):
-                    if not _contains(elements, prod):
-                        if len(elements) >= GROUP_SIZE_CAP:
-                            raise UnsupportedSymmetryError(
-                                f"symmetry set does not close within {GROUP_SIZE_CAP} elements")
-                        elements.append(prod)
-                        nxt.append(prod)
+            for b in elements[:n].copy():
+                nxt += [prod for prod in (a @ b, b @ a) if add(prod)]
         frontier = nxt
-    return SymmetryGroup(np.stack(elements))
-
-
-def _contains(elements, M) -> bool:
-    for e in elements:
-        if np.abs(e - M).max() <= MATRIX_MATCH_TOL:
-            return True
-    return False
+    return SymmetryGroup(elements[:n].copy())
 
 
 def build_axis_mask(desc: SymmetryDescriptor) -> np.ndarray:
@@ -429,7 +429,7 @@ class KernelModel:
         """The (6, K') distinct entries (a, b), a <= b, of each m_k m_k^T in
         float32, those off the diagonal doubled (exactly), read-only: with a
         symmetric G's distinct entries g, g . outer32[:, k] = <G, m_k m_k^T>.
-        The screening rows of :func:`rotation_distances_to_set` use it."""
+        The float32 intervals of :func:`medoid_index` use it."""
         outer32 = (self.outer @ _SPREAD).T.astype(np.float32, order="C")
         outer32.flags.writeable = False
         return outer32
@@ -504,7 +504,8 @@ def _point_distances(diff, km: KernelModel, out, d=None) -> np.ndarray:
     np.matmul(gram, km.outer.T, out=out)
     if d is not None:
         D = d.reshape(-1, 3)
-        out += 2.0 * (np.einsum("mji,mj->mi", X, D).reshape(d.shape) @ km.points.T)
+        # double the (n, 3) factor, not the (n, K') product: exact, with no product-sized temporary
+        out += (2.0 * np.einsum("mji,mj->mi", X, D)).reshape(d.shape) @ km.points.T
         out += np.einsum("mj,mj->m", D, D).reshape(d.shape[:-1] + (1,))
     return np.sqrt(np.maximum(out, 0.0, out=out), out=out)
 
@@ -579,15 +580,17 @@ def _margin(m: int, km: KernelModel) -> float:
 
 
 def _row_bounds(AS, B, km: KernelModel):
-    """The one bound pass of :func:`rotation_distances_to_set` for (C, n_s,
-    3, 3) rotations AS = A_c s and (m,3,3) member rotations B: (kept,
-    lower, upper). ``kept`` holds for each candidate the (member, symmetry)
+    """The one bound pass of :func:`medoid_index` for (C, n_s, 3, 3)
+    rotations AS = A_c s and (m,3,3) member rotations B: (kept, lower,
+    upper). ``lower`` and ``upper`` (C,) bound each candidate's computed
+    row sum. ``kept`` holds for each candidate the (member, symmetry)
     pairs that can be their member's minimum as (idx, gram): their
     ascending flat indices s m + j and their (6, n) Gram vectors (None
-    when r_max = 0 or a member is NaN, where every pair is kept). ``lower``
-    and ``upper`` (C,) bound each candidate's computed row sum. The tables
-    are built for blocks of at most ``BOUND_BLOCK`` triples (or one
-    candidate).
+    when r_max = 0 or a member is NaN or there is none, where every pair
+    is kept), or None for a candidate whose lower bound is above the
+    upper bound of one in its block or before it, dropped as soon as its
+    block shows it. The tables are built for blocks of at most
+    ``BOUND_BLOCK`` triples (or one candidate).
     """
     m, (n_c, n_s) = B.shape[0], AS.shape[:2]
     nan = np.isnan(B).any()
@@ -599,6 +602,7 @@ def _row_bounds(AS, B, km: KernelModel):
     tr2 = 2.0 * km.tr_m2
     slack = BOUND_ABS_SLACK * km.tr_m2
     e_slack = (km.points.shape[0] + 32) * np.finfo(float).eps
+    margin = _margin(m, km)
     m4 = _SPREAD.T @ km.m4 @ _SPREAD      # g^T m4 g over the distinct entries
     # q = <A s, -2 B_j M2>_F, so that t = q + 2 tr(M2); the -2 is exact
     BM2 = (-2.0 * (B @ km.m2.reshape(3, 3))).reshape(m, 9).T.copy()
@@ -619,16 +623,11 @@ def _row_bounds(AS, B, km: KernelModel):
         up += tr2
         up += slack
         np.sqrt(np.maximum(up, 0.0, out=up), out=up)
-        upper[lo:lo + n] = up.sum(axis=1)
+        upper[lo:lo + n] = (1.0 + BOUND_REL_SLACK) * up.sum(axis=1) + margin
         cut = (1.0 + BOUND_REL_SLACK) * up
         # the norm-free test, on q = t - 2 tr(M2): t - slack <= 3 r_max cut
-        thr = cut * loose
-        thr += slack - tr2
-        pairs = np.flatnonzero(q <= thr[:, None, :])     # (c, s, j) flattened
-        t = q.reshape(-1)[pairs]
-        t += tr2
-        t -= slack
-        np.maximum(t, 0.0, out=t)
+        pairs = np.flatnonzero(q <= (cut * loose + (slack - tr2))[:, None, :])  # (c, s, j)
+        t = np.maximum(q.reshape(-1)[pairs] + tr2 - slack, 0.0)
         cs, j = np.divmod(pairs, m)
         c = cs // n_s
         X = (np.take(ASt, lo * n_s + cs, axis=1) - np.take(Bt, j, axis=1)).reshape(3, 3, -1)
@@ -636,11 +635,7 @@ def _row_bounds(AS, B, km: KernelModel):
         g = np.empty((6, X.shape[2]))
         for a, row in ((0, 0), (1, 3), (2, 5)):
             np.sum(X[:, a:a + 1] * X[:, a:], axis=0, out=g[row:row + 3 - a])
-        fro = g[0] + g[3]
-        fro += g[5]                            # ||X||_F^2
-        fro += BOUND_ABS_SLACK
-        np.sqrt(fro, out=fro)
-        fro *= km.r_max
+        fro = np.sqrt(g[0] + g[3] + g[5] + BOUND_ABS_SLACK) * km.r_max   # ||X||_F r_max
         cj = c * m + j
         # the chord test: t - slack <= ||X||_F r_max cut
         sure = t <= fro * cut.reshape(-1)[cj]
@@ -653,19 +648,20 @@ def _row_bounds(AS, B, km: KernelModel):
         bound = np.maximum(t * np.sqrt(t / e), np.sqrt(2.0) * t / fro)
         low = np.full(n * m, np.inf)
         np.minimum.at(low, cj, bound)
-        lower[lo:lo + n] = low.reshape(n, m).sum(axis=1)
+        lower[lo:lo + n] = (1.0 - BOUND_REL_SLACK) * low.reshape(n, m).sum(axis=1) - margin
         ends = np.searchsorted(c, np.arange(n + 1))
         pairs -= c * (n_s * m)
-        kept += [(pairs[a:b], g[:, a:b]) for a, b in zip(ends[:-1], ends[1:])]
-    margin = _margin(m, km)
-    return kept, (1.0 - BOUND_REL_SLACK) * lower - margin, (1.0 + BOUND_REL_SLACK) * upper + margin
+        best = upper[:lo + n].min()
+        kept += [None if lower[lo + i] > best else (pairs[a:b], g[:, a:b])
+                 for i, (a, b) in enumerate(zip(ends[:-1], ends[1:]))]
+    return kept, lower, upper
 
 
-def _screen_bound(idx, gram, m, n_s, km: KernelModel, buf) -> float:
-    """A lower bound on one candidate's computed row sum from float32 rows
-    over its kept pairs (``idx`` and ``gram`` as :func:`_row_bounds` keeps
-    them), widened like the bound pass's; ``buf`` is a float32 (n, K')
-    buffer."""
+def _interval(idx, gram, m, n_s, km: KernelModel, buf) -> tuple[float, float]:
+    """(lower, upper) bounds on one candidate's computed row sum from
+    float32 rows over its kept pairs (``idx`` and ``gram`` as
+    :func:`_row_bounds` keeps them), widened like the bound pass's;
+    ``buf`` is a float32 (n, K') buffer."""
     weights = (np.ones(km.points.shape[0], dtype=np.float32) if km.counts is None
                else km.counts.astype(np.float32))
     sums = np.empty(idx.size)
@@ -674,22 +670,24 @@ def _screen_bound(idx, gram, m, n_s, km: KernelModel, buf) -> float:
         q = np.matmul(g, km.outer32, out=buf[:g.shape[0]])
         sums[lo:lo + g.shape[0]] = np.sqrt(np.abs(q, out=q), out=q) @ weights
     n_u = (km.points.shape[0] + 4) * SCREEN_U
-    means = sums * ((1.0 - n_u / (1.0 - n_u)) / km.size)
-    # the mean over k of sum_a ||X e_a|| |m_ka|
-    means -= np.sqrt(9.0 * SCREEN_U) * (km.abs_mean @ np.sqrt(gram[[0, 3, 5]]))
-    means -= np.sqrt(7.0 * SCREEN_U * BOUND_ABS_SLACK) * km.r_max
-    table = np.full(n_s * m, np.inf)
-    table[idx] = means
-    low = table.reshape(n_s, m).min(axis=0).sum()
-    return (1.0 - BOUND_REL_SLACK) * low - _margin(m, km)
+    gamma = n_u / (1.0 - n_u)
+    # the mean over k of sum_a ||X e_a|| |m_ka|, and the underflow term
+    err = np.sqrt(9.0 * SCREEN_U) * (km.abs_mean @ np.sqrt(gram[[0, 3, 5]]))
+    err += np.sqrt(7.0 * SCREEN_U * BOUND_ABS_SLACK) * km.r_max
+    table = np.full((2, n_s * m), np.inf)
+    table[0, idx] = sums * ((1.0 - gamma) / km.size) - err
+    table[1, idx] = sums / ((1.0 - gamma) * km.size) + err
+    low, high = table.reshape(2, n_s, m).min(axis=1).sum(axis=1)
+    margin = _margin(m, km)
+    return (1.0 - BOUND_REL_SLACK) * low - margin, (1.0 + BOUND_REL_SLACK) * high + margin
 
 
 def _exact_row(AS, B, idx, km: KernelModel, sq) -> np.ndarray:
     """One candidate's (m,) row for its (n_s,3,3) rotations AS, over its
     kept pairs, flat indices s m + j, member by member, a block of ``sq``'s
-    rows at a time; ``sq`` is a (step, K') buffer, step <= m and at least
-    2 when m is. Each member keeps at least the pair with its smallest
-    upper bound."""
+    rows at a time; ``sq`` is a (step, K') buffer, 1 <= step <= max(m, 1)
+    and step >= 2 when m is. Each member keeps at least the pair with its
+    smallest upper bound."""
     m, step = B.shape[0], sq.shape[0]
     keep = np.zeros((AS.shape[0], m), dtype=bool)
     keep.reshape(-1)[idx] = True
@@ -707,27 +705,39 @@ def _exact_row(AS, B, idx, km: KernelModel, sq) -> np.ndarray:
     return np.minimum.reduceat(means, np.flatnonzero(np.diff(rows, prepend=-1)))
 
 
-def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
-                              mask) -> np.ndarray:
-    """Symmetry-aware rotation distances from candidate quaternions to a
-    batch, for a medoid vote: the rows of the candidates that can have the
-    smallest row sum.
+def medoid_index(rep_quats, quats, model, group: SymmetryGroup, mask) -> int:
+    """The index of the (C,4) candidate quaternion ``rep_quats`` whose
+    symmetry-aware rotation distances to the (m,4) batch ``quats`` have
+    the smallest computed sum, ties to the first: a medoid vote.
 
-    Equivalent to symmetric_pose_distance with zero translations between
-    a candidate and each quaternion in ``quats``: for (C,4) candidates
-    ``rep_quats`` row c holds the (m,) mean point distances min_s mu_js,
-    mu_js = mean_k ||X m_k||, X = A s - B_j, A = R(candidate c), B_j =
-    R(quats[j]); a (4,) candidate gives the (m,) row. A row that is not
-    computed is +inf: its computed sum would be strictly above the
-    smallest one, so the argmin of the row sums, ties to the first, is
-    the one over every exact row. A (4,) or lone candidate always gets its
-    row, and each computed row is that of a one-candidate call, to the bit.
+    A candidate's row is that of symmetric_pose_distance with zero
+    translations between it and each quaternion in ``quats``: the (m,)
+    mean point distances min_s mu_js, mu_js = mean_k ||X m_k||, X = A s -
+    B_j, A = R(candidate), B_j = R(quats[j]), as :func:`_exact_row`
+    computes them, and its sum is the row's float64 sum. Every candidate
+    goes through one rule:
+
+    - the bound pass (:func:`_row_bounds`) rules out a candidate whose
+      lower bound is above another's upper bound;
+    - each survivor, smallest upper bound first, gets a float32 interval
+      (:func:`_interval`) that holds its computed row sum, unless its
+      lower bound is already above the smallest upper end so far;
+    - only a survivor whose lower end is not above the smallest upper end
+      gets its float64 row; a lone survivor wins without a row, and a tie
+      is an overlap, so the index is the argmin over every computed row
+      sum, ties to the first.
+
+    Where the intervals' float32 proof does not hold (r_max outside
+    [2^-40, 2^40] or more than 2^22 model points), with a NaN member, and
+    where r_max = 0 or there is no member, every candidate the bound pass
+    keeps gets its row. No candidate raises ValueError.
 
     Candidates and members are converted once, and one pass over blocks of
     candidates bounds every mean (Elkan, ICML 2003, prunes k-means the
-    same way). With M2 = mean_k m_k m_k^T, r_max = max_k ||m_k||, t =
-    tr(X^T X M2) and the Gram vector g, the distinct entries of X^T X, so
-    that q_k = ||X m_k||^2 = <X^T X, m_k m_k^T>_F:
+    same way; Newling and Fleuret, AISTATS 2017, rule out medoid
+    candidates alike). With M2 = mean_k m_k m_k^T, r_max = max_k ||m_k||,
+    t = tr(X^T X M2) and the Gram vector g, the distinct entries of X^T X,
+    so that q_k = ||X m_k||^2 = <X^T X, m_k m_k^T>_F:
 
     - upper: mu_js <= sqrt(t), as a mean is at most the root mean square;
     - chord: ||X m_k|| <= ||X||_F r_max, so ||X m_k|| >= q_k / (||X||_F
@@ -751,26 +761,23 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
     smallest upper bound always survives. A candidate's upper bound sums
     its members' smallest upper bounds, its lower bound their smallest
     chord or Hölder bound, whichever is larger, over the kept pairs, whose
-    Gram vectors are kept too.
+    Gram vectors are kept for the intervals unless the candidate's block
+    already shows it ruled out.
 
-    The candidate with the smallest upper bound gets its row first. Every
-    other candidate whose lower bound is not above that row's sum (a NaN
-    bound prunes nothing) is screened before its row: its kept pairs'
-    means in float32, (n, 6) x (6, K') products of its Gram vectors and
+    The interval is the candidate's row in float32 over its kept pairs:
+    (n, 6) x (6, K') products of their Gram vectors and
     :attr:`KernelModel.outer32`, the roots of the absolute values and
-    their sums over the model points. It gets its row unless the screen's
-    lower bound on its computed sum, widened like the bound pass's, is
-    above the first row's sum. A row's kept pairs go member by member
-    through the Gram-form step of the unpruned kernel. Rows and screens
-    share one buffer of step rows, step = min(m, max(2, DIST_BLOCK //
-    K')) in float64 and twice that in float32, so a vote holds at most
-    DIST_BLOCK distances (two rows where one holds more) whatever m. A
-    one-row block of a call with m > 1 is computed as two equal rows, as
-    numpy sends a one-row product to gemv, which rounds unlike gemm; a
-    one-member call stays a gemv, as the unpruned kernel's is.
+    their sums over the model points, with two-sided error bounds (Rump,
+    Acta Numerica 2010). Rows and intervals share one buffer of step rows,
+    step = min(max(m, 1), max(2, DIST_BLOCK // K')) in float64 and twice
+    that in float32, so a vote holds at most DIST_BLOCK distances (two rows where
+    one holds more) whatever m. A one-row block of a row with m > 1 is
+    computed as two equal rows, as numpy sends a one-row product to gemv,
+    which rounds unlike gemm; a one-member row stays a gemv, as the
+    unpruned kernel's is.
 
-    Why the vote is the unpruned one. Let eps be the machine epsilon and u
-    = 2^-24 float32's unit roundoff.
+    Why the index is the exhaustive one. Let eps be the machine epsilon
+    and u = 2^-24 float32's unit roundoff.
 
     - t cancels when X ~ 0 and its Frobenius form assumes orthogonal
       matrices, which quats_to_matrices and the group give to a few eps: the
@@ -801,40 +808,44 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
       per point, which twice over is below 0.41 sqrt(4096 eps tr(M2)). So
       no skipped mean is a member's computed minimum, and a computed row
       sum is at least (1 - (m + K') eps) times the sum of the exact minima
-      less m sqrt(72 eps) r_max. The bound sums round by a few eps
-      relative per member and m eps / 2 in the sum; they are scaled by 1
-      -+ BOUND_REL_SLACK and moved by -+ m sqrt(72 eps) r_max, and 1e-6
-      covers every relative term for m + K' below 4e9. So a candidate
-      whose lower bound exceeds another's computed row sum has a strictly
-      larger computed row sum.
-    - The screen. g and the doubled m_k m_k^T entries are rounded to float32
-      (u relative each) and a 6-term product sums within 6u / (1 - 6u) of
-      its absolute terms in any order, so with g's own float64 rounding the
-      float32 q_k is within 9u sum_ab |(X^T X)_ab (m_k m_k^T)_ab| of the
-      exact one (Higham, Accuracy and Stability of Numerical Algorithms,
-      2002, ch. 3). As X^T X is positive semidefinite, |(X^T X)_ab| <= ||X
-      e_a|| ||X e_b||, so that sum is at most (sum_a ||X e_a|| |m_ka|)^2,
-      itself at most ||X||_F^2 ||m_k||^2 (Cauchy-Schwarz). Where q_k cancels
-      that is all there is, and |sqrt(a) - sqrt(b)| <= sqrt(|a - b|) for a,
-      b >= 0 (a negative q_k is taken by its absolute value, which is no
-      farther) bounds the error of a point's distance by sqrt(9u) sum_a ||X
-      e_a|| |m_ka|, and of the mean by sqrt(9u) sum_a ||X e_a|| mean_k
-      |m_ka| (:attr:`KernelModel.abs_mean`; the column norms come from g). A
+      less m sqrt(72 eps) r_max, and at most (1 + (m + K') eps) times the
+      sum over members of any kept pair's exact mean plus m sqrt(72 eps)
+      r_max. The bound sums round by a few eps relative per member and m
+      eps / 2 in the sum; they are scaled by 1 -+ BOUND_REL_SLACK and moved
+      by -+ m sqrt(72 eps) r_max, and 1e-6 covers every relative term for
+      m + K' below 4e9. So a candidate whose lower bound exceeds another's
+      upper bound has a strictly larger computed row sum.
+    - The interval. g and the doubled m_k m_k^T entries are rounded to
+      float32 (u relative each) and a 6-term product sums within 6u / (1 -
+      6u) of its absolute terms in any order, so with g's own float64
+      rounding the float32 q_k is within 9u sum_ab |(X^T X)_ab (m_k
+      m_k^T)_ab| of the exact one (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2002, ch. 3). As X^T X is positive
+      semidefinite, |(X^T X)_ab| <= ||X e_a|| ||X e_b||, so that sum is at
+      most (sum_a ||X e_a|| |m_ka|)^2, itself at most ||X||_F^2 ||m_k||^2
+      (Cauchy-Schwarz). Where q_k cancels that is all there is, and
+      |sqrt(a) - sqrt(b)| <= sqrt(|a - b|) for a, b >= 0 (a negative q_k is
+      taken by its absolute value, which is no farther) bounds the error
+      of a point's distance, either way, by sqrt(9u) sum_a ||X e_a||
+      |m_ka|, and of the mean by sqrt(9u) sum_a ||X e_a|| mean_k |m_ka|
+      (:attr:`KernelModel.abs_mean`; the column norms come from g). A
       float32 product that underflows errs by at most 2^-150 absolute: at
       most 2^-144 max(1, r_max^2) in q_k and 2^-72 max(1, r_max) after the
       root, which sqrt(7u BOUND_ABS_SLACK) r_max >= 2^-30.5 r_max covers,
       with the float64 roundings of the first term, for r_max >= 2^-40. The
       root rounds by u relative and the K'-term sum of nonnegative terms,
-      weighted by the counts (exact in float32), by K' u / (1 - K' u), so
-      the mean is at least the float32 sum over K times 1 - (K' + 4) u / (1
-      - (K' + 4) u), less those two terms. The members' minima over their
-      kept pairs and their sum run in float64 and are widened like the lower
-      bounds above, which covers the computed row's own rounding. So a
-      screened candidate whose bound exceeds the first row's sum has a
-      strictly larger computed sum. The screen runs only where 2^-40 <=
-      r_max <= 2^40 and K <= 2^22: float32 cannot overflow there (q_k <= 9
-      r_max^2), the counts are exact and (K' + 4) u <= 1/4; elsewhere, and
-      with a NaN member, every candidate the bounds keep gets its row.
+      weighted by the counts (exact in float32), by gamma_K' = K' u / (1 -
+      K' u), so with n = K' + 4 (which covers the float64 roundings that
+      follow) the mean of the roots of the float32 q_k lies between S (1 -
+      gamma_n) and S / (1 - gamma_n), S the float32 sum over K. The lower
+      end takes the first less the two error terms, the upper end the
+      second plus them; the members' minima over their kept pairs and
+      their sum run in float64 and are widened like the bounds above,
+      which covers the computed row's own rounding. So each end holds the computed row
+      sum, and a candidate whose lower end is above another's upper end
+      has a strictly larger computed sum. The intervals run only where
+      2^-40 <= r_max <= 2^40 and K <= 2^22: float32 cannot overflow there
+      (q_k <= 9 r_max^2), the counts are exact and (K' + 4) u <= 1/4.
     - A candidate's keep mask and Gram vectors come out of every block of
       the bound pass the same: gemm sums each table entry's 9 terms in
       one order whatever the number of rows, as long as the product stays
@@ -853,27 +864,33 @@ def rotation_distances_to_set(rep_quats, quats, model, group: SymmetryGroup,
       blocking can round a few squared distances otherwise than the full
       product (a few in 10^6 at 2^18 on SkylakeX, up to 2.3% on Nehalem),
       which moves the last bit of a mean (1e-15 relative at most). The
-      blocks depend on m and K' alone, so a computed row is still that of
-      a one-candidate call to the bit. A NaN member keeps every pair, is
-      NaN in every row and makes every bound NaN, so nothing is pruned.
+      blocks depend on m and K' alone, so a candidate's row is the same
+      whichever candidates share its vote. A NaN member keeps every pair,
+      is NaN in every row and makes every bound NaN, so nothing is pruned
+      and the first candidate wins, as an argmin over NaN sums picks it.
     """
     AS = _candidate_rotations(rep_quats, group)
     B = quats_to_matrices(quats)
-    m, n_s = B.shape[0], len(group)
-    out = np.full((AS.shape[0], m), np.inf)
-    if out.size:
-        km = kernel_model(model, mask)
-        kept, lower, upper = _row_bounds(AS, B, km)
-        # two rows at least, so that _exact_row can compute a one-row block as a gemm
-        k = km.points.shape[0]
-        sq = np.empty((min(m, max(2, DIST_BLOCK // k)), k))
-        first = int(np.argmin(upper))
-        out[first] = _exact_row(AS[first], B, kept[first][0], km, sq)
-        best = out.sum(axis=1)[first]    # the sums a vote takes the argmin of
-        # where the screen's float32 proof holds; a NaN row (a NaN member) screens nothing
-        screen = 2.0 ** -40 <= km.r_max <= 2.0 ** 40 and km.size <= 1 << 22 and best < np.inf
+    m, km = B.shape[0], kernel_model(model, mask)
+    kept, lower, upper = _row_bounds(AS, B, km)
+    live = np.flatnonzero(~(lower > upper.min()))      # NaN bounds rule out nothing
+    # two rows at least, so that _exact_row can compute a one-row block as a gemm
+    sq = np.empty((min(max(m, 1), max(2, DIST_BLOCK // km.points.shape[0])),
+                   km.points.shape[0]))
+    # where the float32 proof holds; without Gram vectors (a NaN member, r_max = 0
+    # or no member) there is nothing to bound
+    if (len(live) > 1 and kept[live[0]][1] is not None and 2.0 ** -40 <= km.r_max <= 2.0 ** 40
+            and km.size <= 1 << 22):
         buf = sq.reshape(-1).view(np.float32).reshape(2 * sq.shape[0], -1)
-        for c in np.flatnonzero(~(lower > best)):  # NaN bounds prune nothing
-            if c != first and not (screen and _screen_bound(*kept[c], m, n_s, km, buf) > best):
-                out[c] = _exact_row(AS[c], B, kept[c][0], km, sq)
-    return out if np.ndim(rep_quats) == 2 else out[0]
+        ends, high = {}, np.inf
+        # smallest upper bound first: the smallest upper end so far rules out
+        # a candidate by its lower bound before its interval is formed
+        for c in live[np.argsort(upper[live], kind="stable")]:
+            if lower[c] <= high:
+                ends[c] = _interval(*kept[c], m, len(group), km, buf)
+                high = min(high, ends[c][1])
+        live = [c for c in live if c in ends and ends[c][0] <= high]
+    if len(live) == 1:
+        return int(live[0])
+    sums = [_exact_row(AS[c], B, kept[c][0], km, sq).sum() for c in live]
+    return int(live[np.argmin(sums)])

@@ -12,15 +12,14 @@ import pytest
 
 from dataclasses import replace
 
-from binpose import cluster, so3
-from binpose.cluster import pose_vote
+from binpose import so3
 from binpose.losses import _rotation_values, random_instances, rotation_loss_grad
 from binpose.metrics import EvalConfig, evaluate, match_predictions
 from binpose.so3 import (Pose, SymmetryDescriptor, SymmetryGroup, build_axis_mask,
                          build_symmetry_group, kernel_model, matrix_to_quat,
                          quat_from_axis_angle, quat_multiply, quat_normalize, quat_to_matrix,
-                         quats_to_matrices, random_quat, rotation_distances_to_set,
-                         symmetric_distances, symmetric_pose_distance)
+                         quats_to_matrices, random_quat, symmetric_distances,
+                         symmetric_pose_distance)
 from binpose.synth import cylinder_cloud
 
 
@@ -51,6 +50,23 @@ def ref_rotation_distances_to_set(rep_quat, quats, model, group, mask):
         means = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq).mean(axis=1)
         best = means if best is None else np.minimum(best, means)
     return best
+
+
+def exact_row(rep, quats, model, group, mask):
+    """One candidate's float64 row as so3.medoid_index computes it: the
+    bound pass and so3._exact_row, on the inputs converted as the vote
+    converts them, with the vote's row buffer."""
+    AS, B, km = so3._candidate_rotations(rep, group), quats_to_matrices(quats), \
+        kernel_model(model, mask)
+    k = km.points.shape[0]
+    sq = np.empty((min(max(B.shape[0], 1), max(2, so3.DIST_BLOCK // k)), k))
+    return so3._exact_row(AS[0], B, so3._row_bounds(AS, B, km)[0][0][0], km, sq)
+
+
+def ref_medoid_index(reps, quats, model, group, mask) -> int:
+    """The argmin of the reference rows' sums, ties to the first."""
+    return int(np.argmin(np.stack([ref_rotation_distances_to_set(rep, quats, model, group, mask)
+                                   for rep in reps]).sum(axis=1)))
 
 
 def ref_rotation_values(inst):
@@ -89,8 +105,8 @@ def _model(rng, k=200):
 
 
 class _NumpySpy:
-    """numpy as binpose.so3 sees it, counting how rotation_distances_to_set
-    reduces each candidate's row: straight from one pair per member
+    """numpy as binpose.so3 sees it, counting how so3._exact_row reduces
+    each candidate's row: straight from one pair per member
     (``one_pair``) or by np.minimum.reduceat over several (``reduceat``)."""
 
     def __init__(self):
@@ -136,14 +152,14 @@ def _pose_pairs(rng, n=40):
     return pairs
 
 
-def test_rotation_distances_to_set_is_the_reference_bit_for_bit(symmetry):
+def test_exact_row_is_the_reference_bit_for_bit(symmetry):
     group, mask = symmetry
     rng = np.random.default_rng(1)
     model = _model(rng)
     for _ in range(5):
         rep = random_quat(rng)
         quats = rng.normal(size=(50, 4))
-        got = rotation_distances_to_set(rep, quats, model, group, mask)
+        got = exact_row(rep, quats, model, group, mask)
         want = ref_rotation_distances_to_set(rep, quats, model, group, mask)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -181,40 +197,23 @@ def _pruning_cases(rng, group):
     }
 
 
-def _one_candidate_at_a_time(distances):
-    # pose_vote passes every candidate at once; the reference takes one
-    return lambda reps, *args: np.stack([distances(rep, *args) for rep in reps])
-
-
-def _vote_winner(candidates, members, group, mask, model, monkeypatch, distances):
-    monkeypatch.setattr(cluster, "rotation_distances_to_set", distances)
-    n = len(candidates)
-    reps = np.stack([quat_normalize(c) for c in candidates])
-    return pose_vote(np.ones(n, dtype=int), np.zeros((n, 3)), reps, members, group, mask,
-                     model).quat
-
-
-def _assert_pruning_matches_reference(group, mask, model, rng, monkeypatch):
+def _assert_pruning_matches_reference(group, mask, model, rng):
     # pytest turns a RuntimeWarning (a 0/0 in the bounds) into a failure
     for name, (rep, quats) in _pruning_cases(rng, group).items():
-        got = rotation_distances_to_set(rep, quats, model, group, mask)
+        got = exact_row(rep, quats, model, group, mask)
         want = ref_rotation_distances_to_set(rep, quats, model, group, mask)
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), name
         candidates = np.vstack([rep, quats[:3]])
-        assert np.array_equal(
-            _vote_winner(candidates, quats, group, mask, model, monkeypatch,
-                         rotation_distances_to_set),
-            _vote_winner(candidates, quats, group, mask, model, monkeypatch,
-                         _one_candidate_at_a_time(ref_rotation_distances_to_set))), name
+        assert (so3.medoid_index(candidates, quats, model, group, mask)
+                == ref_medoid_index(candidates, quats, model, group, mask)), name
 
 
-def test_pruned_rotation_distances_match_the_unpruned_reference(symmetry, monkeypatch,
-                                                                voting_paths):
+def test_pruned_rotation_distances_match_the_unpruned_reference(symmetry, voting_paths):
     # K = 203 leaves a ragged BLAS column tail
     group, mask = symmetry
     rng = np.random.default_rng(5)
     for model in (_model(rng, k=203), _ring(203)):
-        _assert_pruning_matches_reference(group, mask, model, rng, monkeypatch)
+        _assert_pruning_matches_reference(group, mask, model, rng)
     # with one symmetry every member keeps its one pair
     assert voting_paths["one_pair"] > 0
     assert (voting_paths["reduceat"] > 0) == (len(group) > 1)
@@ -231,13 +230,13 @@ DEGENERATE = {
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
-def test_pruning_on_degenerate_masks(name, monkeypatch, voting_paths):
+def test_pruning_on_degenerate_masks(name, voting_paths):
     group_desc, mask_desc, rounds = DEGENERATE[name]
     group, mask = build_symmetry_group(group_desc), build_axis_mask(mask_desc)
     rng = np.random.default_rng(7)
     model = _model(rng)
     for _ in range(rounds):
-        _assert_pruning_matches_reference(group, mask, model, rng, monkeypatch)
+        _assert_pruning_matches_reference(group, mask, model, rng)
     if name == "z_axis_ties":    # tied pairs survive together
         assert voting_paths["reduceat"] > 0
 
@@ -254,21 +253,23 @@ def test_pruned_rows_round_like_the_reference(voting_paths):
         rep = random_quat(rng)
         near = quat_multiply(rep, quat_from_axis_angle(rng.normal(size=3), 0.1))
         quats = np.vstack([rng.normal(size=(1, 4)), near])
-        got = rotation_distances_to_set(rep, quats, model, group, np.ones(3))
+        got = exact_row(rep, quats, model, group, np.ones(3))
         want = ref_rotation_distances_to_set(rep, quats, model, group, np.ones(3))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert voting_paths["one_pair"] > 0 and voting_paths["reduceat"] > 0
 
 
-def test_empty_batches_give_empty_rows():
+def test_empty_batches_give_an_empty_row_and_no_vote():
+    # no member: every row is empty, every sum 0 and the first candidate
+    # wins the tie; no candidate: there is no medoid
     group = build_symmetry_group(SYMMETRIES["cube24"])
     rng = np.random.default_rng(20)
     rep, quats, model = random_quat(rng), rng.normal(size=(5, 4)), _model(rng)
     none = np.empty((0, 4))
-    assert rotation_distances_to_set(rep, none, model, group, np.ones(3)).shape == (0,)
-    assert rotation_distances_to_set(np.stack([rep, rep]), none, model, group,
-                                     np.ones(3)).shape == (2, 0)
-    assert rotation_distances_to_set(none, quats, model, group, np.ones(3)).shape == (0, 5)
+    assert exact_row(rep, none, model, group, np.ones(3)).shape == (0,)
+    assert so3.medoid_index(np.stack([rep, rep]), none, model, group, np.ones(3)) == 0
+    with pytest.raises(ValueError):
+        so3.medoid_index(none, quats, model, group, np.ones(3))
 
 
 @pytest.mark.parametrize("members", [5, 0])
@@ -278,7 +279,7 @@ def test_a_non_finite_candidate_raises(members):
     quats, model = rng.normal(size=(members, 4)), _model(rng)
     for reps in ([np.nan, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0, 0.0], [0.5, np.nan, 0.5, 0.5]]):
         with pytest.raises(ValueError, match="deviates from 1"):
-            rotation_distances_to_set(reps, quats, model, group, np.ones(3))
+            so3.medoid_index(reps, quats, model, group, np.ones(3))
 
 
 def test_a_non_finite_member_stays_nan_through_pruning():
@@ -286,7 +287,7 @@ def test_a_non_finite_member_stays_nan_through_pruning():
     rng = np.random.default_rng(9)
     rep, model = random_quat(rng), _model(rng)
     quats = np.vstack([[np.nan, 0.0, 0.0, 0.0], rep])
-    got = rotation_distances_to_set(rep, quats, model, group, np.ones(3))
+    got = exact_row(rep, quats, model, group, np.ones(3))
     want = ref_rotation_distances_to_set(rep, quats, model, group, np.ones(3))
     assert np.isnan(got[0]) and np.isnan(want[0]) and got[1] == want[1] == 0.0
 
@@ -322,8 +323,8 @@ def test_kernel_results_ignore_quaternion_sign(symmetry):
     rng = np.random.default_rng(4)
     model = _model(rng, k=80)
     rep, quats = random_quat(rng), rng.normal(size=(20, 4))
-    assert np.array_equal(rotation_distances_to_set(rep, quats, model, group, mask),
-                          rotation_distances_to_set(-rep, -quats, model, group, mask))
+    assert np.array_equal(exact_row(rep, quats, model, group, mask),
+                          exact_row(-rep, -quats, model, group, mask))
     for gt, pred in _pose_pairs(rng, n=6):
         flipped = Pose(-pred.quat, pred.t)
         a = symmetric_pose_distance(model, gt, pred, group, mask)
@@ -446,8 +447,8 @@ def test_symmetric_distances_on_exact_ties_keeps_the_first_minimal_s():
 
 
 def _exact_blocks(monkeypatch):
-    """The row count of each exact-row block rotation_distances_to_set
-    computes, a one-row block (computed as two equal rows) counted as 1."""
+    """The row count of each exact-row block so3._exact_row computes, a
+    one-row block (computed as two equal rows) counted as 1."""
     blocks, point_distances = [], so3._point_distances
 
     def counted(diff, km, out, d=None):
@@ -458,7 +459,7 @@ def _exact_blocks(monkeypatch):
     return blocks
 
 
-def test_candidate_batch_rows_are_the_one_candidate_results(symmetry, monkeypatch):
+def test_exact_rows_in_blocks_match_the_reference_and_the_vote(symmetry, monkeypatch):
     group, mask = symmetry
     rng = np.random.default_rng(12)
     blocks = _exact_blocks(monkeypatch)
@@ -470,18 +471,12 @@ def test_candidate_batch_rows_are_the_one_candidate_results(symmetry, monkeypatc
         blocks.clear()
         model = _model(rng, k)
         reps, quats = rng.normal(size=(6, 4)), rng.normal(size=(m, 4))
-        got = rotation_distances_to_set(reps, quats, model, group, mask)
+        got = np.stack([exact_row(rep, quats, model, group, mask) for rep in reps])
         assert got.shape == (6, m)
-        one = np.stack([rotation_distances_to_set(rep, quats, model, group, mask)
-                        for rep in reps])
-        # a row left +inf cannot win the vote: its one-candidate sum is above the smallest
-        pruned = np.isposinf(got).all(axis=1)
-        assert np.array_equal(got[~pruned].view(np.uint64), one[~pruned].view(np.uint64))
-        assert np.all(one[pruned].sum(axis=1) > one.sum(axis=1).min())
-        assert np.argmin(got.sum(axis=1)) == np.argmin(one.sum(axis=1))
         want = np.stack([ref_rotation_distances_to_set(rep, quats, model, group, mask)
-                         for rep in reps[~pruned]])
-        assert np.all(np.abs(got[~pruned] - want) <= 1e-15 * np.abs(want))
+                         for rep in reps])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+        assert so3.medoid_index(reps, quats, model, group, mask) == np.argmin(want.sum(axis=1))
         spans.append(sorted(set(blocks)))
     assert spans[0][-1] == 30 and all(s[-1] == 7 for s in spans[1:])
     assert any(s[0] == 1 for s in spans[1:])
@@ -497,10 +492,10 @@ def test_a_vote_holds_a_fixed_block_of_distances():
     picks = np.stack([matrix_to_quat(R) for R in equivalents[rng.integers(24, size=1000)]])
     quats = picks + rng.normal(scale=0.02, size=picks.shape)
     reps = quats[:4]
-    rotation_distances_to_set(reps, quats, model, group, np.ones(3))   # builds the model tables
+    so3.medoid_index(reps, quats, model, group, np.ones(3))   # builds the model tables
     tracemalloc.start()
     try:
-        rotation_distances_to_set(reps, quats, model, group, np.ones(3))
+        so3.medoid_index(reps, quats, model, group, np.ones(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -547,7 +542,7 @@ def test_collapsed_distances_match_the_references(collapsing):
                                    atol=1e-10 * ref_points.max())
     for _ in range(3):
         rep, quats = random_quat(rng), rng.normal(size=(40, 4))
-        got = rotation_distances_to_set(rep, quats, model, group, mask)
+        got = exact_row(rep, quats, model, group, mask)
         want = ref_rotation_distances_to_set(rep, quats, model, group, mask)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 

@@ -290,8 +290,9 @@ def test_matching_holds_a_fixed_block_of_distances():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # symmetric_distances' two block buffers and its temporaries
-    assert peak < 6 * 8 * DIST_BLOCK
+    # symmetric_distances' two block buffers and one product temporary; the
+    # previous block's distances are gone before the next block's buffers
+    assert peak < 4 * 8 * DIST_BLOCK
 
 
 def test_eval_config_validation():

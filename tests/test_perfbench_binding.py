@@ -9,8 +9,9 @@ imports ``perfbench/``.
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from binpose import cluster, metrics
+from binpose import cluster, metrics, so3
 from binpose.so3 import Pose, SymmetryGroup, quat_normalize_batch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -26,16 +27,18 @@ def test_tracer_installs_on_every_wrapped_name(monkeypatch):
         pose = Pose([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         metrics.symmetric_pose_distance(np.eye(3), pose, pose, SymmetryGroup.identity(),
                                         np.ones(3))
-        cluster.rotation_distances_to_set(pose.quat, pose.quat[None], np.eye(3),
-                                          SymmetryGroup.identity(), np.ones(3))
+        assert cluster.rotation_distances_to_set(pose.quat[None], pose.quat[None], np.eye(3),
+                                                 SymmetryGroup.identity(), np.ones(3)) == 0
     assert metrics.symmetric_pose_distance is original
     assert tracer.counts["so3.pose_dist_calls"] == 1
     assert tracer.counts["so3.rot_dist_calls"] == 1
 
 
-def test_the_vote_computes_its_rows_through_the_traced_name(monkeypatch):
-    # pose_vote looks rotation_distances_to_set up on the cluster module at
-    # call time, so the tracer times the exact rows of every vote
+@pytest.mark.parametrize("n", [1, 3])
+def test_the_vote_calls_the_traced_name_once(monkeypatch, n):
+    # pose_vote looks rotation_distances_to_set, bound to so3.medoid_index,
+    # up on the cluster module at call time, so the tracer times every vote,
+    # a lone candidate's too
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -43,8 +46,9 @@ def test_the_vote_computes_its_rows_through_the_traced_name(monkeypatch):
     reps = quat_normalize_batch(rng.normal(size=(3, 4)))
     members = quat_normalize_batch(np.repeat(reps, 5, axis=0) + rng.normal(scale=0.05,
                                                                            size=(15, 4)))
+    assert cluster.rotation_distances_to_set is so3.medoid_index
     with tracing.installed(tracing.Tracer()) as tracer:
-        cluster.pose_vote(np.ones(3, dtype=int), np.zeros((3, 3)), reps, members,
+        cluster.pose_vote(np.ones(n, dtype=int), np.zeros((n, 3)), reps[:n], members,
                           SymmetryGroup.identity(), np.ones(3),
                           rng.uniform(-50.0, 50.0, size=(30, 3)))
-    assert 1 <= tracer.counts["so3.rot_dist_calls"] <= 2
+    assert tracer.counts["so3.rot_dist_calls"] == 1

@@ -322,6 +322,30 @@ def test_cli_single_stage_flag(tmp_path):
     assert full["recall"] > ss["recall"]
 
 
+def test_main_parses_each_call_as_a_fresh_parser_would(monkeypatch):
+    # main shares one parser across calls: no flag of one call may reach
+    # the next, in any command
+    from binpose import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "load_config", lambda path: path)
+    monkeypatch.setattr(cli, "_COMMANDS", {name: lambda args, cfg: seen.append(vars(args)) or 0
+                                           for name in cli._COMMANDS})
+    calls = [["cluster", "--config", "a.json", "--icp", "--single-stage", "--seed", "3"],
+             ["cluster", "--config", "b.json"],
+             ["eval", "--config", "c.json", "--csv", "--out-dir", "x"],
+             ["eval", "--config", "c.json"],
+             ["gradcheck", "--config", "d.json", "--trials", "5", "--loss", "total"],
+             ["gradcheck", "--config", "d.json"],
+             ["pipeline", "--config", "e.json", "--scenes", "3", "--icp"],
+             ["pipeline", "--config", "e.json"],
+             ["synth", "--config", "f.json", "--seed", "9"]]
+    for argv in calls:
+        assert cli.main(argv) == 0
+    assert seen == [vars(cli.build_parser.__wrapped__().parse_args(argv)) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_cli_error_is_stage_tagged(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {
         "object": {"builtin": {"kind": "box", "extents": [100, 100, 100], "pitch": 25},

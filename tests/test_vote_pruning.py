@@ -1,13 +1,15 @@
-"""Pose voting computes exact rows only for the candidates that can win.
+"""Pose voting computes float64 rows only where the candidates' intervals overlap.
 
-``cluster.pose_vote`` makes one ``rotation_distances_to_set`` call, whose
-bound pass (``so3._row_bounds``) bounds every candidate's row sum; the
-rows of the candidates whose lower bound, or whose float32 screening
-bound (``so3._screen_bound``), exceeds a known row sum come back +inf.
-These tests hold the vote to the exhaustive medoid (the argmin of every
-row sum, ties to the first candidate), the rows that are computed to the
-one-candidate rows, the bounds to the computed sums, and the keep masks
-to those of the bound pass the current one replaced (``ref_row_bounds``).
+``cluster.pose_vote`` makes one ``so3.medoid_index`` call, whose bound
+pass (``so3._row_bounds``) bounds every candidate's row sum and rules out
+the candidates whose lower bound is above an upper bound; each survivor
+gets a float32 interval (``so3._interval``), and only the survivors whose
+lower end is not above the smallest upper end get a float64 row
+(``so3._exact_row``). These tests hold the vote to the exhaustive medoid
+(the argmin of every row sum, ties to the first candidate), the rows it
+computes to the one-candidate rows, the bounds and both ends of the
+intervals to the computed sums, and the keep masks to those of the bound
+pass the current one replaced (``ref_row_bounds``).
 """
 
 import json
@@ -21,8 +23,9 @@ from binpose.pipeline import run_scene
 from binpose.so3 import (Pose, SymmetryDescriptor, build_axis_mask, build_symmetry_group,
                          kernel_model, matrix_to_quat, quat_from_axis_angle, quat_multiply,
                          quat_normalize_batch, quat_to_matrix, quats_to_matrices,
-                         random_quat, rotation_distances_to_set)
+                         random_quat)
 from binpose.synth import cylinder_cloud
+from test_distance_kernel import exact_row, ref_medoid_index
 
 # (symmetry, model): |G| = 1, 2 and 24, a continuous z axis whose masked
 # points coincide, and a sphere whose masked model is its center point
@@ -101,17 +104,18 @@ def ref_row_bounds(AS, B, km):
             (1.0 + so3.BOUND_REL_SLACK) * upper + margin)
 
 
-def _keep_mask(kept, m, n_s) -> np.ndarray:
-    """The (m, C, n_s) mask of the pairs ``so3._row_bounds`` keeps."""
-    keep = np.zeros((len(kept), n_s * m), dtype=bool)
-    for c, (idx, _) in enumerate(kept):
-        keep[c, idx] = True
-    return keep.reshape(-1, n_s, m).transpose(2, 0, 1)
+def _keep_mask(kept, m, n_s) -> tuple[np.ndarray, list[int]]:
+    """The (m, C', n_s) mask of the pairs ``so3._row_bounds`` keeps for
+    the C' candidates it does not rule out, and their indices."""
+    live = [c for c, pairs in enumerate(kept) if pairs is not None]
+    keep = np.zeros((len(live), n_s * m), dtype=bool)
+    for row, c in zip(keep, live):
+        row[kept[c][0]] = True
+    return keep.reshape(-1, n_s, m).transpose(2, 0, 1), live
 
 
 def _one_candidate_rows(reps, members, group, mask, model):
-    return np.stack([rotation_distances_to_set(rep, members, model, group, mask)
-                     for rep in reps])
+    return np.stack([exact_row(rep, members, model, group, mask) for rep in reps])
 
 
 def _row_sums(reps, members, group, mask, model):
@@ -120,24 +124,31 @@ def _row_sums(reps, members, group, mask, model):
 
 def _bounds(reps, members, model, group, mask):
     """(lower, upper) of the bound pass, on the inputs converted as
-    rotation_distances_to_set converts them."""
+    so3.medoid_index converts them."""
     AS, B = so3._candidate_rotations(reps, group), quats_to_matrices(members)
     return so3._row_bounds(AS, B, kernel_model(model, mask))[1:]
 
 
-def _screen_bounds(reps, members, model, group, mask):
-    """Every candidate's float32 screening bound, on the inputs converted
-    as rotation_distances_to_set converts them."""
+def _intervals(reps, members, model, group, mask):
+    """Every candidate's (C, 2) float32 interval, on the inputs converted
+    as so3.medoid_index converts them, each from the pairs the candidate
+    keeps alone (which the bound pass keeps for it in any block)."""
     AS, B, km = so3._candidate_rotations(reps, group), quats_to_matrices(members), \
         kernel_model(model, mask)
-    kept = so3._row_bounds(AS, B, km)[0]
     buf = np.empty((2 * B.shape[0], km.points.shape[0]), dtype=np.float32)
-    return np.array([so3._screen_bound(*pairs, B.shape[0], len(group), km, buf)
-                     for pairs in kept])
+    return np.array([so3._interval(*so3._row_bounds(AS[[c]], B, km)[0][0], B.shape[0],
+                                   len(group), km, buf) for c in range(len(reps))])
+
+
+def _float64_rows(monkeypatch) -> list:
+    """The rows so3._exact_row computes from now on."""
+    rows, exact = [], so3._exact_row
+    monkeypatch.setattr(so3, "_exact_row", lambda *args: rows.append(exact(*args)) or rows[-1])
+    return rows
 
 
 def _exhaustive(reps, members, group, mask, model) -> int:
-    return int(np.argmin(_row_sums(reps, members, group, mask, model)))
+    return ref_medoid_index(reps, members, model, group, mask)
 
 
 def _voted(reps, members, group, mask, model, monkeypatch, vote=None) -> int:
@@ -189,17 +200,13 @@ def test_the_vote_is_the_exhaustive_medoid(voting_object, monkeypatch):
     for _ in range(2):
         for name, (reps, members) in _cases(group, mask, model, rng).items():
             want = _exhaustive(reps, members, group, mask, model)
-            assert _voted(reps, members, group, mask, model, monkeypatch) == want, name
-            # the rows one call computes are the one-candidate rows, and every
-            # row it leaves +inf has a sum above the smallest
             one = _one_candidate_rows(reps, members, group, mask, model)
-            rows = rotation_distances_to_set(reps, members, model, group, mask)
-            pruned = np.isposinf(rows).all(axis=1)
-            assert not pruned.all(), name
-            assert np.array_equal(rows[~pruned].view(np.uint64),
-                                  one[~pruned].view(np.uint64)), name
-            sums = one.sum(axis=1)
-            assert np.all(sums[pruned] > sums.min()), name
+            with monkeypatch.context() as mp:
+                rows = _float64_rows(mp)
+                assert _voted(reps, members, group, mask, model, monkeypatch) == want, name
+            # the rows a vote computes are one-candidate rows
+            assert all(any(np.array_equal(row.view(np.uint64), o.view(np.uint64)) for o in one)
+                       for row in rows), name
 
 
 def test_the_bounds_hold_the_computed_row_sums(voting_object):
@@ -212,51 +219,74 @@ def test_the_bounds_hold_the_computed_row_sums(voting_object):
             assert np.all(lower <= sums) and np.all(sums <= upper), name
 
 
+def _halfway(rep, group):
+    """Members halfway from ``rep`` to its symmetric equivalent ``rep s``
+    for an s other than the identity, and a hair off: s and the identity
+    are equally far from them, so each keeps two pairs."""
+    if len(group) == 1:
+        return np.empty((0, 4))
+    q = matrix_to_quat(group.matrices[1])      # the turn by angle a about axis n
+    half = quat_normalize_batch(q + [1.0, 0.0, 0.0, 0.0])[0]    # by a / 2 about n
+    return np.stack([quat_multiply(rep, quat_multiply(half, quat_from_axis_angle(axis, a)))
+                     for axis, a in (([0.0, 0.0, 1.0], 0.0), ([1.0, 2.0, 3.0], 1e-9),
+                                     ([-3.0, 1.0, 2.0], 1e-3))])
+
+
 def _screened_cases(group, mask, model, rng):
-    """``_cases``, plus a member at X = 0 from every candidate and members
-    near 180 degrees from the first, where the float32 products cancel."""
+    """``_cases``, plus a member at X = 0 from every candidate, members
+    near 180 degrees from the first, where the float32 products cancel,
+    and members that keep two pairs."""
     cases = _cases(group, mask, model, rng)
     reps, members = cases["spread"]
     turned = [quat_multiply(reps[0], quat_from_axis_angle(rng.normal(size=3), np.pi - a))
               for a in (0.0, 1e-6, 1e-3, 0.05)]
     cases["equal_and_half_turns"] = (reps, np.vstack([members, reps, turned]))
+    cases["two_pairs"] = (reps, np.vstack([members[:20], _halfway(reps[0], group)]))
     return cases
 
 
-def test_the_screen_bounds_hold_the_computed_row_sums(voting_object):
+def test_the_intervals_hold_the_computed_row_sums(voting_object):
     group, mask, model = voting_object
     rng = np.random.default_rng(38)
+    km = kernel_model(model, mask)
+    two_pairs = 0
     for _ in range(2):
         for name, (reps, members) in _screened_cases(group, mask, model, rng).items():
-            if kernel_model(model, mask).r_max == 0.0:
-                # every distance is 0 and every pair is kept: nothing to screen
-                kept = so3._row_bounds(so3._candidate_rotations(reps, group),
-                                       quats_to_matrices(members), kernel_model(model, mask))[0]
+            kept = so3._row_bounds(so3._candidate_rotations(reps, group),
+                                   quats_to_matrices(members), km)[0]
+            if km.r_max == 0.0:
+                # every distance is 0 and every pair is kept: no interval
                 assert all(gram is None for _, gram in kept), name
                 continue
+            two_pairs += any(pairs[0].size > len(members) for pairs in kept if pairs)
             sums = _row_sums(reps, members, group, mask, model)
-            assert np.all(_screen_bounds(reps, members, model, group, mask) <= sums), name
+            ends = _intervals(reps, members, model, group, mask)
+            assert np.all(ends[:, 0] <= sums) and np.all(sums <= ends[:, 1]), name
+    assert (two_pairs > 0) == (len(group) > 1 and km.r_max > 0.0)
 
 
-def test_a_runner_up_inside_the_screens_error_keeps_its_row():
+def test_a_runner_up_inside_the_intervals_error_gets_its_row(monkeypatch):
     # a candidate turned a little from the winner sits 0.09% above it, inside
-    # the float32 row's error, and gets its exact row; turned twice as far,
-    # 0.66% above, its screen rules it out where its lower bound cannot
+    # the intervals' error (0.12% each way), and both get their float64 rows;
+    # turned twice as far, 0.66% above, the intervals part where the bounds
+    # cannot, and the winner wins alone without a row
     group = build_symmetry_group(OBJECTS["cube24"][0])
     rng = np.random.default_rng(37)
     model = rng.uniform(-60.0, 60.0, size=(203, 3))
     best = random_quat(rng)
     members = quat_normalize_batch(best + rng.normal(scale=0.02, size=(120, 4)))
     best = members[_exhaustive(members[:20], members, group, np.ones(3), model)]
+    rows = _float64_rows(monkeypatch)
     for angle, computed in ((5e-3, True), (1e-2, False)):
         reps = np.stack([best, quat_multiply(best, quat_from_axis_angle([0.3, -0.5, 0.8], angle))])
         sums = _row_sums(reps, members, group, np.ones(3), model)
         lower, upper = _bounds(reps, members, model, group, np.ones(3))
-        screen = _screen_bounds(reps, members, model, group, np.ones(3))
-        assert upper[0] < upper[1] and sums[0] < sums[1] and lower[1] <= sums[0]
-        assert (screen[1] <= sums[0]) == computed
-        rows = rotation_distances_to_set(reps, members, model, group, np.ones(3))
-        assert np.isfinite(rows[1]).all() == computed
+        ends = _intervals(reps, members, model, group, np.ones(3))
+        assert upper[0] < upper[1] and sums[0] < sums[1] and lower[1] <= upper[0]
+        assert (ends[1, 0] <= ends[0, 1]) == computed
+        rows.clear()
+        assert so3.medoid_index(reps, members, model, group, np.ones(3)) == 0
+        assert len(rows) == (2 if computed else 0)
 
 
 @pytest.mark.parametrize("scale", [1e-20, 1e20])
@@ -284,8 +314,13 @@ def test_the_keep_masks_do_not_depend_on_the_block(voting_object, monkeypatch):
     together = so3._row_bounds(AS, B, km)
     monkeypatch.setattr(so3, "BOUND_BLOCK", 1)
     alone = so3._row_bounds(AS, B, km)
+    # a candidate is dropped once an upper bound of its block or before it
+    # is below its lower bound, so which are dropped depends on the block;
+    # none that can win is
+    live = np.flatnonzero(~(together[1] > together[2].min()))
     for c in range(len(reps)):
-        for a, b in zip(together[0][c], alone[0][c]):
+        assert c not in live or None not in (together[0][c], alone[0][c])
+        for a, b in zip(together[0][c] or (), alone[0][c] or ()):
             assert (a is None and b is None) or np.array_equal(a, b)
     for a, b in zip(together[1:], alone[1:]):
         np.testing.assert_allclose(a, b, rtol=1e-9)
@@ -401,7 +436,10 @@ def test_every_golden_vote_keeps_the_pairs_of_the_replaced_pass(tmp_path, monkey
             kernel_model(model, mask)
         kept, lower, upper = so3._row_bounds(AS, B, km)
         keep, ref_lower, ref_upper = ref_row_bounds(AS, B, km)
-        assert np.array_equal(_keep_mask(kept, B.shape[0], len(group)), keep)
+        mask_kept, live = _keep_mask(kept, B.shape[0], len(group))
+        assert np.array_equal(mask_kept, keep[:, live])
+        # a candidate is dropped only when its lower bound is above an upper bound
+        assert set(np.flatnonzero(~(lower > upper.min()))) <= set(live)
         np.testing.assert_allclose(lower, ref_lower, rtol=1e-9)
         np.testing.assert_allclose(upper, ref_upper, rtol=1e-9)
         votes.append(len(reps))
@@ -413,57 +451,45 @@ def test_every_golden_vote_keeps_the_pairs_of_the_replaced_pass(tmp_path, monkey
     assert len(votes) >= 18
 
 
-def test_cube24_votes_compute_fewer_than_half_the_rows(tmp_path, monkeypatch):
-    # the golden cube24 config splits each instance into about 20 candidates
-    config = _golden_config(tmp_path, "cube24")
-    real_vote, real_rows = cluster.pose_vote, cluster.rotation_distances_to_set
-    candidates, rows = [], []
-
-    def vote(counts, centroids, reps, *args):
-        candidates.append(len(reps))
-        return real_vote(counts, centroids, reps, *args)
-
-    def distances(reps, *args):
-        out = real_rows(reps, *args)
-        rows.append(np.count_nonzero(np.isfinite(out).all(axis=1)))
-        return out
-
-    monkeypatch.setattr(cluster, "pose_vote", vote)
-    monkeypatch.setattr(cluster, "rotation_distances_to_set", distances)
-    run_scene(config, 0)
-    assert min(candidates) > 10
-    assert 0 < sum(rows) < sum(candidates) / 2
-    # the vote asks for the rows once per instance
-    assert len(rows) <= len(candidates)
+# (config, most float64 rows over scene seeds 0-5, fewest candidates): the
+# float32 intervals leave 2, 2 and 22 rows of 59, 61 and 629 candidates
+# (29, 30 and 34 with the first row always computed, 51, 49 and 173 with
+# the bounds alone); the golden cube24 config splits each instance into
+# about 20 candidates
+FEW_ROWS = {"dense_box": (10, 50), "noisy_box": (15, 50), "cube24": (34, 600)}
 
 
-def test_cube24_votes_compute_about_one_row_per_instance(tmp_path, monkeypatch):
-    # the float32 screen rules out most candidates the bounds keep: 34 of the
-    # 629 rows over the golden cube24 config's scene seeds 0-5 (173 without it)
-    config = _golden_config(tmp_path, "cube24")
+@pytest.mark.parametrize("name", sorted(FEW_ROWS))
+def test_golden_votes_compute_few_float64_rows(tmp_path, monkeypatch, name):
+    config = _golden_config(tmp_path, name)
     real = cluster.rotation_distances_to_set
-    candidates, rows = [], []
+    candidates = []
 
-    def distances(reps, *args):
-        out = real(reps, *args)
+    def vote(reps, *args):
         candidates.append(len(reps))
-        rows.append(np.count_nonzero(np.isfinite(out).all(axis=1)))
-        return out
+        return real(reps, *args)
 
-    monkeypatch.setattr(cluster, "rotation_distances_to_set", distances)
+    monkeypatch.setattr(cluster, "rotation_distances_to_set", vote)
+    rows = _float64_rows(monkeypatch)
     for seed in range(6):
         run_scene(config, seed)
-    assert sum(candidates) > 600 and len(rows) <= sum(rows) <= 60
+    most, fewest = FEW_ROWS[name]
+    assert sum(candidates) > fewest and len(rows) <= most
 
 
-def test_a_nan_member_is_nan_in_every_row():
-    # a NaN member makes every bound NaN, and a NaN bound prunes nothing
+def test_a_nan_member_is_nan_in_every_row(monkeypatch):
+    # a NaN member makes every bound NaN, and a NaN bound prunes nothing:
+    # every candidate gets its float64 row, and the first wins, as the
+    # argmin of NaN sums is the first
     group, model = build_symmetry_group(OBJECTS["cube24"][0]), _tube()
     rng = np.random.default_rng(36)
     rep = random_quat(rng)
     members = quat_normalize_batch(rep + rng.normal(scale=0.03, size=(40, 4)))
     members[17] = [np.nan, 0.0, 0.0, 0.0]
     reps = np.vstack([rep, members[:5], quat_normalize_batch(rng.normal(size=(3, 4)))])
-    rows = rotation_distances_to_set(reps, members, model, group, np.ones(3))
-    assert np.isnan(rows[:, 17]).all()
+    rows = _float64_rows(monkeypatch)
+    assert so3.medoid_index(reps, members, model, group, np.ones(3)) == 0
+    assert _exhaustive(reps, members, group, np.ones(3), model) == 0
+    rows = np.stack(rows)
+    assert rows.shape == (len(reps), len(members)) and np.isnan(rows[:, 17]).all()
     assert np.isfinite(np.delete(rows, 17, axis=1)).all()
