@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .so3 import (SymmetryGroup, kernel_model, quat_multiply_batch, quat_normalize_batch,
-                  quat_to_matrix, quats_to_matrices, random_quat, symmetric_distances)
+from .so3 import (SymmetryGroup, content_cache, kernel_model, quat_multiply_batch,
+                  quat_normalize_batch, quat_to_matrix, quats_to_matrices, random_quat,
+                  symmetric_distances)
 
 TIE_TOL = 1e-6       # gap below which the min over symmetry rotations is ambiguous
 DEGENERATE_MM = 1e-9
@@ -31,7 +32,12 @@ GRADCHECK_STEP = 1e-6
 
 class TieAtMinimumError(RuntimeError):
     """The two best symmetry rotations are indistinguishable; the rotation
-    loss is not differentiable here. Resample and retry."""
+    loss is not differentiable here. Resample and retry.
+
+    Raised when the two best means are within TIE_TOL, and by
+    :func:`gradcheck` when a copy of its central-difference stencil has a
+    winning symmetry rotation other than the unstepped prediction's: the
+    difference then straddles the kink of the min, whatever the gap."""
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,43 @@ def _rotation_values(inst: LossInstance, quats) -> np.ndarray:
     return symmetric_distances(inst.rotation_gt, B, inst.model, inst.group, inst.mask)[0]
 
 
+@dataclass(frozen=True)
+class _RotationForward:
+    """One instance's rotation forward: ``means`` (n_s,) the mean distance
+    for each symmetry rotation, and ``pull`` (m, 9) the W_j of
+    :func:`rotation_loss_grad` for the first rotation with the smallest."""
+
+    means: np.ndarray
+    pull: np.ndarray
+
+
+@content_cache
+def _rotation_forward(rotation_gt, pred_quats, model, mask, group_matrices) -> _RotationForward:
+    """The :class:`_RotationForward` of an instance's ``rotation_gt``,
+    ``pred_quats``, ``model``, ``mask`` and ``group.matrices``, memoized on
+    their bytes: the loss and its gradient share one distance pass, and an
+    instance changed in place gets a fresh one.
+
+    The means are those of the (1, m) stack ``rotation_loss`` evaluates;
+    the pull reads that stack's distances to the K' kernel points, with
+    c_k / d_jk weights (zero where d_jk is zero).
+    """
+    quats = pred_quats.reshape(1, -1, 4)
+    B = quats_to_matrices(quats).reshape(quats.shape[:-1] + (3, 3))
+    means, dists = symmetric_distances(rotation_gt.reshape(3, 3), B, model,
+                                       SymmetryGroup(group_matrices.reshape(-1, 3, 3)), mask)
+    km = kernel_model(model, mask)
+    weights = np.divide(1.0, dists[0], out=np.zeros_like(dists[0]), where=dists[0] > 1e-12)
+    if km.counts is not None:
+        weights *= km.counts
+    return _RotationForward(means[0], weights @ km.outer)
+
+
+def _forward(inst: LossInstance) -> _RotationForward:
+    return _rotation_forward(inst.rotation_gt, inst.pred_quats, inst.model, inst.mask,
+                             inst.group.matrices)
+
+
 def _translation_values(inst: LossInstance, centroids) -> np.ndarray:
     """Translation loss of the instance for each (m,3) copy in the (P,m,3)
     stack ``centroids`` of its predicted centroids, shape (P,): the mean
@@ -147,7 +190,7 @@ def rotation_loss(instances: Sequence[LossInstance]) -> float:
         raise ValueError("rotation loss needs at least one instance")
     total = 0.0
     for inst in instances:
-        total += float(_rotation_values(inst, inst.pred_quats[None]).min())
+        total += float(_forward(inst).means.min())
     return total / len(instances)
 
 
@@ -205,28 +248,29 @@ def rotation_loss_grad(instances: Sequence[LossInstance]) -> list[np.ndarray]:
     changes L by v_j . w with v_j = vee(M_j - M_j^T), M_j = R_j^T dL/dR_j,
     and moves q^ by q^ (x) (0, w/2): the gradient is 2 q^ (x) (0, v_j),
     tangent to the unit sphere, so the chain through q^ = q/|q| is 1/|q|.
+
+    The means and the W_j come from the instance's memoized forward, which
+    ``rotation_loss`` on the same content has already computed, so a
+    training step computes each instance's distances once and the
+    gradient holds no (m, K') table.
     """
     n = len(instances)
     grads = []
     for inst in instances:
-        q = inst.pred_quats
-        q_norm = np.linalg.norm(q, axis=1)[:, None]
-        Rp = quats_to_matrices(q)
-        vals, dists = symmetric_distances(inst.rotation_gt, Rp, inst.model, inst.group,
-                                          inst.mask)              # dists: (m,K), winning s
+        forward = _forward(inst)
+        vals = forward.means
         order = np.argsort(vals)
         if vals.shape[0] > 1 and vals[order[1]] - vals[order[0]] < TIE_TOL:
             raise TieAtMinimumError(
                 f"symmetry-rotation gap {vals[order[1]] - vals[order[0]]:.2e} below {TIE_TOL}")
         S = inst.rotation_gt @ inst.group.matrices[order[0]]
-        km = kernel_model(inst.model, inst.mask)
-        weights = np.divide(1.0, dists, out=np.zeros_like(dists), where=dists > 1e-12)
-        if km.counts is not None:
-            weights *= km.counts
-        m = dists.shape[0]
-        W = (weights @ km.outer).reshape(m, 3, 3)
+        q = inst.pred_quats
+        q_norm = np.linalg.norm(q, axis=1)[:, None]
+        Rp = quats_to_matrices(q)
+        m = q.shape[0]
+        W = forward.pull.reshape(m, 3, 3)
         # R^T (R - S) W keeps the difference explicit; W - R^T S W loses precision
-        M = Rp.transpose(0, 2, 1) @ (Rp - S) @ W / (n * m * km.size)
+        M = Rp.transpose(0, 2, 1) @ (Rp - S) @ W / (n * m * inst.model.shape[0])
         v = np.stack([np.zeros(m), M[:, 2, 1] - M[:, 1, 2], M[:, 0, 2] - M[:, 2, 0],
                       M[:, 1, 0] - M[:, 0, 1]], axis=1)
         grads.append(2.0 * quat_multiply_batch(q / q_norm, v) / q_norm)
@@ -247,11 +291,12 @@ _ROTATION = ("pred_quats", lambda ins: rotation_loss(ins), lambda ins: rotation_
 # loss selector -> its terms, unit weights; 'total' lists centroids first
 _SELECTORS = {"rotation": (_ROTATION,), "translation": (_TRANSLATION,),
               "total": (_TRANSLATION, _ROTATION)}
-# the term reading each array, as its loss of one instance for every copy in
-# a (P, m, k) stack of that array, shape (P,); central differences evaluate
-# these, not the losses
-_STACKED = {"pred_centroids": _translation_values,
-            "pred_quats": lambda inst, quats: _rotation_values(inst, quats).min(axis=-1)}
+# the term reading each array, as its values of one instance for every copy
+# in a (P, m, k) stack of that array and every symmetry rotation, shape
+# (P, n_s), the loss the smallest; the translation term has one column.
+# Central differences evaluate these, not the losses
+_STACKED = {"pred_centroids": lambda inst, cents: _translation_values(inst, cents)[:, None],
+            "pred_quats": _rotation_values}
 
 
 def _selector(loss: str) -> tuple[tuple, ...]:
@@ -261,17 +306,19 @@ def _selector(loss: str) -> tuple[tuple, ...]:
 
 
 def _central_differences(terms: Sequence[tuple], instances: Sequence[LossInstance],
-                         epsilon: float) -> np.ndarray:
+                         epsilon: float, strict: bool = False) -> np.ndarray:
     """Central-difference gradient of the sum of ``terms``, instance by
     instance, each term over the components of the one array it reads and
     in term order; the other terms do not move with that array.
 
     Every term is a mean over instances, so a component of one instance
     moves it by what it moves that instance's term / n. The copies of the
-    array with each component stepped by +epsilon and by -epsilon go
-    through the term as stacks of at most STACK_BLOCK (copy, point, model
-    point) distances; a copy's value has the bits it has alone, so the
-    result is that of stepping one component at a time."""
+    array with each component stepped by +epsilon and by -epsilon, and one
+    unstepped copy, go through the term as stacks of at most STACK_BLOCK
+    (copy, point, model point) distances; a copy's value has the bits it
+    has alone, so the result is that of stepping one component at a time.
+    ``strict`` raises TieAtMinimumError when a stepped copy's winning
+    symmetry rotation is not the unstepped copy's."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"finite-difference step must be finite and positive, got {epsilon}")
     out = []
@@ -282,15 +329,22 @@ def _central_differences(terms: Sequence[tuple], instances: Sequence[LossInstanc
             arr = getattr(inst, field)
             flat = arr.reshape(-1)
             n = flat.size
-            # copy c steps component c % n to stepped[c]: +epsilon, then -epsilon
-            stepped = np.concatenate([flat + epsilon, flat - epsilon])
-            values = np.empty(2 * n)
-            for lo in range(0, 2 * n, step):
-                c = np.arange(lo, min(lo + step, 2 * n))
+            # copy c < 2n steps component c % n to stepped[c], +epsilon then
+            # -epsilon; copy 2n sets component 0 to its own value
+            stepped = np.concatenate([flat + epsilon, flat - epsilon, flat[:1]])
+            blocks = []
+            for lo in range(0, 2 * n + 1, step):
+                c = np.arange(lo, min(lo + step, 2 * n + 1))
                 stack = np.tile(flat, (c.size, 1))
                 stack[np.arange(c.size), c % n] = stepped[c]
-                values[c] = _STACKED[field](inst, stack.reshape((c.size,) + arr.shape))
-            out.append((values[:n] - values[n:]) / (2.0 * epsilon * len(instances)))
+                blocks.append(_STACKED[field](inst, stack.reshape((c.size,) + arr.shape)))
+            per_s = np.concatenate(blocks)                  # (2n + 1, n_s)
+            winners = per_s.argmin(axis=1)
+            if strict and (winners != winners[-1]).any():
+                raise TieAtMinimumError(f"the winning symmetry rotation changes within a "
+                                        f"step of {epsilon} of {field}")
+            values = per_s.min(axis=1)
+            out.append((values[:n] - values[n:2 * n]) / (2.0 * epsilon * len(instances)))
     return np.concatenate(out) if out else np.empty(0)
 
 
@@ -305,14 +359,16 @@ def gradcheck(loss: str, instances: Sequence[LossInstance],
     ||g_a - g_n||_inf / max(||g_a||_inf, ||g_n||_inf, 1e-12).
 
     Raises TieAtMinimumError when the rotation loss sits at a symmetry
-    tie; callers should resample the configuration and retry. Raises
-    ValueError when ``epsilon`` is not finite and positive or the error
-    is not finite.
+    tie, two means within TIE_TOL, or when a central-difference step
+    changes the winning symmetry rotation, which puts the kink of the min
+    inside the stencil; callers should resample the configuration and
+    retry. Raises ValueError when ``epsilon`` is not finite and positive
+    or the error is not finite.
     """
     terms = _selector(loss)
     per_term = [grad(instances) for _, _, grad in terms]
     analytic = np.concatenate([g.ravel() for per_inst in zip(*per_term) for g in per_inst])
-    numeric = _central_differences(terms, instances, epsilon)
+    numeric = _central_differences(terms, instances, epsilon, True)
     scale = max(np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-12)
     err = float(np.abs(analytic - numeric).max() / scale)
     if not math.isfinite(err):
@@ -349,10 +405,11 @@ def gradcheck_trials(loss: str, model, group: SymmetryGroup, mask,
                      seed: int = 0) -> float:
     """Worst relative gradient error over random configurations.
 
-    Configurations landing on a symmetry tie are resampled (the loss is
-    not differentiable there); more than MAX_RESAMPLES consecutive
-    ties raises the underlying TieAtMinimumError. Fewer than one trial
-    raises ValueError, as does any trial gradcheck rejects.
+    Configurations landing on a symmetry tie, or whose stencil crosses
+    one, are resampled (the loss is not differentiable there); more than
+    MAX_RESAMPLES consecutive ties raises the underlying
+    TieAtMinimumError. Fewer than one trial raises ValueError, as does
+    any trial gradcheck rejects.
     """
     if trials < 1:
         raise ValueError(f"need at least one gradient-check trial, got {trials}")

@@ -447,7 +447,12 @@ def _freeze(value) -> None:
 def content_cache(build):
     """Memoize ``build(*arrays)``, 16 deep, on each array's float64 bytes,
     which ``build`` gets flat; results are shared, so their arrays, also
-    those inside tuple attributes, are made read-only."""
+    those inside tuple attributes, are made read-only.
+
+    Each decorated function keeps its own 16 entries: :func:`kernel_model`
+    and ``icp``'s cell tables one per model, and ``losses._rotation_forward``
+    the rotation forwards of the last 16 loss instances, O(m) each, which
+    the loss and its gradient share."""
     @functools.lru_cache(maxsize=16)
     def cached(*keys):
         built = build(*map(np.frombuffer, keys))

@@ -324,7 +324,10 @@ def test_default_step_passes_the_benchmark_gate_on_its_first_scene_seeds(loss):
                ObjectModel("cylinder", cylinder_cloud(30, 120, 6),
                            SymmetryDescriptor(dz_deg=1))]
     worst = 0.0
-    for seed in range(200):
+    # 561962 (box): two symmetry means 9.6e-6 apart, and a step of 1e-6 flips
+    # the winner inside the stencil, which read 0.105 before gradcheck
+    # resampled such configurations
+    for seed in [*range(200), 561962]:
         model = objects[seed % 2]
         worst = max(worst, gradcheck_trials(loss, model.points, model.group, model.mask,
                                             trials=1, seed=seed))
@@ -481,7 +484,7 @@ def test_gradcheck_evaluates_each_term_of_an_instance_in_one_stacked_call(monkey
     gradcheck_trials(loss, model, build_symmetry_group(desc), build_axis_mask(desc),
                      trials=1)
     # 2 instances, each term evaluated once per instance on the stack of its
-    # array's +/- steps (2 x 3 points x 4 or 3 components)
+    # array's +/- steps (2 x 3 points x 4 or 3 components) and the array itself
     assert calls == evaluations
 
 
@@ -634,11 +637,126 @@ def test_rotation_loss_grad_allocates_less_than_four_distance_arrays():
 
     inst = _noisy_oracle_batch("box", TWOFOLD, 0)[0]
     rotation_loss_grad([inst])                     # warm up lazily built state
-    tracemalloc.start()
-    try:
-        rotation_loss_grad([inst])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     m, K = inst.pred_quats.shape[0], inst.model.shape[0]
-    assert peak < 4 * m * K * 8
+    # new content misses the forward's cache: the first call computes the
+    # distances, the second reads the forward the first one left
+    inst.pred_quats = 2.0 * inst.pred_quats
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            rotation_loss_grad([inst])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 4 * m * K * 8
+    assert peaks[1] < m * K * 8
+
+
+# ---------------------------------------------------------------------------
+# the shared rotation forward
+
+
+def _parent_rotation_loss(instances):
+    # rotation_loss as it was: one (1, m) stack per instance
+    total = 0.0
+    for inst in instances:
+        B = so3.quats_to_matrices(inst.pred_quats[None]).reshape(1, -1, 3, 3)
+        total += float(so3.symmetric_distances(inst.rotation_gt, B, inst.model, inst.group,
+                                               inst.mask)[0].min())
+    return total / len(instances)
+
+
+def _parent_rotation_loss_grad(instances):
+    # rotation_loss_grad as it was: its own (m) distance pass and weights
+    n = len(instances)
+    grads = []
+    for inst in instances:
+        q = inst.pred_quats
+        q_norm = np.linalg.norm(q, axis=1)[:, None]
+        Rp = so3.quats_to_matrices(q)
+        vals, dists = so3.symmetric_distances(inst.rotation_gt, Rp, inst.model, inst.group,
+                                              inst.mask)
+        order = np.argsort(vals)
+        if vals.shape[0] > 1 and vals[order[1]] - vals[order[0]] < losses.TIE_TOL:
+            raise TieAtMinimumError("tie")
+        S = inst.rotation_gt @ inst.group.matrices[order[0]]
+        km = kernel_model(inst.model, inst.mask)
+        weights = np.divide(1.0, dists, out=np.zeros_like(dists), where=dists > 1e-12)
+        if km.counts is not None:
+            weights *= km.counts
+        m = dists.shape[0]
+        W = (weights @ km.outer).reshape(m, 3, 3)
+        M = Rp.transpose(0, 2, 1) @ (Rp - S) @ W / (n * m * km.size)
+        v = np.stack([np.zeros(m), M[:, 2, 1] - M[:, 1, 2], M[:, 0, 2] - M[:, 2, 0],
+                      M[:, 1, 0] - M[:, 0, 1]], axis=1)
+        grads.append(2.0 * so3.quat_multiply_batch(q / q_norm, v) / q_norm)
+    return grads
+
+
+def _assert_matches_the_parent_formulas(instances):
+    try:
+        want = _parent_rotation_loss_grad(instances)
+    except TieAtMinimumError:
+        with pytest.raises(TieAtMinimumError):
+            losses.rotation_loss_grad(instances)
+        return False
+    assert rotation_loss(instances) == _parent_rotation_loss(instances)
+    got = losses.rotation_loss_grad(instances)
+    assert len(got) == len(want) and all(_same_bits(g, w) for g, w in zip(got, want))
+    return True
+
+
+@pytest.mark.parametrize("obj, n_s, distinct", [("box", 2, 400), ("cylinder", 1, 21),
+                                                ("cube24", 24, None)])
+def test_loss_and_gradient_are_the_parent_formulas_bit_for_bit(obj, n_s, distinct):
+    make, desc = BIT_GRID_OBJECTS[obj]
+    model, group, mask = make(), build_symmetry_group(desc), build_axis_mask(desc)
+    km = kernel_model(model, mask)
+    assert len(group) == n_s
+    assert distinct is None or km.points.shape[0] == distinct
+    assert (km.counts is not None) == (obj == "cylinder")
+    rng = np.random.default_rng(40)
+    compared = 0
+    for m in (1, 3, 8, 40):
+        compared += _assert_matches_the_parent_formulas(
+            random_instances(model, group, mask, rng, n_instances=3, n_points=m))
+    if obj != "cube24":
+        for seed in range(2):
+            compared += _assert_matches_the_parent_formulas(
+                _noisy_oracle_batch(obj, desc, seed))
+    assert compared >= 4
+
+
+def test_a_training_step_computes_each_instance_forward_once(monkeypatch):
+    calls = []
+    original = losses.symmetric_distances
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(losses, "symmetric_distances", counted)
+    desc = SymmetryDescriptor(dz_deg=180)
+    group, mask = build_symmetry_group(desc), build_axis_mask(desc)
+    # content no other test builds, so no forward is cached yet
+    batch = random_instances(box_cloud((40, 120, 160), 12), group, mask,
+                             np.random.default_rng(41), n_instances=5, n_points=7)
+    total_loss(batch, LossWeights())
+    losses.rotation_loss_grad(batch)
+    assert calls == [(1, 7, 3, 3)] * 5
+
+
+def test_the_forward_is_keyed_on_content_not_on_the_instance():
+    desc = SymmetryDescriptor(dz_deg=180)
+    group, mask = build_symmetry_group(desc), build_axis_mask(desc)
+    inst = random_instances(box_cloud((40, 120, 160), 12), group, mask,
+                            np.random.default_rng(42), n_instances=1, n_points=6)[0]
+    rotation_loss([inst])
+    before = losses.rotation_loss_grad([inst])[0]
+    # the same object, changed in place between the loss and the gradient
+    inst.pred_quats[2] = random_quat(np.random.default_rng(43))
+    got = losses.rotation_loss_grad([inst])[0]
+    assert not np.array_equal(got, before)
+    assert _same_bits(got, _parent_rotation_loss_grad([inst])[0])
+    assert rotation_loss([inst]) == _parent_rotation_loss([inst])
